@@ -9,24 +9,21 @@
 //  - scalar:   TraceGenerator::next + the new compact Cache, still one
 //    reference and one full level walk at a time (Hierarchy's oracle
 //    path, isolates the cache-layout share of the win);
-//  - batched:  TraceGenerator::fill blocks and Cache::access_many level
-//    filtering, with the tag probe pinned to the scalar loop;
-//  - +SIMD:    the production path — batched with the runtime-dispatch
-//    AVX2 tag probe (falls back to the scalar probe off x86/AVX2);
+//  - batched:  the production path — TraceGenerator::fill blocks and
+//    Cache::access_many level filtering through each level's block
+//    walker;
 //  - file:     the same replay fed from an fpr-trace v1 file
 //    (FileTraceSource: chunked varint decode instead of generation),
 //    measuring the external-trace ingestion path `fpr trace` uses.
 //
-// Two companion tables break the production path down further: a
-// per-stage roofline (refs/second through the generator and each cache
-// level separately) and a shard ladder (replay_sharded across 1/2/4/8
-// pool workers; expect ~linear scaling on hosts with that many cores —
-// the >=3x aggregate target assumes an 8-core host).
+// A companion per-stage roofline breaks the production path down
+// further: refs/second through the generator and each cache level
+// separately.
 //
-// Every path — including the staged breakdown and every shard rung —
-// must produce EXACTLY the same per-level statistics (vectorization and
-// sharding are pure reorderings). Exits non-zero on any mismatch or if
-// the aggregate production-vs-baseline speedup falls below 1x.
+// Every path — including the staged breakdown — must produce EXACTLY
+// the same per-level statistics. Exits non-zero on any mismatch or if
+// the aggregate production-vs-baseline speedup falls below 1x, and
+// with code 2 on a malformed option.
 //
 //   ./build/memsim_replay [--refs N] [--scale-shift S] [--no-perf-gate]
 #include <algorithm>
@@ -35,7 +32,6 @@
 #include <cstdlib>
 #include <iostream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <cstdio>
@@ -43,7 +39,6 @@
 #include "arch/machines.hpp"
 #include "bench_util.hpp"
 #include "common/table.hpp"
-#include "common/thread_pool.hpp"
 #include "common/timer.hpp"
 #include "io/trace_format.hpp"
 #include "io/trace_replay.hpp"
@@ -263,14 +258,24 @@ bool identical(const HierarchyResult& a, const HierarchyResult& b) {
   return true;
 }
 
-/// Option values for --refs/--scale-shift: reject '-'-prefixed input
-/// (std::stoull would silently wrap a negative to a huge count).
-std::uint64_t parse_count(const std::string& arg, const std::string& t) {
-  if (t.empty() || t[0] == '-') {
-    std::cerr << arg << " wants a non-negative integer, got '" << t << "'\n";
+/// Option values for --refs/--scale-shift: a non-negative integer no
+/// larger than `max`, checked before any narrowing; anything else exits
+/// 2 ('-'-prefixed input would otherwise wrap to a huge count).
+std::uint64_t parse_count(const std::string& arg, const std::string& t,
+                          std::uint64_t max) {
+  std::size_t used = 0;
+  std::uint64_t v = 0;
+  try {
+    if (!t.empty() && t[0] != '-') v = std::stoull(t, &used);
+  } catch (const std::exception&) {
+    // `used` stays 0 and is reported below.
+  }
+  if (used == 0 || used != t.size() || v > max) {
+    std::cerr << arg << " wants an integer in [0, " << max << "], got '" << t
+              << "'\n";
     std::exit(2);
   }
-  return std::stoull(t);
+  return v;
 }
 
 }  // namespace
@@ -293,9 +298,9 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--refs") {
-      refs = parse_count(arg, value());
+      refs = parse_count(arg, value(), ~std::uint64_t{0});
     } else if (arg == "--scale-shift") {
-      scale_shift = static_cast<unsigned>(parse_count(arg, value()));
+      scale_shift = static_cast<unsigned>(parse_count(arg, value(), 30));
     } else if (arg == "--no-perf-gate") {
       perf_gate = false;
     } else {
@@ -303,18 +308,16 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if (refs == 0 || scale_shift > 30) {
-    std::cerr << "want --refs > 0 and --scale-shift <= 30\n";
+  if (refs == 0) {
+    std::cerr << "want --refs > 0\n";
     return 2;
   }
 
-  bench::header("Memory-hierarchy replay throughput (scalar/batched/SIMD)",
+  bench::header("Memory-hierarchy replay throughput (scalar/batched)",
                 "the Sec. III-A PCM-profiling stage");
   const auto cpu = arch::knl();
   std::cout << "machine: " << cpu.short_name << ", refs=" << refs
-            << " (+equal warmup), scale-shift=" << scale_shift
-            << ", avx2=" << (Cache::simd_supported() ? "yes" : "no")
-            << "\n\n";
+            << " (+equal warmup), scale-shift=" << scale_shift << "\n\n";
 
   // Level names for the per-stage table header (fixed machine).
   std::vector<std::string> level_names;
@@ -326,18 +329,14 @@ int main(int argc, char** argv) {
   }
 
   TextTable table({"Pattern", "Baseline[Mref/s]", "Scalar[Mref/s]",
-                   "Batched[Mref/s]", "+SIMD[Mref/s]", "File[Mref/s]",
-                   "Speedup", "Identical"});
+                   "Batched[Mref/s]", "File[Mref/s]", "Speedup",
+                   "Identical"});
   std::vector<std::string> stage_cols = {"Pattern", "Gen[Mref/s]"};
   for (const auto& n : level_names) stage_cols.push_back(n + "[Mref/s]");
   TextTable stage_table(stage_cols);
 
-  double baseline_total = 0.0, scalar_total = 0.0, batched_total = 0.0,
-         simd_total = 0.0;
+  double baseline_total = 0.0, scalar_total = 0.0, batched_total = 0.0;
   bool all_identical = true;
-  std::vector<AccessPatternSpec> scaled_specs;
-  std::vector<std::string> names;
-  std::vector<HierarchyResult> reference_results;
   for (const auto& w : workloads()) {
     const AccessPatternSpec scaled = scale_spec(w.spec, scale_shift);
 
@@ -353,21 +352,12 @@ int main(int argc, char** argv) {
     const double scalar_s = ts.seconds();
 
     Hierarchy hb(cpu, scale_shift);
-    hb.set_probe_mode(Cache::ProbeMode::kScalar);
     TraceGenerator gb(scaled, 0xfeed1234);
     WallTimer tb;
     const auto rb = hb.replay(gb, refs, refs);
     const double batched_s = tb.seconds();
 
-    // Production path: batched with the runtime-dispatched probe (AVX2
-    // when the CPU has it, the scalar loop otherwise).
-    Hierarchy hv(cpu, scale_shift);
-    TraceGenerator gv(scaled, 0xfeed1234);
-    WallTimer tv;
-    const auto rv = hv.replay(gv, refs, refs);
-    const double simd_s = tv.seconds();
-
-    // Per-stage roofline over the production configuration.
+    // Per-stage roofline over the production path.
     Hierarchy hstage(cpu, scale_shift);
     TraceGenerator gstage(scaled, 0xfeed1234);
     StageTiming st;
@@ -401,25 +391,19 @@ int main(int argc, char** argv) {
     std::remove(trace_path);
 
     const bool same = identical(r0, rb) && identical(rs, rb) &&
-                      identical(rv, rb) && identical(rstage, rb) &&
-                      identical(rf, rb);
+                      identical(rstage, rb) && identical(rf, rb);
     all_identical = all_identical && same;
     baseline_total += baseline_s;
     scalar_total += scalar_s;
     batched_total += batched_s;
-    simd_total += simd_s;
-    scaled_specs.push_back(scaled);
-    names.push_back(w.name);
-    reference_results.push_back(rb);
     const double mref = static_cast<double>(2 * refs) / 1e6;  // warmup counts
     table.row()
         .cell(w.name)
         .num(baseline_s > 0 ? mref / baseline_s : 0.0, 2)
         .num(scalar_s > 0 ? mref / scalar_s : 0.0, 2)
         .num(batched_s > 0 ? mref / batched_s : 0.0, 2)
-        .num(simd_s > 0 ? mref / simd_s : 0.0, 2)
         .num(file_s > 0 ? mref / file_s : 0.0, 2)
-        .num(simd_s > 0 ? baseline_s / simd_s : 0.0, 2)
+        .num(batched_s > 0 ? baseline_s / batched_s : 0.0, 2)
         .cell(same ? "yes" : "NO")
         .done();
 
@@ -442,60 +426,17 @@ int main(int argc, char** argv) {
                "are the previous level's misses):\n";
   stage_table.print(std::cout);
 
-  // Shard ladder: replay_sharded across J pool workers (plus the
-  // generator role). Sharding never changes the statistics — each rung
-  // is identity-checked against the batched reference — so the only
-  // question is wall time. Scaling tracks the physical core count; the
-  // >=3x aggregate target assumes an 8-core host.
-  std::cout << "\nshard ladder (replay_sharded; hardware threads: "
-            << std::thread::hardware_concurrency() << "):\n";
-  TextTable shard_table(
-      {"Jobs", "Aggregate[Mref/s]", "vs batched", "Identical"});
-  double best_shard_mrefs = 0.0;
-  const unsigned rungs[] = {1, 2, 4, 8};
-  const double total_mref =
-      static_cast<double>(2 * refs) * static_cast<double>(names.size()) / 1e6;
-  const double batched_mrefs =
-      batched_total > 0 ? total_mref / batched_total : 0.0;
-  for (const unsigned jobs : rungs) {
-    ThreadPool pool(jobs + 1);  // J walkers + the generator role
-    double rung_total = 0.0;
-    bool rung_identical = true;
-    for (std::size_t wi = 0; wi < scaled_specs.size(); ++wi) {
-      Hierarchy h(cpu, scale_shift);
-      TraceGenerator g(scaled_specs[wi], 0xfeed1234);
-      WallTimer t;
-      const auto r = h.replay_sharded(g, refs, refs, pool, jobs);
-      rung_total += t.seconds();
-      rung_identical = rung_identical && identical(r, reference_results[wi]);
-    }
-    all_identical = all_identical && rung_identical;
-    const double rung_mrefs = rung_total > 0 ? total_mref / rung_total : 0.0;
-    best_shard_mrefs = std::max(best_shard_mrefs, rung_mrefs);
-    shard_table.row()
-        .cell(std::to_string(jobs))
-        .num(rung_mrefs, 2)
-        .num(batched_mrefs > 0 ? rung_mrefs / batched_mrefs : 0.0, 2)
-        .cell(rung_identical ? "yes" : "NO")
-        .done();
-  }
-  shard_table.print(std::cout);
-
-  const double speedup = simd_total > 0 ? baseline_total / simd_total : 0.0;
+  const double speedup =
+      batched_total > 0 ? baseline_total / batched_total : 0.0;
   std::printf(
       "\naggregate: baseline %.3f s, scalar %.3f s, batched %.3f s, "
-      "simd %.3f s, speedup %.2fx (production vs baseline)\n",
-      baseline_total, scalar_total, batched_total, simd_total, speedup);
-  std::printf(
-      "best shard rung: %.2f Mref/s (%.2fx over batched; informational — "
-      "expect >=3x aggregate over the batched path on an 8-core host)\n",
-      best_shard_mrefs,
-      batched_mrefs > 0 ? best_shard_mrefs / batched_mrefs : 0.0);
+      "speedup %.2fx (production vs baseline)\n",
+      baseline_total, scalar_total, batched_total, speedup);
 
   if (!all_identical) {
     std::cerr << "[bench] REPLAY MISMATCH: every path (baseline, scalar, "
-                 "batched, SIMD, staged, file, and each shard rung) must "
-                 "produce identical per-level statistics\n";
+                 "batched, staged, file) must produce identical per-level "
+                 "statistics\n";
     return 1;
   }
   if (perf_gate && speedup < 1.0) {

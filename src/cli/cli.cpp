@@ -95,12 +95,8 @@ constexpr const char* kUsage =
     "                       as --trace-refs; default 400000)\n"
     "  --scale-shift S      capacity scale-down exponent: footprints and\n"
     "                       cache sizes shrink by 2^S (default 8, max 30)\n"
-    "  --shard-jobs J       shard each replay across up to J pool workers\n"
-    "                       (default 0 = serial; results are identical\n"
-    "                       for every J, only wall time changes)\n"
     "\n"
-    "trace options (plus --refs/--scale-shift/--shard-jobs/--csv as\n"
-    "above):\n"
+    "trace options (plus --refs/--scale-shift/--csv as above):\n"
     "  --machine M[,M...]   replay only on the named Table I machines\n"
     "                       (default: all)\n"
     "  --refs N             measured references, > 0 (default: every\n"
@@ -163,7 +159,6 @@ struct RunOptions {
   std::uint64_t trace_refs = model::kDefaultTraceRefs;
   bool refs_explicit = false;  // trace: --refs given (else whole file)
   unsigned scale_shift = model::kDefaultScaleShift;  // memsim
-  unsigned shard_jobs = 0;  // memsim: workers per replay, 0 = serial
   // trace
   std::uint64_t warmup = 0;
   std::vector<std::string> machines;  // empty = all Table I machines
@@ -639,7 +634,7 @@ int cmd_memsim(const RunOptions& opt, std::ostream& out, std::ostream& err) {
 
   err << "[fpr] memsim: " << selection.size() << " kernel(s) at scale "
       << opt.scale << ", refs=" << opt.trace_refs << ", scale-shift="
-      << opt.scale_shift << ", shard-jobs=" << opt.shard_jobs << "\n";
+      << opt.scale_shift << "\n";
 
   kernels::RunConfig rc;
   rc.scale = opt.scale;
@@ -648,14 +643,6 @@ int cmd_memsim(const RunOptions& opt, std::ostream& out, std::ostream& err) {
 
   ExecutionContext ctx(opt.threads);
   memsim::SimCache* cache = ctx.sim_cache().get();
-  // Shard each replay across the context pool when asked. Results are
-  // identical for every J (property-tested), so the table below — and
-  // the SimCache entries the replays populate — never depend on it.
-  memsim::ShardPlan shards;
-  if (opt.shard_jobs > 0) {
-    shards.pool = &ctx.pool();
-    shards.jobs = opt.shard_jobs;
-  }
 
   TextTable t({"Kernel", "Machine", "L1h%", "L2h%", "Last", "LLh%",
                "Offchip%", "DRAM%"});
@@ -666,7 +653,7 @@ int cmd_memsim(const RunOptions& opt, std::ostream& out, std::ostream& err) {
       const auto sliced = model::per_core_slice(meas.access, cpu.cores);
       const auto res = memsim::simulate_pattern_cached(
           cache, cpu, sliced, opt.trace_refs, model::kProfileSeed,
-          opt.scale_shift, shards);
+          opt.scale_shift);
       const std::string last = cpu.has_mcdram() ? "MCDRAM$" : "LLC";
       t.row()
           .cell(abbrev)
@@ -714,7 +701,7 @@ std::string trace_stem(const std::string& path) {
 /// per-machine hit-rate columns (so rows are directly comparable:
 /// `--csv` output matches memsim's minus the leading kernel/trace
 /// cell). Replays go through the context SimCache keyed by the trace's
-/// content digest, and --shard-jobs shards them bit-identically.
+/// content digest.
 int cmd_trace(const RunOptions& opt, std::ostream& out, std::ostream& err) {
   if (opt.positional.size() != 1) {
     return usage_error(err, "trace needs exactly one fpr-trace file");
@@ -761,15 +748,10 @@ int cmd_trace(const RunOptions& opt, std::ostream& out, std::ostream& err) {
   err << "[fpr] trace: '" << path << "', " << info.records
       << " record(s), digest " << fmt_hex64(info.digest) << ", refs=" << refs
       << ", warmup=" << opt.warmup << ", scale-shift=" << opt.scale_shift
-      << ", shard-jobs=" << opt.shard_jobs << "\n";
+      << "\n";
 
   ExecutionContext ctx(opt.threads);
   memsim::SimCache* cache = ctx.sim_cache().get();
-  memsim::ShardPlan shards;
-  if (opt.shard_jobs > 0) {
-    shards.pool = &ctx.pool();
-    shards.jobs = opt.shard_jobs;
-  }
 
   const std::string stem = trace_stem(path);
   const bool json_to_stdout = opt.out == "-";
@@ -778,8 +760,8 @@ int cmd_trace(const RunOptions& opt, std::ostream& out, std::ostream& err) {
   io::Json machines_json = io::Json::array();
   try {
     for (const auto& cpu : machines) {
-      const auto res = io::replay_trace_cached(
-          cache, cpu, path, refs, opt.warmup, opt.scale_shift, shards);
+      const auto res = io::replay_trace_cached(cache, cpu, path, refs,
+                                               opt.warmup, opt.scale_shift);
       const std::string last = cpu.has_mcdram() ? "MCDRAM$" : "LLC";
       t.row()
           .cell(stem)
@@ -1237,8 +1219,8 @@ int run_cli(const std::vector<std::string>& args, std::ostream& out,
         for (auto& k : parts) opt.kernels.push_back(std::move(k));
       } else if (arg == "--scale") {
         opt.scale = number([](const std::string& t) { return std::stod(t); });
-        if (opt.scale <= 0.0) {
-          return usage_error(err, "--scale must be > 0");
+        if (!std::isfinite(opt.scale) || opt.scale <= 0.0) {
+          return usage_error(err, "--scale must be finite and > 0");
         }
       } else if (arg == "--threads") {
         opt.threads = number(parse_worker_count);
@@ -1268,8 +1250,6 @@ int run_cli(const std::vector<std::string>& args, std::ostream& out,
           return usage_error(err, arg + " needs at least one machine name");
         }
         for (auto& m : parts) opt.machines.push_back(std::move(m));
-      } else if (arg == "--shard-jobs") {
-        opt.shard_jobs = number(parse_worker_count);
       } else if (arg == "--scale-shift") {
         opt.scale_shift =
             number([](const std::string& t) { return parse_worker_count(t); });

@@ -5,9 +5,8 @@
 // read/write flag), transformed to t = (addr << 1) | write and stored as
 // the zigzag-varint of the delta against the previous record's t; the
 // first record of every chunk deltas against 0, so a chunk decodes
-// without any state from its predecessors and sharded replay can stream
-// chunk after chunk through the existing deterministic stat merge. The
-// header carries the record count, a content digest (FNV-1a 64 over the
+// without any state from its predecessors and a reader may start at any
+// chunk boundary. The header carries the record count, a content digest (FNV-1a 64 over the
 // transformed record stream — independent of chunking), the address
 // range, and the number of distinct 64-byte lines touched (the working
 // set the bandwidth/latency model needs). See docs/FORMATS.md for the

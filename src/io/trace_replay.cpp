@@ -7,11 +7,10 @@ namespace fpr::io {
 memsim::HierarchyResult replay_trace_cached(
     memsim::SimCache* cache, const arch::CpuSpec& cpu,
     const std::string& path, std::uint64_t refs, std::uint64_t warmup,
-    unsigned scale_shift, const memsim::ShardPlan& shards) {
+    unsigned scale_shift) {
   if (cache == nullptr) {
     FileTraceSource src(path);
-    return memsim::simulate_trace(cpu, src, refs, warmup, scale_shift,
-                                  shards);
+    return memsim::simulate_trace(cpu, src, refs, warmup, scale_shift);
   }
   // The digest identifies the record stream (not its chunking), so the
   // key survives re-encodings of the same trace; resolving `refs`
@@ -27,8 +26,7 @@ memsim::HierarchyResult replay_trace_cached(
   if (auto found = cache->find(k)) return *found;
   FileTraceSource src(path);
   return *cache->insert(
-      k, memsim::simulate_trace(cpu, src, resolved, warmup, scale_shift,
-                                shards));
+      k, memsim::simulate_trace(cpu, src, resolved, warmup, scale_shift));
 }
 
 }  // namespace fpr::io

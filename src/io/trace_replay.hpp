@@ -41,13 +41,11 @@ class FileTraceSource final : public memsim::TraceSource {
 /// replay keys by (hierarchy geometry, trace content digest, refs,
 /// warmup, scale shift) — see SimCache::trace_key — so repeated
 /// scorings of one trace across machines/commands decode and simulate
-/// once per distinct geometry. Bit-identical with or without a cache;
-/// `shards` is a pure wall-time choice and deliberately not part of
-/// the key. Throws io::TraceFormatError on unreadable or malformed
-/// files.
+/// once per distinct geometry. Bit-identical with or without a cache.
+/// Throws io::TraceFormatError on unreadable or malformed files.
 memsim::HierarchyResult replay_trace_cached(
     memsim::SimCache* cache, const arch::CpuSpec& cpu,
     const std::string& path, std::uint64_t refs, std::uint64_t warmup,
-    unsigned scale_shift = 0, const memsim::ShardPlan& shards = {});
+    unsigned scale_shift = 0);
 
 }  // namespace fpr::io

@@ -1,10 +1,8 @@
 #include "memsim/cache.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 
-#include "common/simd.hpp"
 #include "memsim/trace_gen.hpp"
 
 namespace fpr::memsim {
@@ -53,8 +51,8 @@ inline std::uint64_t move_to_front(std::uint64_t order, std::uint32_t rank,
 }
 
 /// Runtime-associativity form of find_rank + move_to_front for the
-/// scalar paths (the templated block loops keep their compile-time
-/// versions): splice `way` to the MRU end of `order`.
+/// scalar path (the block walkers keep their compile-time versions):
+/// splice `way` to the MRU end of `order`.
 std::uint64_t promote_way(std::uint64_t order, std::uint32_t way,
                           std::uint32_t assoc) {
   std::uint32_t rank = 0;
@@ -87,8 +85,11 @@ std::uint32_t select_victim(std::uint64_t& order, std::uint8_t& valid_count,
 }  // namespace
 
 void CacheConfig::validate() const {
-  if (line_bytes == 0 || !std::has_single_bit(line_bytes)) {
-    throw std::invalid_argument("cache line size must be a power of two");
+  // One-byte lines would make the tag the full address, which can reach
+  // the invalid-way sentinel; no modelled cache has lines that small.
+  if (line_bytes < 2 || !std::has_single_bit(line_bytes)) {
+    throw std::invalid_argument(
+        "cache line size must be a power of two of at least 2 bytes");
   }
   if (size_bytes == 0 || size_bytes % line_bytes != 0) {
     throw std::invalid_argument("cache size must be a multiple of the line");
@@ -110,7 +111,7 @@ Cache::Cache(CacheConfig cfg) : cfg_(cfg) {
     set_div_ = MagicDiv(num_sets_);
   }
   order_mode_ = cfg_.associativity <= 16;
-  simd_ = simd::avx2_available();
+  walk_ = pick_walker();
   tags_.assign(cfg_.num_lines(), kInvalidTag);
   flags_.assign(cfg_.num_lines(), 0);
   if (order_mode_) {
@@ -121,36 +122,15 @@ Cache::Cache(CacheConfig cfg) : cfg_(cfg) {
   }
 }
 
-bool Cache::simd_supported() { return simd::avx2_available(); }
-
-void Cache::set_probe_mode(ProbeMode mode) {
-  switch (mode) {
-    case ProbeMode::kScalar:
-      simd_ = false;
-      return;
-    case ProbeMode::kSimd:
-      if (!simd::avx2_available()) {
-        throw std::runtime_error("AVX2 tag probes unsupported on this CPU");
-      }
-      simd_ = true;
-      return;
-    case ProbeMode::kAuto:
-      simd_ = simd::avx2_available();
-      return;
-  }
-}
-
 bool Cache::access(std::uint64_t addr, bool write) {
   std::uint64_t set, tag;
   split(addr, set, tag);
-  if (!order_mode_) return access_stamps(set, tag, write);
-  if (tag == kInvalidTag) return access_cold(set, tag, write);
-  return access_order(set, tag, write);
+  return order_mode_ ? access_order(set, tag, write)
+                     : access_stamps(set, tag, write);
 }
 
 /// Scalar lookup in packed-order mode; one reference, rolled loops.
-/// This is also the oracle the specialized block loops are verified
-/// against.
+/// This is also the oracle the block walkers are verified against.
 bool Cache::access_order(std::uint64_t set, std::uint64_t tag, bool write) {
   const std::uint32_t assoc = cfg_.associativity;
   const std::size_t base = static_cast<std::size_t>(set) * assoc;
@@ -189,33 +169,6 @@ bool Cache::access_order(std::uint64_t set, std::uint64_t tag, bool write) {
   return false;
 }
 
-/// Degenerate geometry (byte lines, one set) where a real tag can equal
-/// the invalid sentinel: identify hits through the valid flags instead
-/// of the sentinel. Cold by construction; correctness only.
-bool Cache::access_cold(std::uint64_t set, std::uint64_t tag, bool write) {
-  const std::uint32_t assoc = cfg_.associativity;
-  const std::size_t base = static_cast<std::size_t>(set) * assoc;
-  for (std::uint32_t w = 0; w < assoc; ++w) {
-    if ((flags_[base + w] & kValid) != 0 && tags_[base + w] == tag) {
-      order_[set] = promote_way(order_[set], w, assoc);
-      if (write) flags_[base + w] |= kDirty;
-      ++stats_.hits;
-      return true;
-    }
-  }
-  // Miss: the shared victim logic never reads tags, so it is safe here.
-  std::uint64_t order = order_[set];
-  const std::uint32_t victim =
-      select_victim(order, valid_count_[set], assoc);
-  order_[set] = order;
-  ++stats_.misses;
-  std::uint8_t& vflags = flags_[base + victim];
-  if ((vflags & (kValid | kDirty)) == (kValid | kDirty)) ++stats_.writebacks;
-  tags_[base + victim] = tag;
-  vflags = static_cast<std::uint8_t>(kValid | (write ? kDirty : 0));
-  return false;
-}
-
 /// Classic stamp-LRU path for associativity > 16 (no packed order
 /// word): the seed formulation on the compact layout.
 bool Cache::access_stamps(std::uint64_t set, std::uint64_t tag, bool write) {
@@ -247,117 +200,50 @@ bool Cache::access_stamps(std::uint64_t set, std::uint64_t tag, bool write) {
   return false;
 }
 
-template <std::uint32_t A>
-std::size_t Cache::run_many(MemRef* refs, std::size_t n) {
-  static_assert(A % 4 == 0, "AVX2 probe consumes whole 4-way groups");
-  const bool use_simd = simd_;
+/// access_order() over a block with the associativity fixed at compile
+/// time. The two forms differ only in where a reference's set lives:
+/// OneSet copies the single set into locals for the whole block (no
+/// split, and no way state the stores into `refs` could alias); the
+/// many-set form splits each address and works on the member arrays.
+template <std::uint32_t A, bool OneSet>
+std::size_t Cache::walk(MemRef* refs, std::size_t n) {
   const std::uint32_t line_shift = line_shift_;
   const std::uint64_t num_sets = num_sets_;
   const std::uint32_t set_shift = set_shift_;
   std::uint64_t hits = 0, misses = 0, writebacks = 0;
-  std::uint64_t* const all_tags = tags_.data();
-  std::uint8_t* const all_flags = flags_.data();
-  std::uint64_t* const all_order = order_.data();
-  std::uint8_t* const all_valid = valid_count_.data();
+
+  std::uint64_t one_tags[A];
+  std::uint8_t one_flags[A];
+  std::uint64_t one_order = 0;
+  std::uint8_t one_valid = 0;
+  if constexpr (OneSet) {
+    std::copy_n(tags_.data(), A, one_tags);
+    std::copy_n(flags_.data(), A, one_flags);
+    one_order = order_[0];
+    one_valid = valid_count_[0];
+  }
 
   std::size_t out = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t addr = refs[i].addr;
     const bool write = refs[i].write;
-    const std::uint64_t line = addr >> line_shift;
-    std::uint64_t set, tag;
-    if (set_shift != kNoShift) {
-      set = line & (num_sets - 1);
-      tag = line >> set_shift;
-    } else {
-      tag = set_div_.div(line);
-      set = line - tag * num_sets;
-    }
-    if (tag == kInvalidTag) {
-      // Degenerate-geometry escape: sync stats, take the checked path.
-      stats_.hits += hits;
-      stats_.misses += misses;
-      stats_.writebacks += writebacks;
-      hits = misses = writebacks = 0;
-      if (!access_cold(set, tag, write)) refs[out++] = refs[i];
-      continue;
-    }
-
-    const std::size_t base = static_cast<std::size_t>(set) * A;
-    std::uint64_t* const tags = all_tags + base;
-    std::uint64_t order = all_order[set];
-
-    const auto mru = static_cast<std::uint32_t>(order >> (4 * (A - 1))) & 0xF;
-    if (tags[mru] == tag) {
-      if (write) all_flags[base + mru] |= kDirty;
-      ++hits;
-      continue;
-    }
-
-    std::uint32_t hit = A;
-    if (use_simd) {
-      hit = simd::probe_tags_avx2(tags, A, tag);
-    } else {
-      for (std::uint32_t w = 0; w < A; ++w) {
-        if (tags[w] == tag) hit = w;
+    const std::uint64_t line = refs[i].addr >> line_shift;
+    std::uint64_t set = 0;
+    std::uint64_t tag = line;  // one set: the tag is the whole line
+    if constexpr (!OneSet) {
+      if (set_shift != kNoShift) {
+        set = line & (num_sets - 1);
+        tag = line >> set_shift;
+      } else {
+        tag = set_div_.div(line);
+        set = line - tag * num_sets;
       }
     }
-    if (hit != A) {
-      all_order[set] = move_to_front<A>(order, find_rank<A>(order, hit), hit);
-      if (write) all_flags[base + hit] |= kDirty;
-      ++hits;
-      continue;
-    }
-
-    std::uint32_t victim;
-    const std::uint8_t v = all_valid[set];
-    if (v < A) {
-      victim = A - 1 - v;  // last invalid way (prefix invariant)
-      all_valid[set] = static_cast<std::uint8_t>(v + 1);
-      order = move_to_front<A>(order, find_rank<A>(order, victim), victim);
-    } else {
-      victim = static_cast<std::uint32_t>(order & 0xF);
-      order =
-          (order >> 4) | (static_cast<std::uint64_t>(victim) << (4 * (A - 1)));
-    }
-    all_order[set] = order;
-
-    ++misses;
-    std::uint8_t& vflags = all_flags[base + victim];
-    if ((vflags & (kValid | kDirty)) == (kValid | kDirty)) ++writebacks;
-    tags[victim] = tag;
-    vflags = static_cast<std::uint8_t>(kValid | (write ? kDirty : 0));
-    refs[out++] = refs[i];
-  }
-
-  stats_.hits += hits;
-  stats_.misses += misses;
-  stats_.writebacks += writebacks;
-  return out;
-}
-
-template <std::uint32_t A>
-std::size_t Cache::run_single_set(MemRef* refs, std::size_t n) {
-  static_assert(A % 4 == 0, "AVX2 probe consumes whole 4-way groups");
-  const bool use_simd = simd_;
-  const std::uint32_t line_shift = line_shift_;
-  std::uint64_t hits = 0, misses = 0, writebacks = 0;
-  // The entire cache state for one set: locals for the whole run.
-  std::uint64_t tags[A];
-  std::uint8_t flags[A];
-  for (std::uint32_t w = 0; w < A; ++w) {
-    tags[w] = tags_[w];
-    flags[w] = flags_[w];
-  }
-  std::uint64_t order = order_[0];
-  std::uint32_t valid = valid_count_[0];
-
-  std::size_t out = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const bool write = refs[i].write;
-    // One set: tag == line, no split. line_shift > 0 here, so the tag
-    // can never reach the invalid sentinel.
-    const std::uint64_t tag = refs[i].addr >> line_shift;
+    const std::size_t base = static_cast<std::size_t>(set) * A;
+    std::uint64_t* const tags = OneSet ? one_tags : tags_.data() + base;
+    std::uint8_t* const flags = OneSet ? one_flags : flags_.data() + base;
+    std::uint64_t* const order_slot = OneSet ? &one_order : &order_[set];
+    std::uint8_t* const valid_slot = OneSet ? &one_valid : &valid_count_[set];
+    std::uint64_t order = *order_slot;
 
     const auto mru = static_cast<std::uint32_t>(order >> (4 * (A - 1))) & 0xF;
     if (tags[mru] == tag) {
@@ -367,30 +253,28 @@ std::size_t Cache::run_single_set(MemRef* refs, std::size_t n) {
     }
 
     std::uint32_t hit = A;
-    if (use_simd) {
-      hit = simd::probe_tags_avx2(tags, A, tag);
-    } else {
-      for (std::uint32_t w = 0; w < A; ++w) {
-        if (tags[w] == tag) hit = w;
-      }
+    for (std::uint32_t w = 0; w < A; ++w) {
+      if (tags[w] == tag) hit = w;
     }
     if (hit != A) {
-      order = move_to_front<A>(order, find_rank<A>(order, hit), hit);
+      *order_slot = move_to_front<A>(order, find_rank<A>(order, hit), hit);
       if (write) flags[hit] |= kDirty;
       ++hits;
       continue;
     }
 
     std::uint32_t victim;
+    const std::uint8_t valid = *valid_slot;
     if (valid < A) {
-      victim = A - 1 - valid;
-      ++valid;
+      victim = A - 1 - valid;  // last invalid way (prefix invariant)
+      *valid_slot = static_cast<std::uint8_t>(valid + 1);
       order = move_to_front<A>(order, find_rank<A>(order, victim), victim);
     } else {
       victim = static_cast<std::uint32_t>(order & 0xF);
       order =
           (order >> 4) | (static_cast<std::uint64_t>(victim) << (4 * (A - 1)));
     }
+    *order_slot = order;
 
     ++misses;
     if ((flags[victim] & (kValid | kDirty)) == (kValid | kDirty)) {
@@ -401,47 +285,19 @@ std::size_t Cache::run_single_set(MemRef* refs, std::size_t n) {
     refs[out++] = refs[i];
   }
 
-  for (std::uint32_t w = 0; w < A; ++w) {
-    tags_[w] = tags[w];
-    flags_[w] = flags[w];
+  if constexpr (OneSet) {
+    std::copy_n(one_tags, A, tags_.data());
+    std::copy_n(one_flags, A, flags_.data());
+    order_[0] = one_order;
+    valid_count_[0] = one_valid;
   }
-  order_[0] = order;
-  valid_count_[0] = static_cast<std::uint8_t>(valid);
   stats_.hits += hits;
   stats_.misses += misses;
   stats_.writebacks += writebacks;
   return out;
 }
 
-std::size_t Cache::access_many(MemRef* refs, std::size_t n) {
-  if (order_mode_) {
-    if (num_sets_ == 1 && line_shift_ > 0) {
-      switch (cfg_.associativity) {
-        case 4:
-          return run_single_set<4>(refs, n);
-        case 8:
-          return run_single_set<8>(refs, n);
-        case 12:
-          return run_single_set<12>(refs, n);
-        case 16:
-          return run_single_set<16>(refs, n);
-        default:
-          break;
-      }
-    }
-    switch (cfg_.associativity) {
-      case 4:
-        return run_many<4>(refs, n);
-      case 8:
-        return run_many<8>(refs, n);
-      case 12:
-        return run_many<12>(refs, n);
-      case 16:
-        return run_many<16>(refs, n);
-      default:
-        break;
-    }
-  }
+std::size_t Cache::walk_each(MemRef* refs, std::size_t n) {
   std::size_t out = 0;
   for (std::size_t i = 0; i < n; ++i) {
     if (!access(refs[i].addr, refs[i].write)) refs[out++] = refs[i];
@@ -449,251 +305,27 @@ std::size_t Cache::access_many(MemRef* refs, std::size_t n) {
   return out;
 }
 
-/// `live[]` is shared between same-level walkers: a non-owner reads a
-/// ref's byte only to skip it (it re-checks the set range and skips
-/// either way), while the owning walker may be clearing it on a hit.
-/// The value a non-owner sees never changes the outcome, but a plain
-/// byte access would still be a data race by the memory model, so all
-/// partition-walk accesses go through relaxed atomics — a plain byte
-/// load/store on every mainstream target, so the skip-scan stays free.
-namespace {
-inline std::uint8_t live_load(std::uint8_t* live, std::size_t i) {
-  return std::atomic_ref<std::uint8_t>(live[i]).load(
-      std::memory_order_relaxed);
-}
-inline void live_clear(std::uint8_t* live, std::size_t i) {
-  std::atomic_ref<std::uint8_t>(live[i]).store(0, std::memory_order_relaxed);
-}
-}  // namespace
-
-/// Degenerate-geometry escape of the partition walk: access_cold's
-/// logic with caller-owned statistics. Returns true on hit.
-bool Cache::cold_partition(std::uint64_t set, std::uint64_t tag, bool write,
-                           CacheStats& stats) {
-  const std::uint32_t assoc = cfg_.associativity;
-  const std::size_t base = static_cast<std::size_t>(set) * assoc;
-  for (std::uint32_t w = 0; w < assoc; ++w) {
-    if ((flags_[base + w] & kValid) != 0 && tags_[base + w] == tag) {
-      order_[set] = promote_way(order_[set], w, assoc);
-      if (write) flags_[base + w] |= kDirty;
-      ++stats.hits;
-      return true;
-    }
-  }
-  std::uint64_t order = order_[set];
-  const std::uint32_t victim = select_victim(order, valid_count_[set], assoc);
-  order_[set] = order;
-  ++stats.misses;
-  std::uint8_t& vflags = flags_[base + victim];
-  if ((vflags & (kValid | kDirty)) == (kValid | kDirty)) ++stats.writebacks;
-  tags_[base + victim] = tag;
-  vflags = static_cast<std::uint8_t>(kValid | (write ? kDirty : 0));
-  return false;
-}
-
-template <std::uint32_t A>
-void Cache::run_partition(const MemRef* refs, std::size_t n,
-                          std::uint8_t* live, std::uint64_t set_begin,
-                          std::uint64_t set_end, CacheStats& stats) {
-  static_assert(A % 4 == 0, "AVX2 probe consumes whole 4-way groups");
-  const bool use_simd = simd_;
-  const std::uint32_t line_shift = line_shift_;
-  const std::uint64_t num_sets = num_sets_;
-  const std::uint32_t set_shift = set_shift_;
-  std::uint64_t hits = 0, misses = 0, writebacks = 0;
-  std::uint64_t* const all_tags = tags_.data();
-  std::uint8_t* const all_flags = flags_.data();
-  std::uint64_t* const all_order = order_.data();
-  std::uint8_t* const all_valid = valid_count_.data();
-
-  for (std::size_t i = 0; i < n; ++i) {
-    if (live_load(live, i) == 0) continue;
-    const std::uint64_t addr = refs[i].addr;
-    const std::uint64_t line = addr >> line_shift;
-    std::uint64_t set, tag;
-    if (set_shift != kNoShift) {
-      set = line & (num_sets - 1);
-      tag = line >> set_shift;
-    } else {
-      tag = set_div_.div(line);
-      set = line - tag * num_sets;
-    }
-    if (set < set_begin || set >= set_end) continue;
-    const bool write = refs[i].write;
-    if (tag == kInvalidTag) {
-      // Degenerate-geometry escape. No local-counter sync needed: the
-      // helper adds into the same caller-owned stats the locals flush
-      // into, and the additions commute.
-      if (cold_partition(set, tag, write, stats)) live_clear(live, i);
-      continue;
-    }
-
-    const std::size_t base = static_cast<std::size_t>(set) * A;
-    std::uint64_t* const tags = all_tags + base;
-    std::uint64_t order = all_order[set];
-
-    const auto mru = static_cast<std::uint32_t>(order >> (4 * (A - 1))) & 0xF;
-    if (tags[mru] == tag) {
-      if (write) all_flags[base + mru] |= kDirty;
-      ++hits;
-      live_clear(live, i);
-      continue;
-    }
-
-    std::uint32_t hit = A;
-    if (use_simd) {
-      hit = simd::probe_tags_avx2(tags, A, tag);
-    } else {
-      for (std::uint32_t w = 0; w < A; ++w) {
-        if (tags[w] == tag) hit = w;
+Cache::Walker Cache::pick_walker() const {
+  struct Instance {
+    std::uint32_t assoc;
+    bool one_set;
+    Walker walk;
+  };
+  static constexpr Instance kCatalogue[] = {
+      {8, true, &Cache::walk<8, true>},
+      {8, false, &Cache::walk<8, false>},
+      {16, true, &Cache::walk<16, true>},
+      {16, false, &Cache::walk<16, false>},
+  };
+  if (order_mode_) {
+    for (const Instance& inst : kCatalogue) {
+      if (inst.assoc == cfg_.associativity &&
+          inst.one_set == (num_sets_ == 1)) {
+        return inst.walk;
       }
     }
-    if (hit != A) {
-      all_order[set] = move_to_front<A>(order, find_rank<A>(order, hit), hit);
-      if (write) all_flags[base + hit] |= kDirty;
-      ++hits;
-      live_clear(live, i);
-      continue;
-    }
-
-    std::uint32_t victim;
-    const std::uint8_t v = all_valid[set];
-    if (v < A) {
-      victim = A - 1 - v;  // last invalid way (prefix invariant)
-      all_valid[set] = static_cast<std::uint8_t>(v + 1);
-      order = move_to_front<A>(order, find_rank<A>(order, victim), victim);
-    } else {
-      victim = static_cast<std::uint32_t>(order & 0xF);
-      order =
-          (order >> 4) | (static_cast<std::uint64_t>(victim) << (4 * (A - 1)));
-    }
-    all_order[set] = order;
-
-    ++misses;
-    std::uint8_t& vflags = all_flags[base + victim];
-    if ((vflags & (kValid | kDirty)) == (kValid | kDirty)) ++writebacks;
-    tags[victim] = tag;
-    vflags = static_cast<std::uint8_t>(kValid | (write ? kDirty : 0));
   }
-
-  stats.hits += hits;
-  stats.misses += misses;
-  stats.writebacks += writebacks;
-}
-
-/// Rolled-loop partition walk for order-mode associativities without a
-/// specialized template instance.
-void Cache::partition_order(const MemRef* refs, std::size_t n,
-                            std::uint8_t* live, std::uint64_t set_begin,
-                            std::uint64_t set_end, CacheStats& stats) {
-  const std::uint32_t assoc = cfg_.associativity;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (live_load(live, i) == 0) continue;
-    std::uint64_t set, tag;
-    split(refs[i].addr, set, tag);
-    if (set < set_begin || set >= set_end) continue;
-    const bool write = refs[i].write;
-    if (tag == kInvalidTag) {
-      if (cold_partition(set, tag, write, stats)) live_clear(live, i);
-      continue;
-    }
-    const std::size_t base = static_cast<std::size_t>(set) * assoc;
-    std::uint64_t* const tags = tags_.data() + base;
-    std::uint64_t order = order_[set];
-    std::uint32_t hit = assoc;
-    for (std::uint32_t w = 0; w < assoc; ++w) {
-      if (tags[w] == tag) hit = w;
-    }
-    if (hit != assoc) {
-      order_[set] = promote_way(order, hit, assoc);
-      if (write) flags_[base + hit] |= kDirty;
-      ++stats.hits;
-      live_clear(live, i);
-      continue;
-    }
-    const std::uint32_t victim =
-        select_victim(order, valid_count_[set], assoc);
-    order_[set] = order;
-    ++stats.misses;
-    std::uint8_t& vflags = flags_[base + victim];
-    if ((vflags & (kValid | kDirty)) == (kValid | kDirty)) ++stats.writebacks;
-    tags[victim] = tag;
-    vflags = static_cast<std::uint8_t>(kValid | (write ? kDirty : 0));
-  }
-}
-
-/// Stamp-LRU partition walk (associativity > 16). `stamp` is the
-/// caller's monotone counter: victim choice only compares stamps within
-/// one set, and every set is owned by exactly one walker, so per-worker
-/// counters preserve the scalar formulation's relative recency exactly.
-void Cache::partition_stamps(const MemRef* refs, std::size_t n,
-                             std::uint8_t* live, std::uint64_t set_begin,
-                             std::uint64_t set_end, CacheStats& stats,
-                             std::uint64_t& stamp) {
-  const std::uint32_t assoc = cfg_.associativity;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (live_load(live, i) == 0) continue;
-    std::uint64_t set, tag;
-    split(refs[i].addr, set, tag);
-    if (set < set_begin || set >= set_end) continue;
-    const bool write = refs[i].write;
-    const std::size_t base = static_cast<std::size_t>(set) * assoc;
-    ++stamp;
-    std::uint32_t victim = 0;
-    bool hit = false;
-    for (std::uint32_t w = 0; w < assoc; ++w) {
-      const std::uint8_t f = flags_[base + w];
-      if ((f & kValid) != 0 && tags_[base + w] == tag) {
-        stamps_[base + w] = stamp;
-        if (write) flags_[base + w] |= kDirty;
-        ++stats.hits;
-        live_clear(live, i);
-        hit = true;
-        break;
-      }
-      if ((f & kValid) == 0) {
-        victim = w;
-      } else if ((flags_[base + victim] & kValid) != 0 &&
-                 stamps_[base + w] < stamps_[base + victim]) {
-        victim = w;
-      }
-    }
-    if (hit) continue;
-    ++stats.misses;
-    std::uint8_t& vflags = flags_[base + victim];
-    if ((vflags & (kValid | kDirty)) == (kValid | kDirty)) ++stats.writebacks;
-    tags_[base + victim] = tag;
-    stamps_[base + victim] = stamp;
-    vflags = static_cast<std::uint8_t>(kValid | (write ? kDirty : 0));
-  }
-}
-
-void Cache::access_partition(const MemRef* refs, std::size_t n,
-                             std::uint8_t* live, std::uint64_t set_begin,
-                             std::uint64_t set_end, CacheStats& stats,
-                             std::uint64_t& stamp) {
-  if (n == 0 || set_begin >= set_end) return;
-  if (!order_mode_) {
-    partition_stamps(refs, n, live, set_begin, set_end, stats, stamp);
-    return;
-  }
-  switch (cfg_.associativity) {
-    case 4:
-      run_partition<4>(refs, n, live, set_begin, set_end, stats);
-      return;
-    case 8:
-      run_partition<8>(refs, n, live, set_begin, set_end, stats);
-      return;
-    case 12:
-      run_partition<12>(refs, n, live, set_begin, set_end, stats);
-      return;
-    case 16:
-      run_partition<16>(refs, n, live, set_begin, set_end, stats);
-      return;
-    default:
-      partition_order(refs, n, live, set_begin, set_end, stats);
-      return;
-  }
+  return &Cache::walk_each;
 }
 
 void Cache::clear() {

@@ -18,16 +18,12 @@
 //    to the most recent way is recognized with a single compare. Wider
 //    caches fall back to classic LRU stamps;
 //  - access_many() filters whole reference blocks (the miss stream the
-//    next level consumes) in specialized loops — compile-time
-//    associativity, and a register-resident fast path for the
-//    single-set geometry the scaled-down L1/L2 collapse to;
-//  - the way scan inside the block loops is probed four tags per AVX2
-//    compare where the CPU supports it (common/simd.hpp), with the
-//    scalar loop kept as the runtime fallback and the testing oracle;
-//  - access_partition() restricts a block walk to a contiguous set
-//    range with caller-owned statistics, which is what lets a sharded
-//    replay split one cache across workers without sharing any mutable
-//    state (memsim/hierarchy.hpp).
+//    next level consumes) through one block walker, picked once at
+//    construction from a small catalogue of compile-time instances:
+//    8 and 16 ways (every packed-order level the Table I machines and
+//    their variants build), each in a many-set form and a one-set form
+//    that keeps the whole set in locals (the scaled-down L1s collapse
+//    to one set). Every other geometry walks through access().
 #pragma once
 
 #include <cstddef>
@@ -69,20 +65,7 @@ struct CacheStats {
 
 class Cache {
  public:
-  /// Tag-probe implementation for the block access paths. kAuto (the
-  /// construction default) selects AVX2 when the CPU supports it;
-  /// kScalar forces the reference loop (the oracle the SIMD probe is
-  /// verified against); kSimd demands AVX2 and throws when unavailable.
-  /// Either choice produces bit-identical results — a valid tag occurs
-  /// at most once per set, so first-match and last-match agree.
-  enum class ProbeMode { kAuto, kScalar, kSimd };
-
   explicit Cache(CacheConfig cfg);
-
-  /// True when the running CPU supports the AVX2 probe kernel.
-  [[nodiscard]] static bool simd_supported();
-
-  void set_probe_mode(ProbeMode mode);
 
   /// Access one address. Returns true on hit. On miss the line is
   /// allocated (write-allocate) and the LRU victim evicted.
@@ -92,24 +75,9 @@ class Cache {
   /// order (they are the reference stream the next-lower level sees)
   /// and their count returned. State and stats evolve exactly as n
   /// scalar access() calls would.
-  std::size_t access_many(MemRef* refs, std::size_t n);
-
-  /// Set-partitioned block access for sharded replay. Processes, in
-  /// order, every refs[i] with live[i] != 0 whose set index falls in
-  /// [set_begin, set_end); hits clear live[i] (what survives is the
-  /// miss stream the next level consumes), misses allocate exactly as
-  /// access() would. Statistics accumulate into `stats` and stamp-LRU
-  /// timestamps draw from `stamp` (both caller-owned; the members
-  /// behind stats()/reset_stats() are not touched), so concurrent
-  /// calls over disjoint set ranges share the cache without sharing
-  /// any mutable state. A cache replayed this way must take ALL its
-  /// accesses through it with the same stamp counters — mixing in
-  /// access()/access_many() would interleave the member stamp counter
-  /// with the external ones and corrupt LRU ages.
-  void access_partition(const MemRef* refs, std::size_t n,
-                        std::uint8_t* live, std::uint64_t set_begin,
-                        std::uint64_t set_end, CacheStats& stats,
-                        std::uint64_t& stamp);
+  std::size_t access_many(MemRef* refs, std::size_t n) {
+    return (this->*walk_)(refs, n);
+  }
 
   [[nodiscard]] const CacheStats& stats() const { return stats_; }
   [[nodiscard]] const CacheConfig& config() const { return cfg_; }
@@ -122,11 +90,12 @@ class Cache {
   void reset_stats() { stats_ = CacheStats{}; }
 
  private:
+  using Walker = std::size_t (Cache::*)(MemRef*, std::size_t);
+
   static constexpr std::uint8_t kValid = 1;
   static constexpr std::uint8_t kDirty = 2;
-  /// Tag stored in invalid ways. Real tags collide with it only in the
-  /// degenerate byte-line single-set geometry (tag == full address);
-  /// access paths detect that case and take a flag-checked cold route.
+  /// Tag stored in invalid ways. No real tag reaches it: lines are at
+  /// least 2 bytes (CacheConfig::validate), so a tag is below 2^63.
   static constexpr std::uint64_t kInvalidTag = ~std::uint64_t{0};
   static constexpr std::uint32_t kNoShift = ~0u;
 
@@ -144,28 +113,15 @@ class Cache {
   }
 
   bool access_order(std::uint64_t set, std::uint64_t tag, bool write);
-  bool access_cold(std::uint64_t set, std::uint64_t tag, bool write);
   bool access_stamps(std::uint64_t set, std::uint64_t tag, bool write);
 
-  template <std::uint32_t A>
-  std::size_t run_many(MemRef* refs, std::size_t n);
-  template <std::uint32_t A>
-  std::size_t run_single_set(MemRef* refs, std::size_t n);
-
-  // Partition variants of the scalar paths: external stats/stamp, live
-  // flags instead of compaction, set-range filter.
-  bool cold_partition(std::uint64_t set, std::uint64_t tag, bool write,
-                      CacheStats& stats);
-  template <std::uint32_t A>
-  void run_partition(const MemRef* refs, std::size_t n, std::uint8_t* live,
-                     std::uint64_t set_begin, std::uint64_t set_end,
-                     CacheStats& stats);
-  void partition_order(const MemRef* refs, std::size_t n, std::uint8_t* live,
-                       std::uint64_t set_begin, std::uint64_t set_end,
-                       CacheStats& stats);
-  void partition_stamps(const MemRef* refs, std::size_t n, std::uint8_t* live,
-                        std::uint64_t set_begin, std::uint64_t set_end,
-                        CacheStats& stats, std::uint64_t& stamp);
+  /// The block walkers: a compiled instance for A ways, OneSet when the
+  /// cache is a single set; walk_each() is the access() loop every
+  /// geometry outside the catalogue uses.
+  template <std::uint32_t A, bool OneSet>
+  std::size_t walk(MemRef* refs, std::size_t n);
+  std::size_t walk_each(MemRef* refs, std::size_t n);
+  [[nodiscard]] Walker pick_walker() const;
 
   CacheConfig cfg_;
   std::uint64_t num_sets_ = 0;
@@ -173,7 +129,7 @@ class Cache {
   std::uint32_t set_shift_ = kNoShift;  ///< valid when num_sets is pow2
   MagicDiv set_div_;                    ///< used when num_sets is not pow2
   bool order_mode_ = false;  ///< packed-order LRU (associativity <= 16)
-  bool simd_ = false;        ///< AVX2 tag probes in the block loops
+  Walker walk_ = &Cache::walk_each;
   // Way state as parallel per-set arrays (index = set * assoc + way).
   std::vector<std::uint64_t> tags_;
   std::vector<std::uint8_t> flags_;  ///< kValid | kDirty

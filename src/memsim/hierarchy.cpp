@@ -1,12 +1,9 @@
 #include "memsim/hierarchy.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
-#include "common/thread_pool.hpp"
 #include "common/units.hpp"
 #include "memsim/trace_source.hpp"
 
@@ -113,11 +110,6 @@ namespace {
 /// arrays stay cache-resident.
 constexpr std::size_t kReplayBlock = 1024;
 
-/// References per sharded round: much larger than kReplayBlock so the
-/// two inter-level barriers per block amortize to noise and every
-/// walker's set slice sees enough references to stay busy.
-constexpr std::size_t kShardBlock = std::size_t{1} << 16;
-
 }  // namespace
 
 HierarchyResult Hierarchy::replay(TraceSource& src, std::uint64_t refs,
@@ -187,140 +179,6 @@ HierarchyResult Hierarchy::replay_scalar(TraceGenerator& gen,
   return r;
 }
 
-void Hierarchy::set_probe_mode(Cache::ProbeMode mode) {
-  for (auto& c : levels_) c.set_probe_mode(mode);
-}
-
-HierarchyResult Hierarchy::replay_sharded(TraceSource& src,
-                                          std::uint64_t refs,
-                                          std::uint64_t warmup,
-                                          ThreadPool& pool,
-                                          unsigned shard_jobs) {
-  // Role 0 (the caller) pulls the next block — generating references or
-  // decoding trace chunks — while roles 1..W walk the current one, and
-  // the walkers barrier between levels — so every role must be
-  // scheduled simultaneously. Clamp walkers to the pool's helper-thread
-  // count; with no helpers the serial batched replay is the same
-  // computation.
-  const unsigned walkers =
-      std::min(shard_jobs == 0 ? pool.size() : shard_jobs, pool.size());
-  if (walkers == 0) return replay(src, refs, warmup);
-
-  for (auto& c : levels_) c.clear();
-  const std::size_t num_levels = levels_.size();
-
-  // Per-(level, walker) statistics and per-walker stamp counters: no
-  // two roles share a mutable location, and unsigned sums over the
-  // disjoint per-set access subsequences reproduce the serial totals
-  // exactly (addition commutes; each set is owned by one walker).
-  std::vector<CacheStats> part_stats(num_levels * walkers);
-  std::vector<std::uint64_t> part_stamps(walkers, 0);
-  std::vector<MemRef> front(kShardBlock), back(kShardBlock);
-  std::vector<std::uint8_t> live(kShardBlock), live_next(kShardBlock);
-  std::vector<std::atomic<unsigned>> arrived(num_levels);
-
-  auto walk = [&](unsigned w, const MemRef* block, std::size_t n,
-                  std::uint8_t* flags) {
-    for (std::size_t l = 0; l < num_levels; ++l) {
-      const std::uint64_t sets = levels_[l].config().num_sets();
-      levels_[l].access_partition(block, n, flags, sets * w / walkers,
-                                  sets * (w + 1) / walkers,
-                                  part_stats[l * walkers + w],
-                                  part_stamps[w]);
-      if (l + 1 < num_levels) {
-        // Spin barrier: level L+1 may only read live flags level L has
-        // finished writing. The acq_rel increment plus the acquire
-        // reload of the full count publishes every walker's writes to
-        // every reader; the last level needs none (the region join
-        // orders it against the swap below).
-        arrived[l].fetch_add(1, std::memory_order_acq_rel);
-        while (arrived[l].load(std::memory_order_acquire) < walkers) {
-          std::this_thread::yield();
-        }
-      }
-    }
-  };
-
-  auto run = [&](std::uint64_t count) -> std::uint64_t {
-    std::uint64_t done = 0;
-    std::size_t n_front =
-        static_cast<std::size_t>(std::min<std::uint64_t>(count, kShardBlock));
-    if (n_front == 0) return 0;
-    n_front = src.fill(front.data(), n_front);
-    if (n_front == 0) return 0;
-    std::fill_n(live.begin(), n_front, std::uint8_t{1});
-    count -= n_front;
-    while (n_front > 0) {
-      const std::size_t want_back = static_cast<std::size_t>(
-          std::min<std::uint64_t>(count, kShardBlock));
-      // Written by role 0 inside the region, read after the join (the
-      // join's synchronization publishes it); a finite source may hand
-      // back fewer references than asked — or none, ending the loop.
-      std::size_t n_back = 0;
-      for (auto& a : arrived) a.store(0, std::memory_order_relaxed);
-      const std::size_t n = n_front;
-      // participants == items, so every role runs exactly one chunk —
-      // the property that makes the in-region barrier deadlock-free.
-      pool.parallel_for_n(
-          walkers + 1, walkers + 1,
-          // n_back is written by role 0 only (roles partition [rb, re))
-          // and read after the join publishes it — single-writer, no
-          // concurrent reader, so the race the rule guards against
-          // cannot occur. fpr-lint: allow(shared-mutable-capture)
-          [&](std::size_t rb, std::size_t re, unsigned) {
-            for (std::size_t role = rb; role < re; ++role) {
-              if (role == 0) {
-                if (want_back > 0) {
-                  n_back = src.fill(back.data(), want_back);
-                  std::fill_n(live_next.begin(), n_back, std::uint8_t{1});
-                }
-              } else {
-                walk(static_cast<unsigned>(role - 1), front.data(), n,
-                     live.data());
-              }
-            }
-          });
-      done += n;
-      count -= n_back;
-      std::swap(front, back);
-      std::swap(live, live_next);
-      n_front = n_back;
-    }
-    return done;
-  };
-
-  run(warmup);
-  // Steady-state measurement: drop the warmup counts but keep contents
-  // and the stamp counters (only relative recency matters, exactly as
-  // reset_stats() keeps the member counter running in the serial paths).
-  std::fill(part_stats.begin(), part_stats.end(), CacheStats{});
-  const std::uint64_t measured = run(refs);
-
-  HierarchyResult r;
-  r.refs = measured;
-  for (std::size_t l = 0; l < num_levels; ++l) {
-    CacheStats total;
-    for (unsigned w = 0; w < walkers; ++w) {
-      const CacheStats& s = part_stats[l * walkers + w];
-      total.hits += s.hits;
-      total.misses += s.misses;
-      total.writebacks += s.writebacks;
-    }
-    r.levels.push_back({names_[l], total});
-  }
-  return r;
-}
-
-HierarchyResult Hierarchy::replay_sharded(TraceGenerator& gen,
-                                          std::uint64_t refs,
-                                          std::uint64_t warmup,
-                                          ThreadPool& pool,
-                                          unsigned shard_jobs) {
-  SyntheticTraceSource src(gen);
-  return replay_sharded(static_cast<TraceSource&>(src), refs, warmup, pool,
-                        shard_jobs);
-}
-
 AccessPatternSpec scale_spec(const AccessPatternSpec& spec, unsigned shift) {
   auto scale = [&](std::uint64_t v) {
     const std::uint64_t s = v >> shift;
@@ -372,16 +230,12 @@ AccessPatternSpec scale_spec(const AccessPatternSpec& spec, unsigned shift) {
 HierarchyResult simulate_pattern(const arch::CpuSpec& cpu,
                                  const AccessPatternSpec& spec,
                                  std::uint64_t refs, std::uint64_t seed,
-                                 unsigned scale_shift,
-                                 const ShardPlan& shards) {
+                                 unsigned scale_shift) {
   Hierarchy h(cpu, scale_shift);
   const AccessPatternSpec scaled = scale_spec(spec, scale_shift);
   // Warm the caches with an equal-length prefix so measured rates are
   // steady-state (cyclic generators otherwise bias toward cold misses).
   SyntheticTraceSource src(scaled, seed);
-  if (shards.pool != nullptr) {
-    return h.replay_sharded(src, refs, refs, *shards.pool, shards.jobs);
-  }
   return h.replay(src, refs, refs);
 }
 

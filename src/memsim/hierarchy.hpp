@@ -15,23 +15,9 @@
 #include "memsim/cache.hpp"
 #include "memsim/trace_gen.hpp"
 
-namespace fpr {
-class ThreadPool;  // common/thread_pool.hpp
-}  // namespace fpr
-
 namespace fpr::memsim {
 
 class TraceSource;  // memsim/trace_source.hpp
-
-/// Optional sharding of a single replay across a caller-owned worker
-/// pool. Default-constructed (null pool) means serial replay. Sharding
-/// never changes results — per-level statistics are exactly equal for
-/// every worker count (property-tested against replay_scalar) — it only
-/// changes wall time, which is why SimCache keys ignore it.
-struct ShardPlan {
-  ThreadPool* pool = nullptr;  ///< null = serial replay
-  unsigned jobs = 0;  ///< walkers; 0 = one per pool worker, clamped to pool
-};
 
 struct LevelResult {
   std::string name;   ///< "L1", "L2", "LLC", "MCDRAM$"
@@ -92,31 +78,6 @@ class Hierarchy {
   HierarchyResult replay_scalar(TraceGenerator& gen, std::uint64_t refs,
                                 std::uint64_t warmup = 0);
 
-  /// Sharded replay: blocks are pulled serially (a trace is a strict
-  /// sequence — for files, role 0 decodes the next chunk range while the
-  /// walkers walk) and walked by up to `shard_jobs` workers, each owning
-  /// a contiguous disjoint slice of every level's sets, with a barrier
-  /// between levels so level L+1 reads the completed miss stream of
-  /// level L. The next block is pulled concurrently with the level
-  /// walks. Per-(level, worker) statistics are summed at the end —
-  /// unsigned sums over disjoint per-set access subsequences, so the
-  /// result is exactly equal to replay()/replay_scalar() for ANY worker
-  /// count. Walkers are clamped to the pool's helper-thread count (an
-  /// in-region barrier needs every role scheduled); a pool with no
-  /// helpers degrades to the serial replay().
-  HierarchyResult replay_sharded(TraceSource& src, std::uint64_t refs,
-                                 std::uint64_t warmup, ThreadPool& pool,
-                                 unsigned shard_jobs = 0);
-
-  /// Synthetic convenience (borrowing SyntheticTraceSource wrapper).
-  HierarchyResult replay_sharded(TraceGenerator& gen, std::uint64_t refs,
-                                 std::uint64_t warmup, ThreadPool& pool,
-                                 unsigned shard_jobs = 0);
-
-  /// Apply a tag-probe implementation choice to every level (bench and
-  /// test hook; construction default is Cache's kAuto dispatch).
-  void set_probe_mode(Cache::ProbeMode mode);
-
   /// Scale a full-size footprint to the simulated geometry.
   [[nodiscard]] std::uint64_t scaled_bytes(std::uint64_t full) const {
     const std::uint64_t s = full >> scale_shift_;
@@ -144,14 +105,11 @@ class Hierarchy {
 
 /// Convenience: replay a pattern spec with full-size footprints through a
 /// scaled hierarchy for `cpu`, auto-scaling every pattern footprint.
-/// `shards` optionally spreads the replay across a caller-owned pool;
-/// results are identical either way.
 HierarchyResult simulate_pattern(const arch::CpuSpec& cpu,
                                  const AccessPatternSpec& spec,
                                  std::uint64_t refs = 1u << 20,
                                  std::uint64_t seed = 0x0fbeef,
-                                 unsigned scale_shift = 6,
-                                 const ShardPlan& shards = {});
+                                 unsigned scale_shift = 6);
 
 /// Scale all footprint fields of a pattern spec by 2^-shift (helper used
 /// by simulate_pattern; exposed for tests).

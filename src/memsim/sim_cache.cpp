@@ -147,18 +147,16 @@ HierarchyResult simulate_pattern_cached(SimCache* cache,
                                         const arch::CpuSpec& cpu,
                                         const AccessPatternSpec& spec,
                                         std::uint64_t refs, std::uint64_t seed,
-                                        unsigned scale_shift,
-                                        const ShardPlan& shards) {
+                                        unsigned scale_shift) {
   if (cache == nullptr) {
-    return simulate_pattern(cpu, spec, refs, seed, scale_shift, shards);
+    return simulate_pattern(cpu, spec, refs, seed, scale_shift);
   }
   const std::string k = SimCache::key(cpu, spec, refs, seed, scale_shift);
   if (auto found = cache->find(k)) return *found;
   // Simulate outside the cache lock; a concurrent simulation of the same
-  // key computes the identical result, so either insert may win. The
-  // shard plan is not in the key: sharding is a pure wall-time choice.
-  return *cache->insert(
-      k, simulate_pattern(cpu, spec, refs, seed, scale_shift, shards));
+  // key computes the identical result, so either insert may win.
+  return *cache->insert(k,
+                        simulate_pattern(cpu, spec, refs, seed, scale_shift));
 }
 
 }  // namespace fpr::memsim

@@ -72,15 +72,11 @@ class SimCache {
 
 /// simulate_pattern with memoization: consults `cache` (when non-null)
 /// before simulating and stores what it simulates. Bit-identical to the
-/// uncached call either way. `shards` only parallelizes the simulation
-/// that backs a miss — sharded results are exactly equal to serial ones
-/// (see ShardPlan), so it is deliberately NOT part of the key: cached
-/// and fresh lookups interchange freely across shard settings.
+/// uncached call either way.
 HierarchyResult simulate_pattern_cached(SimCache* cache,
                                         const arch::CpuSpec& cpu,
                                         const AccessPatternSpec& spec,
                                         std::uint64_t refs, std::uint64_t seed,
-                                        unsigned scale_shift,
-                                        const ShardPlan& shards = {});
+                                        unsigned scale_shift);
 
 }  // namespace fpr::memsim

@@ -4,11 +4,8 @@ namespace fpr::memsim {
 
 HierarchyResult simulate_trace(const arch::CpuSpec& cpu, TraceSource& src,
                                std::uint64_t refs, std::uint64_t warmup,
-                               unsigned scale_shift, const ShardPlan& shards) {
+                               unsigned scale_shift) {
   Hierarchy h(cpu, scale_shift);
-  if (shards.pool != nullptr) {
-    return h.replay_sharded(src, refs, warmup, *shards.pool, shards.jobs);
-  }
   return h.replay(src, refs, warmup);
 }
 

@@ -1,5 +1,5 @@
 // TraceSource: the reference-stream abstraction the replay pipeline
-// consumes. Hierarchy::replay/replay_sharded pull fixed-size blocks from
+// consumes. Hierarchy::replay pulls fixed-size blocks from
 // a TraceSource; where those blocks come from — the synthetic
 // TraceGenerator mixtures or an on-disk fpr-trace file — is the source's
 // business. SyntheticTraceSource is a zero-cost wrapper over
@@ -57,12 +57,9 @@ class SyntheticTraceSource final : public TraceSource {
 /// the source runs dry — the result's `refs` reports the measured
 /// count). `scale_shift` shrinks the cache capacities only; recorded
 /// addresses replay as-is, so replay a recorded synthetic trace at the
-/// shift it was recorded with. `shards` spreads the walk across a
-/// caller-owned pool exactly as for synthetic replays; results are
-/// identical for every setting.
+/// shift it was recorded with.
 HierarchyResult simulate_trace(const arch::CpuSpec& cpu, TraceSource& src,
                                std::uint64_t refs, std::uint64_t warmup,
-                               unsigned scale_shift = 0,
-                               const ShardPlan& shards = {});
+                               unsigned scale_shift = 0);
 
 }  // namespace fpr::memsim

@@ -53,15 +53,14 @@ memsim::AccessPatternSpec per_core_slice(const memsim::AccessPatternSpec& spec,
 MemoryProfile profile_memory(const arch::CpuSpec& cpu,
                              const WorkloadMeasurement& w,
                              std::uint64_t refs, unsigned scale_shift,
-                             memsim::SimCache* cache,
-                             const memsim::ShardPlan& shards) {
+                             memsim::SimCache* cache) {
   MemoryProfile mp;
 
   // Per-core slice of the footprint, then the shared scale-down that the
   // hierarchy also applies to its capacities.
   const auto sliced = per_core_slice(w.access, cpu.cores);
   const auto res = memsim::simulate_pattern_cached(
-      cache, cpu, sliced, refs, kProfileSeed, scale_shift, shards);
+      cache, cpu, sliced, refs, kProfileSeed, scale_shift);
 
   mp.l2_hit = res.hit_rate("L2");
   mp.llc_hit = cpu.has_mcdram() ? res.hit_rate("MCDRAM$")

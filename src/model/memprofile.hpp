@@ -47,15 +47,12 @@ memsim::AccessPatternSpec per_core_slice(const memsim::AccessPatternSpec& spec,
 /// kDefaultScaleShift for the capacity reduction). When `cache` is
 /// non-null the hierarchy replay — the dominant cost — is memoized
 /// through it, keyed by the full simulation input tuple; results are
-/// bit-identical with or without a cache. `shards` optionally spreads
-/// the replay across a caller-owned pool (see memsim::ShardPlan);
-/// results are identical for every setting.
+/// bit-identical with or without a cache.
 MemoryProfile profile_memory(const arch::CpuSpec& cpu,
                              const WorkloadMeasurement& w,
                              std::uint64_t refs = kDefaultTraceRefs,
                              unsigned scale_shift = kDefaultScaleShift,
-                             memsim::SimCache* cache = nullptr,
-                             const memsim::ShardPlan& shards = {});
+                             memsim::SimCache* cache = nullptr);
 
 /// Profile a replayed external trace (`fpr trace --out`): the same
 /// derived quantities as profile_memory, but the traffic terms come

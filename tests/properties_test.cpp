@@ -3,11 +3,13 @@
 // explicit operation counting used by the kernels.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
 #include <vector>
 
 #include "arch/machines.hpp"
+#include "common/rng.hpp"
 #include "counters/counted.hpp"
 #include "counters/registry.hpp"
 #include "kernels/kernel.hpp"
@@ -161,6 +163,46 @@ TEST_P(AssocSweep, FullAssocHoldsWorkingSetExactly) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Ways, AssocSweep, ::testing::Values(1, 2, 4, 8));
+
+TEST(CacheStackProperty, MoreWaysNeverLowerHitsAtFixedSetCount) {
+  // True LRU is a stack algorithm: at a fixed set count a set's A-way
+  // contents are its A most recent lines, a subset of its (A+k)-way
+  // contents, so every hit at A is a hit at A+k on the same trace. The
+  // sweep crosses every block walker form (one-set and many-set, pow2
+  // and magic-division set counts), the access() loop the other
+  // packed-order widths take, and the stamp path above 16 ways.
+  const std::uint64_t set_counts[] = {1, 3, 4};
+  const std::uint32_t ways[] = {2, 4, 6, 8, 16, 20, 24};
+  for (const std::uint64_t sets : set_counts) {
+    // A hot region the wider caches hold plus scattered cold lines, so
+    // the hit count moves with associativity.
+    Xoshiro256 rng(2019 + sets);
+    std::vector<memsim::MemRef> trace(60'000);
+    for (auto& r : trace) {
+      const std::uint64_t lines = rng.uniform() < 0.8 ? sets * 12 : sets * 64;
+      r.addr = rng.below(lines) * 64 + rng.below(64);
+      r.write = rng.uniform() < 0.25;
+    }
+    std::vector<std::uint64_t> hits;
+    for (const std::uint32_t a : ways) {
+      memsim::Cache c({.size_bytes = sets * a * 64, .line_bytes = 64,
+                       .associativity = a});
+      std::vector<memsim::MemRef> block;
+      for (std::size_t i = 0; i < trace.size(); i += 1024) {
+        const std::size_t end = std::min(trace.size(), i + 1024);
+        block.assign(trace.begin() + static_cast<std::ptrdiff_t>(i),
+                     trace.begin() + static_cast<std::ptrdiff_t>(end));
+        c.access_many(block.data(), block.size());
+      }
+      if (!hits.empty()) {
+        EXPECT_GE(c.stats().hits, hits.back())
+            << sets << " set(s), " << a << " ways";
+      }
+      hits.push_back(c.stats().hits);
+    }
+    EXPECT_GT(hits.back(), hits.front()) << sets << " set(s)";
+  }
+}
 
 // ---------------------------------------------------------------------
 // Model properties.

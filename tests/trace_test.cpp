@@ -2,7 +2,7 @@
 // round-trips, malformed-input rejection, and the record->replay
 // property suite — a recorded synthetic trace replayed through
 // io::FileTraceSource must reproduce the synthetic replay's statistics
-// exactly, on every Table I machine, serial or sharded.
+// exactly, on every Table I machine.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "arch/machines.hpp"
-#include "common/thread_pool.hpp"
 #include "io/trace_format.hpp"
 #include "io/trace_replay.hpp"
 #include "memsim/hierarchy.hpp"
@@ -354,28 +353,6 @@ TEST(RecordReplay, FileReplayMatchesSyntheticScalarEverywhere) {
     }
     std::remove(path.c_str());
   }
-}
-
-TEST(RecordReplay, ShardedFileReplayIdenticalForAllJobCounts) {
-  constexpr std::uint64_t kRefs = 25013;
-  constexpr unsigned kShift = 8;
-  const auto cpu = arch::knl();
-  const AccessPatternSpec scaled = scale_spec(
-      pattern_suite()[6].second, kShift);  // mixture: hardest case
-  const std::string path = tmp_path("sharded.fpt");
-  record_spec(path, scaled, 0xfeed1234, 2 * kRefs);
-
-  Hierarchy hserial(cpu, kShift);
-  io::FileTraceSource serial_src(path);
-  const auto want = hserial.replay(serial_src, kRefs, kRefs);
-  for (const unsigned jobs : {1u, 2u, 8u}) {
-    ThreadPool pool(jobs + 1);
-    Hierarchy h(cpu, kShift);
-    io::FileTraceSource src(path);
-    const auto got = h.replay_sharded(src, kRefs, kRefs, pool, jobs);
-    EXPECT_TRUE(identical(want, got)) << "jobs=" << jobs;
-  }
-  std::remove(path.c_str());
 }
 
 TEST(RecordReplay, FiniteSourceRunsDryAndReportsMeasuredRefs) {

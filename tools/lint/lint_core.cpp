@@ -759,8 +759,8 @@ void scan_layering(Prepared& p, const std::string& rel,
 // shared-mutable-capture: by-reference capture of a non-const,
 // non-atomic scalar local in a lambda handed to a parallel region
 // entry point (parallel_for/parallel_for_n/for_each/submit), where the
-// lambda body also *writes* the local. This is the exact bug class the
-// sharded replay and the Pareto scoring fan-out had to design around:
+// lambda body also *writes* the local. This is the exact bug class every
+// parallel fan-out (the study stages, the Pareto scoring) designs around:
 // concurrent += into a captured accumulator is a data race that stays
 // invisible until results drift under load.
 // ---------------------------------------------------------------------------

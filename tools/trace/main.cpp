@@ -16,6 +16,7 @@
 //
 // Exit codes: 0 ok, 2 usage error, 3 unreadable/malformed input.
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -78,6 +79,30 @@ std::uint64_t parse_u64(const std::string& arg, const std::string& text) {
   } catch (const std::exception&) {
     throw std::invalid_argument("invalid value '" + text + "' for " + arg);
   }
+}
+
+/// parse_u64 bounded by `max`, checked on the 64-bit value so a
+/// narrowing cast can never wrap an oversized input into range.
+unsigned parse_bounded(const std::string& arg, const std::string& text,
+                       unsigned max) {
+  const std::uint64_t v = parse_u64(arg, text);
+  if (v > max) {
+    throw std::invalid_argument(arg + " must be <= " + std::to_string(max));
+  }
+  return static_cast<unsigned>(v);
+}
+
+double parse_scale(const std::string& arg, const std::string& text) {
+  double v = 0.0;
+  try {
+    v = std::stod(text);
+  } catch (const std::exception&) {
+    throw std::invalid_argument("invalid value '" + text + "' for " + arg);
+  }
+  if (!std::isfinite(v) || v <= 0.0) {
+    throw std::invalid_argument(arg + " must be finite and > 0");
+  }
+  return v;
 }
 
 struct Args {
@@ -249,22 +274,13 @@ int main(int argc, char** argv) {
           throw std::invalid_argument("--chunk must be in [1, 2^20]");
         }
       } else if (arg == "--scale") {
-        a.scale = std::stod(value());
-        if (a.scale <= 0.0) {
-          throw std::invalid_argument("--scale must be > 0");
-        }
+        a.scale = parse_scale(arg, value());
       } else if (arg == "--scale-shift") {
-        a.scale_shift = static_cast<unsigned>(parse_u64(arg, value()));
-        if (a.scale_shift > 30) {
-          throw std::invalid_argument("--scale-shift must be <= 30");
-        }
+        a.scale_shift = parse_bounded(arg, value(), 30);
       } else if (arg == "--seed") {
         a.seed = parse_u64(arg, value());
       } else if (arg == "--threads") {
-        a.threads = static_cast<unsigned>(parse_u64(arg, value()));
-        if (a.threads > 4096) {
-          throw std::invalid_argument("--threads must be <= 4096");
-        }
+        a.threads = parse_bounded(arg, value(), 4096);
       } else if (arg.rfind("--", 0) == 0) {
         throw std::invalid_argument("unknown option '" + arg + "'");
       } else {
