@@ -1,6 +1,8 @@
 // Memory-hierarchy replay throughput across the implementations of the
 // same simulation, over every pattern class of the paper's Table II
-// taxonomy plus a representative mixture:
+// taxonomy plus a representative mixture, on every Table I machine (so
+// each block walker the machines build, BDW's 20-way LLC included, is
+// checked against the seed replica):
 //
 //  - baseline: a verbatim replica of the pre-batching implementation
 //    (array-of-struct ways, early-exit scan, hardware divide per set
@@ -278,64 +280,33 @@ std::uint64_t parse_count(const std::string& arg, const std::string& t,
   return v;
 }
 
-}  // namespace
+/// Seconds each implementation spent, summed over patterns.
+struct Totals {
+  double baseline = 0.0;
+  double scalar = 0.0;
+  double batched = 0.0;
+};
 
-int main(int argc, char** argv) {
-  std::uint64_t refs = 2'000'000;
-  unsigned scale_shift = 8;
-  // --no-perf-gate: keep the stats-identity checks but skip the
-  // "production must beat the seed baseline" exit condition. Sanitizer
-  // CI runs use this — instrumentation skews relative timings, and at
-  // the tiny sizes those jobs use the speedup is noise, not signal.
-  bool perf_gate = true;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&]() -> std::string {
-      if (i + 1 >= argc) {
-        std::cerr << "option " << arg << " needs a value\n";
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--refs") {
-      refs = parse_count(arg, value(), ~std::uint64_t{0});
-    } else if (arg == "--scale-shift") {
-      scale_shift = static_cast<unsigned>(parse_count(arg, value(), 30));
-    } else if (arg == "--no-perf-gate") {
-      perf_gate = false;
-    } else {
-      std::cerr << "unknown option " << arg << "\n";
-      return 2;
-    }
-  }
-  if (refs == 0) {
-    std::cerr << "want --refs > 0\n";
-    return 2;
-  }
-
-  bench::header("Memory-hierarchy replay throughput (scalar/batched)",
-                "the Sec. III-A PCM-profiling stage");
-  const auto cpu = arch::knl();
+/// Times every implementation on every pattern through `cpu`'s
+/// hierarchy and prints the machine's throughput and per-stage tables.
+/// Returns false unless every path produced identical statistics.
+bool replay_machine(const arch::CpuSpec& cpu, std::uint64_t refs,
+                    unsigned scale_shift, Totals& totals) {
   std::cout << "machine: " << cpu.short_name << ", refs=" << refs
             << " (+equal warmup), scale-shift=" << scale_shift << "\n\n";
-
-  // Level names for the per-stage table header (fixed machine).
-  std::vector<std::string> level_names;
-  {
-    Hierarchy probe(cpu, scale_shift);
-    for (std::size_t i = 0; i < probe.num_levels(); ++i) {
-      level_names.push_back(probe.level_name(i));
-    }
-  }
 
   TextTable table({"Pattern", "Baseline[Mref/s]", "Scalar[Mref/s]",
                    "Batched[Mref/s]", "File[Mref/s]", "Speedup",
                    "Identical"});
   std::vector<std::string> stage_cols = {"Pattern", "Gen[Mref/s]"};
-  for (const auto& n : level_names) stage_cols.push_back(n + "[Mref/s]");
+  {
+    const Hierarchy probe(cpu, scale_shift);
+    for (std::size_t i = 0; i < probe.num_levels(); ++i) {
+      stage_cols.push_back(probe.level_name(i) + "[Mref/s]");
+    }
+  }
   TextTable stage_table(stage_cols);
 
-  double baseline_total = 0.0, scalar_total = 0.0, batched_total = 0.0;
   bool all_identical = true;
   for (const auto& w : workloads()) {
     const AccessPatternSpec scaled = scale_spec(w.spec, scale_shift);
@@ -393,9 +364,9 @@ int main(int argc, char** argv) {
     const bool same = identical(r0, rb) && identical(rs, rb) &&
                       identical(rstage, rb) && identical(rf, rb);
     all_identical = all_identical && same;
-    baseline_total += baseline_s;
-    scalar_total += scalar_s;
-    batched_total += batched_s;
+    totals.baseline += baseline_s;
+    totals.scalar += scalar_s;
+    totals.batched += batched_s;
     const double mref = static_cast<double>(2 * refs) / 1e6;  // warmup counts
     table.row()
         .cell(w.name)
@@ -425,13 +396,60 @@ int main(int argc, char** argv) {
   std::cout << "\nper-stage roofline (production path; each level's refs "
                "are the previous level's misses):\n";
   stage_table.print(std::cout);
+  std::cout << "\n";
+  return all_identical;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  std::uint64_t refs = 2'000'000;
+  unsigned scale_shift = 8;
+  // --no-perf-gate: keep the stats-identity checks but skip the
+  // "production must beat the seed baseline" exit condition. Sanitizer
+  // CI runs use this — instrumentation skews relative timings, and at
+  // the tiny sizes those jobs use the speedup is noise, not signal.
+  bool perf_gate = true;
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    auto value = [&]() -> std::string {
+      if (i + 1 >= argc) {
+        std::cerr << "option " << arg << " needs a value\n";
+        std::exit(2);
+      }
+      return argv[++i];
+    };
+    if (arg == "--refs") {
+      refs = parse_count(arg, value(), ~std::uint64_t{0});
+    } else if (arg == "--scale-shift") {
+      scale_shift = static_cast<unsigned>(parse_count(arg, value(), 30));
+    } else if (arg == "--no-perf-gate") {
+      perf_gate = false;
+    } else {
+      std::cerr << "unknown option " << arg << "\n";
+      return 2;
+    }
+  }
+  if (refs == 0) {
+    std::cerr << "want --refs > 0\n";
+    return 2;
+  }
+
+  bench::header("Memory-hierarchy replay throughput (scalar/batched)",
+                "the Sec. III-A PCM-profiling stage");
+  Totals totals;
+  bool all_identical = true;
+  for (const auto& cpu : arch::all_machines()) {
+    all_identical = replay_machine(cpu, refs, scale_shift, totals) &&
+                    all_identical;
+  }
 
   const double speedup =
-      batched_total > 0 ? baseline_total / batched_total : 0.0;
+      totals.batched > 0 ? totals.baseline / totals.batched : 0.0;
   std::printf(
-      "\naggregate: baseline %.3f s, scalar %.3f s, batched %.3f s, "
-      "speedup %.2fx (production vs baseline)\n",
-      baseline_total, scalar_total, batched_total, speedup);
+      "aggregate over all machines: baseline %.3f s, scalar %.3f s, "
+      "batched %.3f s, speedup %.2fx (production vs baseline)\n",
+      totals.baseline, totals.scalar, totals.batched, speedup);
 
   if (!all_identical) {
     std::cerr << "[bench] REPLAY MISMATCH: every path (baseline, scalar, "

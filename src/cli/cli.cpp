@@ -65,7 +65,8 @@ constexpr const char* kUsage =
     "  --kernel A[,B,...]   kernel abbreviations to run (default: all;\n"
     "                       repeatable, comma-separated)\n"
     "  --scale S            input scale multiplier, > 0 (default 0.3)\n"
-    "  --threads N          worker threads, 0 = all hardware (default 0)\n"
+    "  --threads N          worker threads, 0 = all hardware (default 0);\n"
+    "                       memsim and trace replays fan out over them\n"
     "  --repeats R          [run] trials per kernel, fastest kept (default 3)\n"
     "  --seed N             PRNG seed for synthetic inputs (default 42)\n"
     "  --auto-threads       [run] pick threads per kernel via the step-2\n"
@@ -96,7 +97,7 @@ constexpr const char* kUsage =
     "  --scale-shift S      capacity scale-down exponent: footprints and\n"
     "                       cache sizes shrink by 2^S (default 8, max 30)\n"
     "\n"
-    "trace options (plus --refs/--scale-shift/--csv as above):\n"
+    "trace options (plus --threads/--refs/--scale-shift/--csv as above):\n"
     "  --machine M[,M...]   replay only on the named Table I machines\n"
     "                       (default: all)\n"
     "  --refs N             measured references, > 0 (default: every\n"
@@ -622,15 +623,42 @@ int cmd_pareto(const RunOptions& opt, std::ostream& out, std::ostream& err) {
   return kExitOk;
 }
 
+/// One memsim/trace table row: the per-level hit rates of `res`, a
+/// replay of `label` (kernel or trace) on `cpu`.
+void add_hit_rate_row(TextTable& t, const std::string& label,
+                      const arch::CpuSpec& cpu,
+                      const memsim::HierarchyResult& res) {
+  const std::string last = cpu.has_mcdram() ? "MCDRAM$" : "LLC";
+  t.row()
+      .cell(label)
+      .cell(cpu.short_name)
+      .num(100.0 * res.hit_rate("L1"), 2)
+      .num(100.0 * res.hit_rate("L2"), 2)
+      .cell(last)
+      .num(100.0 * res.hit_rate(last), 2)
+      .num(100.0 * (1.0 - res.served_at_or_above("L2")), 2)
+      .num(100.0 * res.dram_fraction(), 2)
+      .done();
+}
+
 /// `fpr memsim`: expose the hierarchy simulation directly — one row per
 /// (kernel, machine) with the per-level hit rates the model consumes
 /// (the stand-in for the paper's PCM counter readings). Kernels run once
 /// (instrumented, at --scale) to publish their access-pattern specs;
-/// every replay goes through the command context's SimCache.
+/// then the (kernel, machine) replays fan out over the --threads pool,
+/// each through the command context's SimCache into its own slot.
 int cmd_memsim(const RunOptions& opt, std::ostream& out, std::ostream& err) {
   std::string bad;
   const auto selection = resolve_kernels(opt.kernels, bad);
   if (!bad.empty()) return usage_error(err, bad);
+  // A repeated kernel would replay the same memo keys twice, on any
+  // worker, so the cache line below would depend on --threads.
+  for (auto k = selection.begin(); k != selection.end(); ++k) {
+    if (std::find(selection.begin(), k, *k) != k) {
+      return usage_error(err, "kernel '" + *k +
+                                  "' given more than once in --kernel");
+    }
+  }
 
   err << "[fpr] memsim: " << selection.size() << " kernel(s) at scale "
       << opt.scale << ", refs=" << opt.trace_refs << ", scale-shift="
@@ -644,28 +672,28 @@ int cmd_memsim(const RunOptions& opt, std::ostream& out, std::ostream& err) {
   ExecutionContext ctx(opt.threads);
   memsim::SimCache* cache = ctx.sim_cache().get();
 
+  // Each kernel run already spreads over the pool, so kernels run one
+  // after another.
+  std::vector<memsim::AccessPatternSpec> specs;
+  for (const auto& abbrev : selection) {
+    specs.push_back(kernels::make(abbrev)->run(ctx, rc).access);
+  }
+  const auto machines = arch::all_machines();
+  std::vector<memsim::HierarchyResult> results(specs.size() * machines.size());
+  ctx.for_each(results.size(), [&](std::size_t u) {
+    const auto& cpu = machines[u % machines.size()];
+    const auto sliced =
+        model::per_core_slice(specs[u / machines.size()], cpu.cores);
+    results[u] = memsim::simulate_pattern_cached(
+        cache, cpu, sliced, opt.trace_refs, model::kProfileSeed,
+        opt.scale_shift);
+  });
+
   TextTable t({"Kernel", "Machine", "L1h%", "L2h%", "Last", "LLh%",
                "Offchip%", "DRAM%"});
-  for (const auto& abbrev : selection) {
-    const auto kernel = kernels::make(abbrev);
-    const auto meas = kernel->run(ctx, rc);
-    for (const auto& cpu : arch::all_machines()) {
-      const auto sliced = model::per_core_slice(meas.access, cpu.cores);
-      const auto res = memsim::simulate_pattern_cached(
-          cache, cpu, sliced, opt.trace_refs, model::kProfileSeed,
-          opt.scale_shift);
-      const std::string last = cpu.has_mcdram() ? "MCDRAM$" : "LLC";
-      t.row()
-          .cell(abbrev)
-          .cell(cpu.short_name)
-          .num(100.0 * res.hit_rate("L1"), 2)
-          .num(100.0 * res.hit_rate("L2"), 2)
-          .cell(last)
-          .num(100.0 * res.hit_rate(last), 2)
-          .num(100.0 * (1.0 - res.served_at_or_above("L2")), 2)
-          .num(100.0 * res.dram_fraction(), 2)
-          .done();
-    }
+  for (std::size_t u = 0; u < results.size(); ++u) {
+    add_hit_rate_row(t, selection[u / machines.size()],
+                     machines[u % machines.size()], results[u]);
   }
 
   std::ostream& heading = opt.csv ? err : out;
@@ -700,8 +728,8 @@ std::string trace_stem(const std::string& path) {
 /// same hierarchy simulation `fpr memsim` uses and print the same
 /// per-machine hit-rate columns (so rows are directly comparable:
 /// `--csv` output matches memsim's minus the leading kernel/trace
-/// cell). Replays go through the context SimCache keyed by the trace's
-/// content digest.
+/// cell). The per-machine replays fan out over the --threads pool, each
+/// through the context SimCache keyed by the trace's content digest.
 int cmd_trace(const RunOptions& opt, std::ostream& out, std::ostream& err) {
   if (opt.positional.size() != 1) {
     return usage_error(err, "trace needs exactly one fpr-trace file");
@@ -723,6 +751,12 @@ int cmd_trace(const RunOptions& opt, std::ostream& out, std::ostream& err) {
       if (found == nullptr) {
         return usage_error(err, "unknown machine '" + name +
                                     "' (expected a Table I short name)");
+      }
+      for (const auto& cpu : machines) {
+        if (cpu.short_name == name) {
+          return usage_error(err, "machine '" + name +
+                                      "' given more than once in --machine");
+        }
       }
       machines.push_back(*found);
     }
@@ -753,48 +787,44 @@ int cmd_trace(const RunOptions& opt, std::ostream& out, std::ostream& err) {
   ExecutionContext ctx(opt.threads);
   memsim::SimCache* cache = ctx.sim_cache().get();
 
+  // One replay per machine, fanned out over the pool into per-machine
+  // slots; the machines are distinct, so every slot has its own memo key.
+  std::vector<memsim::HierarchyResult> results(machines.size());
+  try {
+    ctx.for_each(machines.size(), [&](std::size_t i) {
+      results[i] = io::replay_trace_cached(cache, machines[i], path, refs,
+                                           opt.warmup, opt.scale_shift);
+    });
+  } catch (const io::TraceFormatError& e) {
+    err << "fpr trace: " << e.what() << "\n";
+    return kExitBadInput;
+  }
+
   const std::string stem = trace_stem(path);
   const bool json_to_stdout = opt.out == "-";
   TextTable t({"Trace", "Machine", "L1h%", "L2h%", "Last", "LLh%",
                "Offchip%", "DRAM%"});
   io::Json machines_json = io::Json::array();
-  try {
-    for (const auto& cpu : machines) {
-      const auto res = io::replay_trace_cached(cache, cpu, path, refs,
-                                               opt.warmup, opt.scale_shift);
-      const std::string last = cpu.has_mcdram() ? "MCDRAM$" : "LLC";
-      t.row()
-          .cell(stem)
-          .cell(cpu.short_name)
-          .num(100.0 * res.hit_rate("L1"), 2)
-          .num(100.0 * res.hit_rate("L2"), 2)
-          .cell(last)
-          .num(100.0 * res.hit_rate(last), 2)
-          .num(100.0 * (1.0 - res.served_at_or_above("L2")), 2)
-          .num(100.0 * res.dram_fraction(), 2)
-          .done();
-      if (!opt.out.empty()) {
-        const auto mem =
-            model::profile_trace(cpu, res, info.working_set_bytes());
-        io::Json m = io::Json::object();
-        m.set("machine", std::string(cpu.short_name));
-        io::Json levels = io::Json::array();
-        for (const auto& l : res.levels) {
-          io::Json e = io::Json::object();
-          e.set("name", l.name);
-          e.set("hits", l.stats.hits);
-          e.set("misses", l.stats.misses);
-          e.set("writebacks", l.stats.writebacks);
-          levels.push(std::move(e));
-        }
-        m.set("levels", std::move(levels));
-        m.set("mem", io::to_json(mem));
-        machines_json.push(std::move(m));
-      }
+  for (std::size_t i = 0; i < machines.size(); ++i) {
+    const auto& cpu = machines[i];
+    const auto& res = results[i];
+    add_hit_rate_row(t, stem, cpu, res);
+    if (opt.out.empty()) continue;
+    const auto mem = model::profile_trace(cpu, res, info.working_set_bytes());
+    io::Json m = io::Json::object();
+    m.set("machine", std::string(cpu.short_name));
+    io::Json levels = io::Json::array();
+    for (const auto& l : res.levels) {
+      io::Json e = io::Json::object();
+      e.set("name", l.name);
+      e.set("hits", l.stats.hits);
+      e.set("misses", l.stats.misses);
+      e.set("writebacks", l.stats.writebacks);
+      levels.push(std::move(e));
     }
-  } catch (const io::TraceFormatError& e) {
-    err << "fpr trace: " << e.what() << "\n";
-    return kExitBadInput;
+    m.set("levels", std::move(levels));
+    m.set("mem", io::to_json(mem));
+    machines_json.push(std::move(m));
   }
 
   std::ostream& heading = (opt.csv || json_to_stdout) ? err : out;

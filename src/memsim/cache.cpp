@@ -110,7 +110,7 @@ Cache::Cache(CacheConfig cfg) : cfg_(cfg) {
   } else {
     set_div_ = MagicDiv(num_sets_);
   }
-  order_mode_ = cfg_.associativity <= 16;
+  order_mode_ = cfg_.associativity <= kMaxOrderWays;
   walk_ = pick_walker();
   tags_.assign(cfg_.num_lines(), kInvalidTag);
   flags_.assign(cfg_.num_lines(), 0);
@@ -200,17 +200,22 @@ bool Cache::access_stamps(std::uint64_t set, std::uint64_t tag, bool write) {
   return false;
 }
 
-/// access_order() over a block with the associativity fixed at compile
-/// time. The two forms differ only in where a reference's set lives:
-/// OneSet copies the single set into locals for the whole block (no
-/// split, and no way state the stores into `refs` could alias); the
-/// many-set form splits each address and works on the member arrays.
+/// access() over a block with the associativity fixed at compile time:
+/// access_order() up to kMaxOrderWays ways, access_stamps() above. The
+/// two set forms differ only in where a reference's set lives: OneSet
+/// copies the single set into locals for the whole block (no split, and
+/// no way state the stores into `refs` could alias); the many-set form
+/// splits each address and works on the member arrays. Only the
+/// packed-order levels have a one-set form (the scaled-down L1s).
 template <std::uint32_t A, bool OneSet>
 std::size_t Cache::walk(MemRef* refs, std::size_t n) {
+  constexpr bool kStamps = A > kMaxOrderWays;
+  static_assert(!(OneSet && kStamps), "no one-set stamp walker");
   const std::uint32_t line_shift = line_shift_;
   const std::uint64_t num_sets = num_sets_;
   const std::uint32_t set_shift = set_shift_;
   std::uint64_t hits = 0, misses = 0, writebacks = 0;
+  std::uint64_t stamp = kStamps ? stamp_ : 0;
 
   std::uint64_t one_tags[A];
   std::uint8_t one_flags[A];
@@ -241,40 +246,68 @@ std::size_t Cache::walk(MemRef* refs, std::size_t n) {
     const std::size_t base = static_cast<std::size_t>(set) * A;
     std::uint64_t* const tags = OneSet ? one_tags : tags_.data() + base;
     std::uint8_t* const flags = OneSet ? one_flags : flags_.data() + base;
-    std::uint64_t* const order_slot = OneSet ? &one_order : &order_[set];
-    std::uint8_t* const valid_slot = OneSet ? &one_valid : &valid_count_[set];
-    std::uint64_t order = *order_slot;
-
-    const auto mru = static_cast<std::uint32_t>(order >> (4 * (A - 1))) & 0xF;
-    if (tags[mru] == tag) {
-      if (write) flags[mru] |= kDirty;
-      ++hits;
-      continue;
-    }
-
-    std::uint32_t hit = A;
-    for (std::uint32_t w = 0; w < A; ++w) {
-      if (tags[w] == tag) hit = w;
-    }
-    if (hit != A) {
-      *order_slot = move_to_front<A>(order, find_rank<A>(order, hit), hit);
-      if (write) flags[hit] |= kDirty;
-      ++hits;
-      continue;
-    }
 
     std::uint32_t victim;
-    const std::uint8_t valid = *valid_slot;
-    if (valid < A) {
-      victim = A - 1 - valid;  // last invalid way (prefix invariant)
-      *valid_slot = static_cast<std::uint8_t>(valid + 1);
-      order = move_to_front<A>(order, find_rank<A>(order, victim), victim);
+    if constexpr (kStamps) {
+      std::uint64_t* const stamps = stamps_.data() + base;
+      ++stamp;
+      std::uint32_t hit = A;
+      for (std::uint32_t w = 0; w < A; ++w) {
+        if (tags[w] == tag) hit = w;
+      }
+      if (hit != A) {
+        stamps[hit] = stamp;
+        if (write) flags[hit] |= kDirty;
+        ++hits;
+        continue;
+      }
+      // The last minimum stamp. Invalid ways hold 0 and valid stamps are
+      // unique and at least 1, so this is access_stamps' rule: the last
+      // invalid way while the set fills, the LRU way after.
+      victim = 0;
+      std::uint64_t oldest = stamps[0];
+      for (std::uint32_t w = 1; w < A; ++w) {
+        if (stamps[w] <= oldest) {
+          oldest = stamps[w];
+          victim = w;
+        }
+      }
+      stamps[victim] = stamp;
     } else {
-      victim = static_cast<std::uint32_t>(order & 0xF);
-      order =
-          (order >> 4) | (static_cast<std::uint64_t>(victim) << (4 * (A - 1)));
+      std::uint64_t* const order_slot = OneSet ? &one_order : &order_[set];
+      std::uint8_t* const valid_slot = OneSet ? &one_valid : &valid_count_[set];
+      std::uint64_t order = *order_slot;
+
+      const auto mru = static_cast<std::uint32_t>(order >> (4 * (A - 1))) & 0xF;
+      if (tags[mru] == tag) {
+        if (write) flags[mru] |= kDirty;
+        ++hits;
+        continue;
+      }
+
+      std::uint32_t hit = A;
+      for (std::uint32_t w = 0; w < A; ++w) {
+        if (tags[w] == tag) hit = w;
+      }
+      if (hit != A) {
+        *order_slot = move_to_front<A>(order, find_rank<A>(order, hit), hit);
+        if (write) flags[hit] |= kDirty;
+        ++hits;
+        continue;
+      }
+
+      const std::uint8_t valid = *valid_slot;
+      if (valid < A) {
+        victim = A - 1 - valid;  // last invalid way (prefix invariant)
+        *valid_slot = static_cast<std::uint8_t>(valid + 1);
+        order = move_to_front<A>(order, find_rank<A>(order, victim), victim);
+      } else {
+        victim = static_cast<std::uint32_t>(order & 0xF);
+        order = (order >> 4) |
+                (static_cast<std::uint64_t>(victim) << (4 * (A - 1)));
+      }
+      *order_slot = order;
     }
-    *order_slot = order;
 
     ++misses;
     if ((flags[victim] & (kValid | kDirty)) == (kValid | kDirty)) {
@@ -291,6 +324,7 @@ std::size_t Cache::walk(MemRef* refs, std::size_t n) {
     order_[0] = one_order;
     valid_count_[0] = one_valid;
   }
+  if constexpr (kStamps) stamp_ = stamp;
   stats_.hits += hits;
   stats_.misses += misses;
   stats_.writebacks += writebacks;
@@ -316,13 +350,11 @@ Cache::Walker Cache::pick_walker() const {
       {8, false, &Cache::walk<8, false>},
       {16, true, &Cache::walk<16, true>},
       {16, false, &Cache::walk<16, false>},
+      {20, false, &Cache::walk<20, false>},
   };
-  if (order_mode_) {
-    for (const Instance& inst : kCatalogue) {
-      if (inst.assoc == cfg_.associativity &&
-          inst.one_set == (num_sets_ == 1)) {
-        return inst.walk;
-      }
+  for (const Instance& inst : kCatalogue) {
+    if (inst.assoc == cfg_.associativity && inst.one_set == (num_sets_ == 1)) {
+      return inst.walk;
     }
   }
   return &Cache::walk_each;

@@ -20,10 +20,11 @@
 //  - access_many() filters whole reference blocks (the miss stream the
 //    next level consumes) through one block walker, picked once at
 //    construction from a small catalogue of compile-time instances:
-//    8 and 16 ways (every packed-order level the Table I machines and
-//    their variants build), each in a many-set form and a one-set form
-//    that keeps the whole set in locals (the scaled-down L1s collapse
-//    to one set). Every other geometry walks through access().
+//    8, 16 and 20 ways (every level the Table I machines and their
+//    variants build; 20 is BDW's stamp-LRU LLC), each in a many-set
+//    form, and 8 and 16 ways also in a one-set form that keeps the whole
+//    set in locals (the scaled-down L1s collapse to one set). Every other
+//    geometry walks through access().
 #pragma once
 
 #include <cstddef>
@@ -98,6 +99,10 @@ class Cache {
   /// least 2 bytes (CacheConfig::validate), so a tag is below 2^63.
   static constexpr std::uint64_t kInvalidTag = ~std::uint64_t{0};
   static constexpr std::uint32_t kNoShift = ~0u;
+  /// Widest associativity a packed order word holds (4-bit way ids in
+  /// 64 bits); wider caches keep access stamps. Decides both which state
+  /// a Cache allocates and which state a walk<A, OneSet> instance reads.
+  static constexpr std::uint32_t kMaxOrderWays = 16;
 
   /// Split an address into (set, tag).
   void split(std::uint64_t addr, std::uint64_t& set,
@@ -115,9 +120,10 @@ class Cache {
   bool access_order(std::uint64_t set, std::uint64_t tag, bool write);
   bool access_stamps(std::uint64_t set, std::uint64_t tag, bool write);
 
-  /// The block walkers: a compiled instance for A ways, OneSet when the
-  /// cache is a single set; walk_each() is the access() loop every
-  /// geometry outside the catalogue uses.
+  /// The block walkers: a compiled instance for A ways (packed order up
+  /// to kMaxOrderWays, stamps above), OneSet when the cache is a single
+  /// packed-order set; walk_each() is the access() loop every geometry
+  /// outside the catalogue uses.
   template <std::uint32_t A, bool OneSet>
   std::size_t walk(MemRef* refs, std::size_t n);
   std::size_t walk_each(MemRef* refs, std::size_t n);
@@ -128,7 +134,7 @@ class Cache {
   std::uint32_t line_shift_ = 0;
   std::uint32_t set_shift_ = kNoShift;  ///< valid when num_sets is pow2
   MagicDiv set_div_;                    ///< used when num_sets is not pow2
-  bool order_mode_ = false;  ///< packed-order LRU (associativity <= 16)
+  bool order_mode_ = false;  ///< packed-order LRU (<= kMaxOrderWays ways)
   Walker walk_ = &Cache::walk_each;
   // Way state as parallel per-set arrays (index = set * assoc + way).
   std::vector<std::uint64_t> tags_;
@@ -139,7 +145,8 @@ class Cache {
   // the stamp formulation implements), making "last invalid way" O(1).
   std::vector<std::uint64_t> order_;
   std::vector<std::uint8_t> valid_count_;
-  // !order_mode_ (associativity > 16): classic access-stamp LRU.
+  // !order_mode_ (associativity > kMaxOrderWays): classic access-stamp
+  // LRU.
   std::vector<std::uint64_t> stamps_;
   std::uint64_t stamp_ = 0;
   CacheStats stats_;

@@ -482,6 +482,13 @@ TEST(Cli, MemsimRejectsBadOptions) {
   EXPECT_EQ(run({"memsim", "--scale-shift", "31"}).code, 2);
   EXPECT_EQ(run({"memsim", "--scale-shift", "-1"}).code, 2);
   EXPECT_EQ(run({"memsim", "stray"}).code, 2);
+  // A repeated kernel would replay the same memo keys twice.
+  const auto twice = run({"memsim", "--kernel", "BABL2,XSBn,BABL2"});
+  EXPECT_EQ(twice.code, 2);
+  EXPECT_NE(twice.err.find("kernel 'BABL2' given more than once"),
+            std::string::npos)
+      << twice.err;
+  EXPECT_EQ(run({"memsim", "--kernel", "XSBn", "--kernel", "XSBn"}).code, 2);
 }
 
 // ---------------------------------------------------------------------
@@ -528,8 +535,8 @@ std::string drop_first_column(const std::string& csv) {
 TEST(Cli, TraceReplayMatchesMemsimRowBitForBit) {
   TempFile tmp("trace");
   record_kernel_trace(tmp.path(), "BABL2", arch::knl(), 20000, 8);
-  // --threads sizes the command context's pool; replay stays serial and
-  // byte-identical whatever the count.
+  // --threads sizes the pool the per-machine replays fan out over; the
+  // rows are byte-identical whatever the count.
   const auto trace = run({"trace", tmp.path(), "--machine", "KNL",
                           "--warmup", "20000", "--threads", "4", "--csv"});
   ASSERT_EQ(trace.code, 0) << trace.err;
@@ -576,6 +583,15 @@ TEST(Cli, TraceRejectsBadUsage) {
   EXPECT_EQ(run({"trace", tmp.path(), "--refs", "0"}).code, 2);
   EXPECT_EQ(run({"trace", tmp.path(), "--refs", "-5"}).code, 2);
   EXPECT_EQ(run({"trace", tmp.path(), "--machine", "VAX"}).code, 2);
+  // A repeated machine would replay the same memo key twice.
+  const auto twice = run({"trace", tmp.path(), "--machine", "KNL,BDW,KNL"});
+  EXPECT_EQ(twice.code, 2);
+  EXPECT_NE(twice.err.find("machine 'KNL' given more than once"),
+            std::string::npos)
+      << twice.err;
+  const auto repeated = run({"trace", tmp.path(), "--machine", "BDW",
+                             "--machine", "BDW"});
+  EXPECT_EQ(repeated.code, 2);
   // Warmup swallowing the whole file leaves nothing to measure.
   EXPECT_EQ(run({"trace", tmp.path(), "--warmup", "2000"}).code, 2);
 }
@@ -593,6 +609,56 @@ TEST(Cli, TraceBadInputExitsThree) {
   const auto bad = run({"trace", junk.path()});
   EXPECT_EQ(bad.code, 3);
   EXPECT_NE(bad.err.find("bad magic"), std::string::npos);
+
+  // A valid header over a chunk stream cut short: the decode error is
+  // raised inside the per-machine replays on the pool's workers and
+  // must still reach the command's handler.
+  TempFile cut("trace_cut");
+  record_kernel_trace(cut.path(), "BABL2", arch::knl(), 20000, 8);
+  const auto half = std::filesystem::file_size(cut.path()) / 2;
+  std::filesystem::resize_file(cut.path(), half);
+  const auto truncated = run({"trace", cut.path(), "--threads", "4"});
+  EXPECT_EQ(truncated.code, 3);
+  EXPECT_NE(truncated.err.find("truncated"), std::string::npos)
+      << truncated.err;
+}
+
+TEST(Cli, TraceOutputIsIdenticalForEveryThreadCount) {
+  TempFile tmp("trace_threads");
+  record_kernel_trace(tmp.path(), "XSBn", arch::bdw(), 20000, 8);
+  auto with_threads = [&](const char* threads) {
+    return run({"trace", tmp.path(), "--warmup", "20000", "--threads", threads,
+                "--out", "-"});
+  };
+  const auto serial = with_threads("1");
+  ASSERT_EQ(serial.code, 0) << serial.err;
+  ASSERT_EQ(io::parse(serial.out).at("machines").as_array().size(), 3u);
+  EXPECT_NE(serial.err.find("trace cache: 0 hit(s), 3 replay(s)"),
+            std::string::npos)
+      << serial.err;
+  for (const char* threads : {"2", "4"}) {
+    const auto r = with_threads(threads);
+    ASSERT_EQ(r.code, 0) << r.err;
+    EXPECT_EQ(r.out, serial.out) << "--threads " << threads;
+    EXPECT_EQ(r.err, serial.err) << "--threads " << threads;
+  }
+}
+
+TEST(Cli, MemsimOutputIsIdenticalForEveryThreadCount) {
+  auto with_threads = [](const char* threads) {
+    return run({"memsim", "--kernel", "BABL2,XSBn", "--scale", "0.15",
+                "--refs", "20000", "--csv", "--threads", threads});
+  };
+  const auto serial = with_threads("1");
+  ASSERT_EQ(serial.code, 0) << serial.err;
+  for (const char* threads : {"2", "4"}) {
+    const auto r = with_threads(threads);
+    ASSERT_EQ(r.code, 0) << r.err;
+    EXPECT_EQ(r.out, serial.out) << "--threads " << threads;
+    // Distinct kernels and machines: no memo key repeats, so even the
+    // cache line on stderr is exact.
+    EXPECT_EQ(r.err, serial.err) << "--threads " << threads;
+  }
 }
 
 TEST(Cli, StudyRejectsBadOptions) {

@@ -510,9 +510,10 @@ TEST(BatchedIdentitySuite, CoversEverySpec) {
 
 TEST(Cache, AccessManyMatchesScalarAccess) {
   // Random traffic through equal caches: every block walker in the
-  // catalogue (8 and 16 ways, one-set and many-set, the latter with
-  // both power-of-two and magic-division set counts) plus the access()
-  // loop for a generic packed-order associativity and the stamp path.
+  // catalogue (8 and 16 ways one-set and many-set, 20 ways many-set, the
+  // many-set forms with both power-of-two and magic-division set counts)
+  // plus the access() loop for a one-set 20-way cache, a generic
+  // packed-order associativity and a wider stamp cache.
   // The footprint is twice each cache's capacity, so hits are common
   // and any slip in LRU order or in state carried between blocks
   // changes the miss stream.
@@ -523,6 +524,9 @@ TEST(Cache, AccessManyMatchesScalarAccess) {
       {.size_bytes = 64 * 16, .line_bytes = 64, .associativity = 16},
       {.size_bytes = 4 * 64 * 16, .line_bytes = 64, .associativity = 16},
       {.size_bytes = 5 * 64 * 16, .line_bytes = 64, .associativity = 16},
+      {.size_bytes = 64 * 20, .line_bytes = 64, .associativity = 20},
+      {.size_bytes = 8 * 64 * 20, .line_bytes = 64, .associativity = 20},
+      {.size_bytes = 3 * 64 * 20, .line_bytes = 64, .associativity = 20},
       {.size_bytes = 5 * 64 * 6, .line_bytes = 64, .associativity = 6},
       {.size_bytes = 24 * 64 * 24, .line_bytes = 64, .associativity = 24},
   };
