@@ -24,7 +24,6 @@
 int main(int argc, char** argv) {
   using namespace fpr;
   using bench::parse_ladder;
-  using bench::split_csv;
 
   study::ExploreConfig cfg;
   cfg.base = "KNL";  // built-in grid: 8 variants incl. both MCDRAM knobs
@@ -38,23 +37,12 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto value = [&]() -> std::string {
-      if (i + 1 >= argc) {
-        std::cerr << "option " << arg << " needs a value\n";
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--kernels") {
-      cfg.kernels = split_csv(value());
-    } else if (arg == "--scale") {
-      cfg.scale = std::stod(value());
-    } else if (arg == "--trace-refs") {
-      cfg.trace_refs = std::stoull(value());
-    } else if (arg == "--jobs") {
-      jobs_ladder = parse_ladder(value());
+    if (bench::parse_measure_option(argc, argv, i, cfg)) continue;
+    if (arg == "--jobs") {
+      jobs_ladder = parse_ladder(arg, bench::option_value(argc, argv, i));
     } else if (arg == "--kernel-jobs") {
-      kernel_jobs_ladder = parse_ladder(value());
+      kernel_jobs_ladder =
+          parse_ladder(arg, bench::option_value(argc, argv, i));
     } else {
       std::cerr << "unknown option " << arg << "\n";
       return 2;

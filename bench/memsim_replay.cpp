@@ -260,26 +260,6 @@ bool identical(const HierarchyResult& a, const HierarchyResult& b) {
   return true;
 }
 
-/// Option values for --refs/--scale-shift: a non-negative integer no
-/// larger than `max`, checked before any narrowing; anything else exits
-/// 2 ('-'-prefixed input would otherwise wrap to a huge count).
-std::uint64_t parse_count(const std::string& arg, const std::string& t,
-                          std::uint64_t max) {
-  std::size_t used = 0;
-  std::uint64_t v = 0;
-  try {
-    if (!t.empty() && t[0] != '-') v = std::stoull(t, &used);
-  } catch (const std::exception&) {
-    // `used` stays 0 and is reported below.
-  }
-  if (used == 0 || used != t.size() || v > max) {
-    std::cerr << arg << " wants an integer in [0, " << max << "], got '" << t
-              << "'\n";
-    std::exit(2);
-  }
-  return v;
-}
-
 /// Seconds each implementation spent, summed over patterns.
 struct Totals {
   double baseline = 0.0;
@@ -412,27 +392,17 @@ int main(int argc, char** argv) {
   bool perf_gate = true;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto value = [&]() -> std::string {
-      if (i + 1 >= argc) {
-        std::cerr << "option " << arg << " needs a value\n";
-        std::exit(2);
-      }
-      return argv[++i];
-    };
     if (arg == "--refs") {
-      refs = parse_count(arg, value(), ~std::uint64_t{0});
+      refs = bench::parse_count(arg, bench::option_value(argc, argv, i));
     } else if (arg == "--scale-shift") {
-      scale_shift = static_cast<unsigned>(parse_count(arg, value(), 30));
+      scale_shift = static_cast<unsigned>(
+          bench::parse_count(arg, bench::option_value(argc, argv, i), 0, 30));
     } else if (arg == "--no-perf-gate") {
       perf_gate = false;
     } else {
       std::cerr << "unknown option " << arg << "\n";
       return 2;
     }
-  }
-  if (refs == 0) {
-    std::cerr << "want --refs > 0\n";
-    return 2;
   }
 
   bench::header("Memory-hierarchy replay throughput (scalar/batched)",

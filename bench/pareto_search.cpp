@@ -21,6 +21,7 @@
 #include <thread>
 #include <vector>
 
+#include "arch/machines.hpp"
 #include "arch/variant.hpp"
 #include "bench_util.hpp"
 #include "common/table.hpp"
@@ -33,7 +34,6 @@
 int main(int argc, char** argv) {
   using namespace fpr;
   using bench::parse_ladder;
-  using bench::split_csv;
 
   study::ParetoConfig cfg;
   cfg.base = "KNL";
@@ -49,29 +49,20 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto value = [&]() -> std::string {
-      if (i + 1 >= argc) {
-        std::cerr << "option " << arg << " needs a value\n";
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--kernels") {
-      cfg.kernels = split_csv(value());
-    } else if (arg == "--scale") {
-      cfg.scale = std::stod(value());
-    } else if (arg == "--trace-refs") {
-      cfg.trace_refs = std::stoull(value());
-    } else if (arg == "--rounds") {
-      cfg.rounds = static_cast<unsigned>(std::stoul(value()));
+    if (bench::parse_measure_option(argc, argv, i, cfg)) continue;
+    if (arg == "--rounds") {
+      // 0 = the seed round only, as `fpr pareto --rounds 0`.
+      cfg.rounds = static_cast<unsigned>(
+          bench::parse_count(arg, bench::option_value(argc, argv, i), 0, 4096));
     } else if (arg == "--jobs") {
-      jobs_ladder = parse_ladder(value());
+      jobs_ladder = parse_ladder(arg, bench::option_value(argc, argv, i));
     } else if (arg == "--naive-sample") {
-      naive_sample = std::stoull(value());
+      naive_sample =
+          bench::parse_count(arg, bench::option_value(argc, argv, i));
     } else if (arg == "--no-perf-gate") {
       perf_gate = false;
     } else if (arg == "--json") {
-      json_path = value();
+      json_path = bench::option_value(argc, argv, i);
     } else {
       std::cerr << "unknown option " << arg << "\n";
       return 2;
@@ -91,10 +82,7 @@ int main(int argc, char** argv) {
 
   // Naive baseline: one ExploreEngine (hence one full measurement pass)
   // per candidate, the pre-incremental cost model.
-  arch::CpuSpec base;
-  for (auto& cpu : arch::all_machines()) {
-    if (cpu.short_name == cfg.base) base = std::move(cpu);
-  }
+  const arch::CpuSpec base = arch::find_machine(cfg.base).value();
   std::vector<std::string> sample = arch::builtin_variant_specs(base);
   if (sample.size() > naive_sample) sample.resize(naive_sample);
   std::cerr << "[bench] naive baseline: " << sample.size()
@@ -102,13 +90,9 @@ int main(int argc, char** argv) {
   WallTimer naive_timer;
   for (const auto& spec : sample) {
     study::ExploreConfig ncfg;
+    static_cast<study::MeasureConfig&>(ncfg) = cfg;
     ncfg.base = cfg.base;
     ncfg.variants = {spec};
-    ncfg.kernels = cfg.kernels;
-    ncfg.scale = cfg.scale;
-    ncfg.threads = cfg.threads;
-    ncfg.trace_refs = cfg.trace_refs;
-    ncfg.seed = cfg.seed;
     ncfg.jobs = 1;
     study::ExploreEngine engine(ncfg);
     (void)engine.run();

@@ -1,5 +1,7 @@
 #include "arch/machines.hpp"
 
+#include <utility>
+
 namespace fpr::arch {
 
 // Numbers are Table I of the paper; microarchitectural details (port
@@ -123,6 +125,13 @@ CpuSpec bdw() {
 }
 
 std::vector<CpuSpec> all_machines() { return {knl(), knm(), bdw()}; }
+
+std::optional<CpuSpec> find_machine(std::string_view short_name) {
+  for (auto& cpu : all_machines()) {
+    if (cpu.short_name == short_name) return std::move(cpu);
+  }
+  return std::nullopt;
+}
 
 CpuSpec with_fpu_of(const CpuSpec& base, const CpuSpec& fpu_donor) {
   CpuSpec c = base;

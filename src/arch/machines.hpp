@@ -4,6 +4,8 @@
 // empirically by having both chips).
 #pragma once
 
+#include <optional>
+#include <string_view>
 #include <vector>
 
 #include "arch/cpu_spec.hpp"
@@ -24,6 +26,10 @@ CpuSpec bdw();
 
 /// All three machines in paper order {KNL, KNM, BDW}.
 std::vector<CpuSpec> all_machines();
+
+/// The Table I machine whose short name is `short_name` (KNL, KNM, or
+/// BDW); nullopt for any other name. Callers raise their own error.
+std::optional<CpuSpec> find_machine(std::string_view short_name);
 
 /// `base` with its floating-point silicon swapped for `fpu_donor`'s FPU
 /// configuration — the hypothetical-processor ablation. Name becomes

@@ -1,15 +1,18 @@
 #include "cli/cli.hpp"
 
 #include <algorithm>
-#include <cstdlib>
-#include <fstream>
-#include <ostream>
-#include <sstream>
-#include <stdexcept>
-
 #include <cmath>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <limits>
+#include <ostream>
+#include <set>
+#include <sstream>
+#include <stdexcept>
+#include <string_view>
+#include <type_traits>
+#include <variant>
 
 #include "arch/machines.hpp"
 #include "arch/variant.hpp"
@@ -35,142 +38,33 @@
 namespace fpr::cli {
 namespace {
 
-constexpr const char* kUsage =
-    "usage: fpr <command> [options]\n"
-    "\n"
-    "commands:\n"
-    "  list                 list all registered proxy kernels (Table II)\n"
-    "  tables               print the static paper tables (I, II, III)\n"
-    "  run [options]        run kernels: op-mix assay + machine projection\n"
-    "  study [options]      full pipeline (kernel run -> memsim -> model ->\n"
-    "                       freq sweep) on the parallel StudyEngine\n"
-    "  memsim [options]     per-kernel x machine cache-hierarchy hit-rate\n"
-    "                       table (the simulated PCM counters)\n"
-    "  trace FILE [options] replay a recorded fpr-trace binary address\n"
-    "                       trace through the same hierarchy simulation\n"
-    "                       and print the per-machine hit-rate table\n"
-    "                       (record/convert files with the fpr-trace tool)\n"
-    "  explore [options]    what-if machine exploration: sweep the kernels\n"
-    "                       across derived variants of a base machine and\n"
-    "                       score each variant against it (Sec. VII)\n"
-    "  pareto [options]     multi-objective design-space search: compose\n"
-    "                       transforms under an area/TDP budget and keep\n"
-    "                       the non-dominated frontier over time, energy,\n"
-    "                       and the site projection (Sec. VII extended)\n"
-    "  diff A.json B.json   compare two results files (study, explore, or\n"
-    "                       pareto) metric by metric (relative deltas)\n"
-    "  help                 show this message\n"
-    "\n"
-    "run/study options:\n"
-    "  --kernel A[,B,...]   kernel abbreviations to run (default: all;\n"
-    "                       repeatable, comma-separated)\n"
-    "  --scale S            input scale multiplier, > 0 (default 0.3)\n"
-    "  --threads N          worker threads, 0 = all hardware (default 0);\n"
-    "                       memsim and trace replays fan out over them\n"
-    "  --repeats R          [run] trials per kernel, fastest kept (default 3)\n"
-    "  --seed N             PRNG seed for synthetic inputs (default 42)\n"
-    "  --auto-threads       [run] pick threads per kernel via the step-2\n"
-    "                       parallelism search (overrides --threads)\n"
-    "  --csv                emit CSV instead of aligned tables\n"
-    "\n"
-    "study options:\n"
-    "  --jobs N             engine workers for the per-machine stages\n"
-    "                       (0 = all hardware, default 0; never changes\n"
-    "                       the results, only the wall time)\n"
-    "  --kernel-jobs K      concurrent instrumented kernel runs, each in\n"
-    "                       its own execution context with a private\n"
-    "                       --threads worker pool (0 = all hardware,\n"
-    "                       default 1; never changes the results)\n"
-    "  --trace-refs N       cache-sim trace length (default 400000)\n"
-    "  --no-sweep           skip the Fig. 6 frequency sweep\n"
-    "  --timing             keep wall-clock host_seconds in the output\n"
-    "                       (default: zeroed so JSON is byte-stable)\n"
-    "  --out FILE           write results JSON to FILE ('-' = stdout,\n"
-    "                       suppressing the summary table)\n"
-    "  --golden             use the exact golden-snapshot configuration\n"
-    "                       (overrides kernel/scale/threads/seed/\n"
-    "                       trace-refs; rejects --timing/--no-sweep)\n"
-    "\n"
-    "memsim options:\n"
-    "  --refs N             trace references per simulation (also accepted\n"
-    "                       as --trace-refs; default 400000)\n"
-    "  --scale-shift S      capacity scale-down exponent: footprints and\n"
-    "                       cache sizes shrink by 2^S (default 8, max 30)\n"
-    "\n"
-    "trace options (plus --threads/--refs/--scale-shift/--csv as above):\n"
-    "  --machine M[,M...]   replay only on the named Table I machines\n"
-    "                       (default: all)\n"
-    "  --refs N             measured references, > 0 (default: every\n"
-    "                       record after the warmup prefix)\n"
-    "  --warmup N           records replayed uncounted before measuring\n"
-    "                       starts (default 0; traces recorded with\n"
-    "                       'fpr-trace record' carry their own prefix)\n"
-    "  --out FILE           write a per-machine trace profile JSON\n"
-    "                       ('-' = stdout, suppressing the table)\n"
-    "\n"
-    "explore options (plus --kernel/--scale/--threads/--seed/--trace-refs/\n"
-    "--jobs/--kernel-jobs/--csv/--out as above):\n"
-    "  --base M             base machine short name: KNL, KNM, or BDW\n"
-    "                       (default KNL)\n"
-    "  --variants S[,S...]  variant specs to derive from the base\n"
-    "                       (default: the built-in grid). A spec composes\n"
-    "                       transforms with '+': name or name=FACTOR, e.g.\n"
-    "                       halve-fp64+dram-bw=1.5. Transforms: halve-fp64,\n"
-    "                       drop-fp64-vec, widen-fp32[=K], dram-bw[=F],\n"
-    "                       mcdram-bw[=F], mcdram-cap[=F], cores[=F],\n"
-    "                       tdp[=F]; factors scale the base value\n"
-    "  --golden             use the exact explore-snapshot configuration\n"
-    "                       (overrides base/variants/kernel/scale/threads/\n"
-    "                       seed/trace-refs)\n"
-    "\n"
-    "pareto options (plus --base/--kernel/--scale/--threads/--seed/\n"
-    "--trace-refs/--jobs/--kernel-jobs/--csv/--out as above):\n"
-    "  --budget-area F      max die-area ratio vs the base, > 0 (default\n"
-    "                       1.0: no bigger than the purchased silicon)\n"
-    "  --budget-tdp F       max TDP ratio vs the base, > 0 (default 1.0)\n"
-    "  --objectives A[,B..] frontier objectives, a subset of time, energy,\n"
-    "                       site (default time,energy,site)\n"
-    "  --rounds R           expansion rounds after the seed batch\n"
-    "                       (default 3)\n"
-    "  --explorers E        seeded random walks proposed per round\n"
-    "                       (default 16)\n"
-    "  --max-depth D        max transforms composed per candidate, >= 1\n"
-    "                       (default 4)\n"
-    "  --search-seed N      explorer-walk seed (default 2019; results are\n"
-    "                       identical for every --jobs at a fixed seed)\n"
-    "\n"
-    "diff options:\n"
-    "  --tolerance T        max relative delta accepted per metric\n"
-    "                       (default 0; exit 1 if any metric exceeds it)\n"
-    "\n"
-    "exit codes: 0 ok; 1 runtime error or diff over tolerance; 2 usage\n"
-    "error; 3 diff/trace input file missing, unreadable, or malformed\n";
+/// A bad command line: exits kExitUsage with the message and the
+/// command's usage.
+struct UsageError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
 
-struct RunOptions {
-  std::vector<std::string> kernels;  // empty = all, in paper order
-  double scale = 0.3;
-  unsigned threads = 0;
-  int repeats = 3;
-  std::uint64_t seed = 42;
-  bool auto_threads = false;
+/// Every value an `fpr` command reads, at the `fpr` defaults. The
+/// measurement pass is the MeasureConfig base, handed whole to the
+/// engines; the fields below belong to the commands named above them.
+struct RunOptions : study::MeasureConfig {
+  RunOptions() { jobs = 0; }  // all hardware; the engines default to 1
   bool csv = false;
+  std::string out;      // results JSON destination ("-" = stdout)
+  bool golden = false;  // study, explore
+  // run
+  int repeats = 3;
+  bool auto_threads = false;
   // study
-  unsigned jobs = 0;        // 0 = all hardware
-  unsigned kernel_jobs = 1;  // 0 = all hardware
-  std::uint64_t trace_refs = model::kDefaultTraceRefs;
-  bool refs_explicit = false;  // trace: --refs given (else whole file)
-  unsigned scale_shift = model::kDefaultScaleShift;  // memsim
-  // trace
-  std::uint64_t warmup = 0;
-  std::vector<std::string> machines;  // empty = all Table I machines
   bool no_sweep = false;
   bool timing = false;
-  bool golden = false;
-  std::string out;  // results JSON destination; "-" = stdout
-  // explore
+  // memsim, trace
+  unsigned scale_shift = model::kDefaultScaleShift;
+  std::vector<std::string> machines;  // trace; empty = all of Table I
+  std::uint64_t warmup = 0;           // trace
+  // explore, pareto
   std::string base = "KNL";
-  std::vector<std::string> variants;  // empty = built-in grid
-  // pareto
+  std::vector<std::string> variants;  // explore; empty = built-in grid
   double budget_area = 1.0;
   double budget_tdp = 1.0;
   std::vector<std::string> objectives;  // empty = time,energy,site
@@ -180,26 +74,143 @@ struct RunOptions {
   std::uint64_t search_seed = 2019;
   // diff
   double tolerance = 0.0;
-  // non-option arguments (diff's two file paths)
-  std::vector<std::string> positional;
+  std::vector<std::string> positional;  // trace's file, diff's two files
+  std::set<std::string_view> given;     // option spellings seen
 };
 
-/// Shared validation for worker-count options (--threads, --jobs,
-/// --kernel-jobs): reject negatives (stoul would wrap them) and cap the
-/// count before anything sizes per-worker state from it.
-unsigned parse_worker_count(const std::string& t) {
-  if (t.find('-') != std::string::npos) throw std::invalid_argument(t);
-  const unsigned long v = std::stoul(t);
-  if (v > 4096) throw std::invalid_argument(t);
-  return static_cast<unsigned>(v);
+/// The RunOptions field an option writes; its type selects the parser.
+using Field = std::variant<bool RunOptions::*, int RunOptions::*,
+                           unsigned RunOptions::*, std::uint64_t RunOptions::*,
+                           double RunOptions::*, std::string RunOptions::*,
+                           std::vector<std::string> RunOptions::*>;
+
+/// One option spelling; `arg` is its value placeholder ("" = a flag).
+/// Numbers must be > 0 when `positive`, and int/unsigned ones at most
+/// `max` (which also caps worker counts before anything sizes per-worker
+/// state from them). Lists append, so list options repeat.
+struct Option {
+  std::string_view name;
+  std::string_view arg;
+  std::string_view help;
+  Field field;
+  bool positive = false;
+  unsigned max = 4096;
+};
+
+constexpr Option kOptions[] = {
+    {"--kernel", "A[,B,...]",
+     "kernel abbreviations to run (default: all; repeatable, "
+     "comma-separated)",
+     &RunOptions::kernels},
+    {"--scale", "S", "input scale multiplier, > 0 (default 0.3)",
+     &RunOptions::scale, true},
+    {"--threads", "N",
+     "worker threads, 0 = all hardware (default 0): each kernel run's "
+     "pool, and the pool memsim and trace fan their replays over",
+     &RunOptions::threads},
+    {"--repeats", "R", "trials per kernel, fastest kept (default 3)",
+     &RunOptions::repeats, true},
+    {"--seed", "N", "PRNG seed for synthetic inputs (default 42)",
+     &RunOptions::seed},
+    {"--auto-threads", "",
+     "pick threads per kernel via the step-2 parallelism search "
+     "(overrides --threads)",
+     &RunOptions::auto_threads},
+    {"--trace-refs", "N", "cache-sim trace length, > 0 (default 400000)",
+     &RunOptions::trace_refs, true},
+    {"--refs", "N",
+     "trace references per replay, > 0 (memsim: default 400000; trace: "
+     "default every record after the warmup prefix)",
+     &RunOptions::trace_refs, true},
+    {"--jobs", "N",
+     "engine workers for the per-machine stages and variant scoring (0 = "
+     "all hardware, default 0; never changes the results, only the wall "
+     "time)",
+     &RunOptions::jobs},
+    {"--kernel-jobs", "K",
+     "concurrent instrumented kernel runs, each in its own execution "
+     "context with a private --threads worker pool (0 = all hardware, "
+     "default 1; never changes the results)",
+     &RunOptions::kernel_jobs},
+    {"--no-sweep", "", "skip the Fig. 6 frequency sweep",
+     &RunOptions::no_sweep},
+    {"--timing", "",
+     "keep wall-clock host_seconds in the output (default: zeroed so JSON "
+     "is byte-stable)",
+     &RunOptions::timing},
+    {"--golden", "",
+     "run the exact golden-snapshot configuration; options it fixes (all "
+     "but --jobs, --kernel-jobs, --out and --csv) are usage errors",
+     &RunOptions::golden},
+    {"--scale-shift", "S",
+     "capacity scale-down exponent: footprints and cache sizes shrink by "
+     "2^S (default 8, max 30)",
+     &RunOptions::scale_shift, false, 30},
+    {"--machine", "M[,M...]",
+     "replay only on the named Table I machines (default: all)",
+     &RunOptions::machines},
+    {"--warmup", "N",
+     "records replayed uncounted before measuring starts (default 0; "
+     "traces recorded with 'fpr-trace record' carry their own prefix)",
+     &RunOptions::warmup},
+    {"--base", "M", "base machine short name: KNL, KNM, or BDW (default KNL)",
+     &RunOptions::base},
+    {"--variants", "S[,S...]",
+     "variant specs to derive from the base (default: the built-in grid). "
+     "A spec composes transforms with '+': name or name=FACTOR, e.g. "
+     "halve-fp64+dram-bw=1.5. Transforms: halve-fp64, drop-fp64-vec, "
+     "widen-fp32[=K], dram-bw[=F], mcdram-bw[=F], mcdram-cap[=F], "
+     "cores[=F], tdp[=F]; factors scale the base value",
+     &RunOptions::variants},
+    {"--budget-area", "F",
+     "max die-area ratio vs the base, > 0 (default 1.0: no bigger than the "
+     "purchased silicon)",
+     &RunOptions::budget_area, true},
+    {"--budget-tdp", "F", "max TDP ratio vs the base, > 0 (default 1.0)",
+     &RunOptions::budget_tdp, true},
+    {"--objectives", "A[,B..]",
+     "frontier objectives, a subset of time, energy, site (default "
+     "time,energy,site)",
+     &RunOptions::objectives},
+    {"--rounds", "R", "expansion rounds after the seed batch (default 3)",
+     &RunOptions::rounds},
+    {"--explorers", "E",
+     "seeded random walks proposed per round (default 16)",
+     &RunOptions::explorers},
+    {"--max-depth", "D",
+     "max transforms composed per candidate, > 0 (default 4)",
+     &RunOptions::max_depth, true},
+    {"--search-seed", "N",
+     "explorer-walk seed (default 2019; results are identical for every "
+     "--jobs at a fixed seed)",
+     &RunOptions::search_seed},
+    {"--out", "FILE",
+     "write the results JSON to FILE ('-' = stdout, suppressing the "
+     "tables)",
+     &RunOptions::out},
+    {"--tolerance", "T",
+     "max relative delta accepted per metric (default 0; exit 1 if any "
+     "metric exceeds it)",
+     &RunOptions::tolerance},
+    {"--csv", "", "emit CSV instead of aligned tables", &RunOptions::csv},
+};
+
+const Option* find_option(std::string_view name) {
+  for (const auto& o : kOptions) {
+    if (o.name == name) return &o;
+  }
+  return nullptr;
 }
 
-/// Unsigned 64-bit option values (--seed, --trace-refs): reject
-/// '-'-prefixed text the same way parse_worker_count does instead of
-/// letting stoull silently wrap a negative into ~1.8e19.
-std::uint64_t parse_u64(const std::string& t) {
-  if (t.find('-') != std::string::npos) throw std::invalid_argument(t);
-  return std::stoull(t);
+/// The space-separated words of `s`.
+std::vector<std::string_view> words(std::string_view s) {
+  std::vector<std::string_view> out;
+  for (std::size_t i = 0; i < s.size();) {
+    const std::size_t end = std::min(s.find(' ', i), s.size());
+    if (end > i) out.push_back(s.substr(i, end - i));
+    i = end + 1;
+  }
+  return out;
 }
 
 std::vector<std::string> split_csv(const std::string& s) {
@@ -212,6 +223,79 @@ std::vector<std::string> split_csv(const std::string& s) {
   return out;
 }
 
+/// `text` as a number for option `o`: all of it must parse, and pass
+/// `o`'s checks. Integers reject any '-', which stoull would wrap into
+/// ~1.8e19.
+template <class T>
+T parse_number(const Option& o, const std::string& text) {
+  const std::string name(o.name);
+  T v{};
+  std::size_t used = 0;
+  try {
+    if constexpr (std::is_floating_point_v<T>) {
+      v = std::stod(text, &used);
+    } else if (text.find('-') == std::string::npos) {
+      const unsigned long long u = std::stoull(text, &used);
+      if (!std::is_same_v<T, std::uint64_t> && u > o.max) {
+        throw UsageError(name + " must be <= " + std::to_string(o.max));
+      }
+      v = static_cast<T>(u);
+    }
+  } catch (const std::logic_error&) {  // what std::sto* throw
+    used = 0;
+  }
+  if (used == 0 || used != text.size()) {
+    throw UsageError("invalid value '" + text + "' for " + name);
+  }
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(v) || v < 0.0 || (o.positive && v == 0.0)) {
+      throw UsageError(name + (o.positive ? " must be finite and > 0"
+                                          : " must be finite and >= 0"));
+    }
+  } else if (o.positive && v == 0) {
+    throw UsageError(name + " must be > 0");
+  }
+  return v;
+}
+
+/// Stores `text` (ignored for flags) into `o`'s field of `opt`.
+void set_option(const Option& o, const std::string& text, RunOptions& opt) {
+  std::visit(
+      [&](auto field) {
+        auto& dst = opt.*field;
+        using T = std::remove_reference_t<decltype(dst)>;
+        if constexpr (std::is_same_v<T, bool>) {
+          dst = true;
+        } else if constexpr (std::is_same_v<T, std::string>) {
+          if (text.empty()) {
+            throw UsageError(std::string(o.name) + " needs a non-empty value");
+          }
+          dst = text;
+        } else if constexpr (std::is_same_v<T, std::vector<std::string>>) {
+          const auto parts = split_csv(text);
+          if (parts.empty()) {
+            throw UsageError(std::string(o.name) + " needs a value");
+          }
+          dst.insert(dst.end(), parts.begin(), parts.end());
+        } else {
+          dst = parse_number<T>(o, text);
+        }
+      },
+      o.field);
+}
+
+/// --golden runs a fixed configuration, so any of the `fixed` spellings
+/// on the same command line would be silently ignored: a usage error.
+void reject_golden_overrides(const RunOptions& opt, std::string_view fixed) {
+  for (const auto name : words(fixed)) {
+    if (opt.given.count(name) != 0) {
+      throw UsageError("--golden fixes the snapshot configuration and "
+                       "cannot be combined with " +
+                       std::string(name));
+    }
+  }
+}
+
 void print(const TextTable& t, bool csv, std::ostream& out) {
   if (csv) {
     t.print_csv(out);
@@ -221,12 +305,18 @@ void print(const TextTable& t, bool csv, std::ostream& out) {
   out << "\n";
 }
 
-int usage_error(std::ostream& err, const std::string& message) {
-  err << "fpr: " << message << "\n" << kUsage;
-  return kExitUsage;
+/// Writes a results document to --out: stdout for '-', else the file.
+void write_out(const RunOptions& opt, const io::Json& doc, std::ostream& out,
+               std::ostream& err) {
+  if (opt.out == "-") {
+    out << io::dump(doc) << "\n";
+  } else {
+    io::save_file(opt.out, doc);
+    err << "[fpr] wrote " << opt.out << "\n";
+  }
 }
 
-int cmd_list(bool csv, std::ostream& out) {
+int cmd_list(const RunOptions& opt, std::ostream& out, std::ostream&) {
   TextTable t({"#", "Abbrev", "Name", "Suite", "Domain", "Pattern",
                "Language", "Paper input"});
   long long n = 0;
@@ -243,14 +333,14 @@ int cmd_list(bool csv, std::ostream& out) {
         .cell(info.paper_input)
         .done();
   }
-  print(t, csv, out);
+  print(t, opt.csv, out);
   return kExitOk;
 }
 
-int cmd_tables(bool csv, std::ostream& out) {
-  print(study::table1_hardware(), csv, out);
-  print(study::table2_categorization(), csv, out);
-  print(study::table3_metrics(), csv, out);
+int cmd_tables(const RunOptions& opt, std::ostream& out, std::ostream&) {
+  print(study::table1_hardware(), opt.csv, out);
+  print(study::table2_categorization(), opt.csv, out);
+  print(study::table3_metrics(), opt.csv, out);
   return kExitOk;
 }
 
@@ -302,26 +392,31 @@ void add_projection_rows(TextTable& t, const std::string& abbrev,
 }
 
 /// Validate a kernel selection against the registry; returns the full
-/// list when `requested` is empty. Sets `bad` on unknown abbreviations.
+/// list when `requested` is empty. Unknown abbreviations are usage errors.
 std::vector<std::string> resolve_kernels(
-    const std::vector<std::string>& requested, std::string& bad) {
+    const std::vector<std::string>& requested) {
   const auto known = kernels::all_abbrevs();
   auto selection = requested.empty() ? known : requested;
   for (const auto& abbrev : selection) {
     if (std::find(known.begin(), known.end(), abbrev) == known.end()) {
       std::string names;
       for (const auto& k : known) names += (names.empty() ? "" : ",") + k;
-      bad = "unknown kernel '" + abbrev + "' (known: " + names + ")";
-      break;
+      throw UsageError("unknown kernel '" + abbrev + "' (known: " + names +
+                       ")");
     }
   }
   return selection;
 }
 
+/// The command line's measurement pass, --kernel checked and resolved.
+study::MeasureConfig measure_config(const RunOptions& opt) {
+  study::MeasureConfig m = opt;
+  m.kernels = resolve_kernels(opt.kernels);
+  return m;
+}
+
 int cmd_run(const RunOptions& opt, std::ostream& out, std::ostream& err) {
-  std::string bad;
-  const auto selection = resolve_kernels(opt.kernels, bad);
-  if (!bad.empty()) return usage_error(err, bad);
+  const auto selection = resolve_kernels(opt.kernels);
 
   err << "[fpr] running " << selection.size() << " kernel(s) at scale "
       << opt.scale << ", " << opt.repeats << " repeat(s)\n";
@@ -329,10 +424,7 @@ int cmd_run(const RunOptions& opt, std::ostream& out, std::ostream& err) {
   // diagnostics and move to the error stream.
   std::ostream& heading = opt.csv ? err : out;
 
-  kernels::RunConfig rc;
-  rc.scale = opt.scale;
-  rc.threads = opt.threads;
-  rc.seed = opt.seed;
+  auto rc = opt.run_config();
 
   TextTable opmix({"Kernel", "FP64[Gop]", "FP32[Gop]", "INT[Gop]", "FP64%",
                    "FP32%", "INT%", "Moved[GB]", "Assay[s]", "Verified"});
@@ -383,20 +475,12 @@ int cmd_run(const RunOptions& opt, std::ostream& out, std::ostream& err) {
 int cmd_study(const RunOptions& opt, std::ostream& out, std::ostream& err) {
   study::StudyConfig cfg;
   if (opt.golden) {
-    if (opt.timing || opt.no_sweep) {
-      return usage_error(
-          err, "--golden fixes the snapshot configuration and cannot be "
-               "combined with --timing or --no-sweep");
-    }
+    reject_golden_overrides(
+        opt, "--kernel --scale --threads --seed --trace-refs --timing "
+             "--no-sweep");
     cfg = study::golden_config();
   } else {
-    std::string bad;
-    cfg.kernels = resolve_kernels(opt.kernels, bad);
-    if (!bad.empty()) return usage_error(err, bad);
-    cfg.scale = opt.scale;
-    cfg.threads = opt.threads;
-    cfg.seed = opt.seed;
-    cfg.trace_refs = opt.trace_refs;
+    static_cast<study::MeasureConfig&>(cfg) = measure_config(opt);
     cfg.freq_sweep = !opt.no_sweep;
     cfg.canonical_timing = !opt.timing;
   }
@@ -436,15 +520,7 @@ int cmd_study(const RunOptions& opt, std::ostream& out, std::ostream& err) {
     print(summary, opt.csv, out);
   }
 
-  if (!opt.out.empty()) {
-    const auto doc = io::to_json(results);
-    if (json_to_stdout) {
-      out << io::dump(doc) << "\n";
-    } else {
-      io::save_file(opt.out, doc);
-      err << "[fpr] wrote " << opt.out << "\n";
-    }
-  }
+  if (!opt.out.empty()) write_out(opt, io::to_json(results), out, err);
   return kExitOk;
 }
 
@@ -455,17 +531,14 @@ int cmd_study(const RunOptions& opt, std::ostream& out, std::ostream& err) {
 int cmd_explore(const RunOptions& opt, std::ostream& out, std::ostream& err) {
   study::ExploreConfig cfg;
   if (opt.golden) {
+    reject_golden_overrides(
+        opt, "--kernel --scale --threads --seed --trace-refs --base "
+             "--variants");
     cfg = study::golden_explore_config();
   } else {
-    std::string bad;
-    cfg.kernels = resolve_kernels(opt.kernels, bad);
-    if (!bad.empty()) return usage_error(err, bad);
+    static_cast<study::MeasureConfig&>(cfg) = measure_config(opt);
     cfg.base = opt.base;
     cfg.variants = opt.variants;
-    cfg.scale = opt.scale;
-    cfg.threads = opt.threads;
-    cfg.seed = opt.seed;
-    cfg.trace_refs = opt.trace_refs;
   }
   // Job counts never change the results, so they stay user-controlled
   // even under --golden.
@@ -529,15 +602,7 @@ int cmd_explore(const RunOptions& opt, std::ostream& out, std::ostream& err) {
     print(detail, opt.csv, out);
   }
 
-  if (!opt.out.empty()) {
-    const auto doc = io::to_json(results);
-    if (json_to_stdout) {
-      out << io::dump(doc) << "\n";
-    } else {
-      io::save_file(opt.out, doc);
-      err << "[fpr] wrote " << opt.out << "\n";
-    }
-  }
+  if (!opt.out.empty()) write_out(opt, io::to_json(results), out, err);
   return kExitOk;
 }
 
@@ -546,16 +611,8 @@ int cmd_explore(const RunOptions& opt, std::ostream& out, std::ostream& err) {
 /// frontier over the selected objectives.
 int cmd_pareto(const RunOptions& opt, std::ostream& out, std::ostream& err) {
   study::ParetoConfig cfg;
-  std::string bad;
-  cfg.kernels = resolve_kernels(opt.kernels, bad);
-  if (!bad.empty()) return usage_error(err, bad);
+  static_cast<study::MeasureConfig&>(cfg) = measure_config(opt);
   cfg.base = opt.base;
-  cfg.scale = opt.scale;
-  cfg.threads = opt.threads;
-  cfg.seed = opt.seed;
-  cfg.trace_refs = opt.trace_refs;
-  cfg.jobs = opt.jobs;
-  cfg.kernel_jobs = opt.kernel_jobs;
   cfg.search_seed = opt.search_seed;
   cfg.rounds = opt.rounds;
   cfg.explorers = opt.explorers;
@@ -568,7 +625,7 @@ int cmd_pareto(const RunOptions& opt, std::ostream& out, std::ostream& err) {
       try {
         cfg.objectives.push_back(study::objective_from_string(name));
       } catch (const std::invalid_argument& e) {
-        return usage_error(err, e.what());
+        throw UsageError(e.what());
       }
     }
   }
@@ -611,15 +668,7 @@ int cmd_pareto(const RunOptions& opt, std::ostream& out, std::ostream& err) {
       << " profile-memo hit(s), " << st.evaluator.memo_misses
       << " miss(es)\n";
 
-  if (!opt.out.empty()) {
-    const auto doc = io::to_json(results);
-    if (json_to_stdout) {
-      out << io::dump(doc) << "\n";
-    } else {
-      io::save_file(opt.out, doc);
-      err << "[fpr] wrote " << opt.out << "\n";
-    }
-  }
+  if (!opt.out.empty()) write_out(opt, io::to_json(results), out, err);
   return kExitOk;
 }
 
@@ -648,26 +697,18 @@ void add_hit_rate_row(TextTable& t, const std::string& label,
 /// then the (kernel, machine) replays fan out over the --threads pool,
 /// each through the command context's SimCache into its own slot.
 int cmd_memsim(const RunOptions& opt, std::ostream& out, std::ostream& err) {
-  std::string bad;
-  const auto selection = resolve_kernels(opt.kernels, bad);
-  if (!bad.empty()) return usage_error(err, bad);
+  const auto selection = resolve_kernels(opt.kernels);
   // A repeated kernel would replay the same memo keys twice, on any
   // worker, so the cache line below would depend on --threads.
   for (auto k = selection.begin(); k != selection.end(); ++k) {
     if (std::find(selection.begin(), k, *k) != k) {
-      return usage_error(err, "kernel '" + *k +
-                                  "' given more than once in --kernel");
+      throw UsageError("kernel '" + *k + "' given more than once in --kernel");
     }
   }
 
   err << "[fpr] memsim: " << selection.size() << " kernel(s) at scale "
       << opt.scale << ", refs=" << opt.trace_refs << ", scale-shift="
       << opt.scale_shift << "\n";
-
-  kernels::RunConfig rc;
-  rc.scale = opt.scale;
-  rc.threads = opt.threads;
-  rc.seed = opt.seed;
 
   ExecutionContext ctx(opt.threads);
   memsim::SimCache* cache = ctx.sim_cache().get();
@@ -676,7 +717,7 @@ int cmd_memsim(const RunOptions& opt, std::ostream& out, std::ostream& err) {
   // after another.
   std::vector<memsim::AccessPatternSpec> specs;
   for (const auto& abbrev : selection) {
-    specs.push_back(kernels::make(abbrev)->run(ctx, rc).access);
+    specs.push_back(kernels::make(abbrev)->run(ctx, opt.run_config()).access);
   }
   const auto machines = arch::all_machines();
   std::vector<memsim::HierarchyResult> results(specs.size() * machines.size());
@@ -731,36 +772,26 @@ std::string trace_stem(const std::string& path) {
 /// cell). The per-machine replays fan out over the --threads pool, each
 /// through the context SimCache keyed by the trace's content digest.
 int cmd_trace(const RunOptions& opt, std::ostream& out, std::ostream& err) {
-  if (opt.positional.size() != 1) {
-    return usage_error(err, "trace needs exactly one fpr-trace file");
-  }
   const std::string& path = opt.positional.front();
 
   // Resolve --machine names before touching the file: usage errors
   // should win over input errors.
-  const auto all = arch::all_machines();
   std::vector<arch::CpuSpec> machines;
-  if (opt.machines.empty()) {
-    machines = all;
-  } else {
-    for (const auto& name : opt.machines) {
-      const arch::CpuSpec* found = nullptr;
-      for (const auto& cpu : all) {
-        if (cpu.short_name == name) found = &cpu;
-      }
-      if (found == nullptr) {
-        return usage_error(err, "unknown machine '" + name +
-                                    "' (expected a Table I short name)");
-      }
-      for (const auto& cpu : machines) {
-        if (cpu.short_name == name) {
-          return usage_error(err, "machine '" + name +
-                                      "' given more than once in --machine");
-        }
-      }
-      machines.push_back(*found);
+  for (const auto& name : opt.machines) {
+    auto cpu = arch::find_machine(name);
+    if (!cpu) {
+      throw UsageError("unknown machine '" + name +
+                       "' (expected a Table I short name)");
     }
+    for (const auto& m : machines) {
+      if (m.short_name == name) {
+        throw UsageError("machine '" + name +
+                         "' given more than once in --machine");
+      }
+    }
+    machines.push_back(std::move(*cpu));
   }
+  if (machines.empty()) machines = arch::all_machines();
 
   io::TraceInfo info;
   try {
@@ -770,14 +801,14 @@ int cmd_trace(const RunOptions& opt, std::ostream& out, std::ostream& err) {
     return kExitBadInput;
   }
   if (info.records <= opt.warmup) {
-    return usage_error(err, "--warmup " + std::to_string(opt.warmup) +
-                                " leaves no measurable records ('" + path +
-                                "' holds " + std::to_string(info.records) +
-                                ")");
+    throw UsageError("--warmup " + std::to_string(opt.warmup) +
+                     " leaves no measurable records ('" + path + "' holds " +
+                     std::to_string(info.records) + ")");
   }
   const std::uint64_t avail = info.records - opt.warmup;
-  const std::uint64_t refs =
-      opt.refs_explicit ? std::min(opt.trace_refs, avail) : avail;
+  const std::uint64_t refs = opt.given.count("--refs") != 0
+                                 ? std::min(opt.trace_refs, avail)
+                                 : avail;
 
   err << "[fpr] trace: '" << path << "', " << info.records
       << " record(s), digest " << fmt_hex64(info.digest) << ", refs=" << refs
@@ -848,12 +879,7 @@ int cmd_trace(const RunOptions& opt, std::ostream& out, std::ostream& err) {
     tj.set("working_set_bytes", info.working_set_bytes());
     doc.set("trace", std::move(tj));
     doc.set("machines", std::move(machines_json));
-    if (json_to_stdout) {
-      out << io::dump(doc) << "\n";
-    } else {
-      io::save_file(opt.out, doc);
-      err << "[fpr] wrote " << opt.out << "\n";
-    }
+    write_out(opt, doc, out, err);
   }
   const auto cs = cache->stats();
   err << "[fpr] trace cache: " << cs.hits << " hit(s), " << cs.misses
@@ -1146,9 +1172,6 @@ void diff_explore(DiffReport& d, const study::ExploreResults& a,
 }
 
 int cmd_diff(const RunOptions& opt, std::ostream& out, std::ostream& err) {
-  if (opt.positional.size() != 2) {
-    return usage_error(err, "diff needs exactly two results files");
-  }
   for (const auto& path : opt.positional) {
     std::ifstream probe(path, std::ios::binary);
     if (!probe) {
@@ -1164,9 +1187,9 @@ int cmd_diff(const RunOptions& opt, std::ostream& out, std::ostream& err) {
   const bool pa = io::is_pareto_document(ja);
   const bool pb = io::is_pareto_document(jb);
   if (ea != eb || pa != pb) {
-    return usage_error(
-        err, "cannot compare results files of different formats (study, "
-             "explore, pareto)");
+    throw UsageError(
+        "cannot compare results files of different formats (study, explore, "
+        "pareto)");
   }
 
   DiffReport d(opt.tolerance);
@@ -1205,171 +1228,190 @@ int cmd_diff(const RunOptions& opt, std::ostream& out, std::ostream& err) {
   return d.ok() ? kExitOk : kExitFailure;
 }
 
+using Handler = int (*)(const RunOptions&, std::ostream&, std::ostream&);
+
+/// One `fpr` command: its positional arguments (one placeholder each),
+/// summary, the kOptions spellings it takes, and its handler. Parsing,
+/// `fpr help` and `fpr <command> --help` all read this table.
+struct Command {
+  std::string_view name;
+  std::string_view args;
+  std::string_view summary;
+  std::string_view options;
+  Handler run;
+};
+
+constexpr Command kCommands[] = {
+    {"list", "", "list all registered proxy kernels (Table II)", "--csv",
+     cmd_list},
+    {"tables", "", "print the static paper tables (I, II, III)", "--csv",
+     cmd_tables},
+    {"run", "", "run kernels: op-mix assay + machine projection",
+     "--kernel --scale --threads --repeats --seed --auto-threads --csv",
+     cmd_run},
+    {"study", "",
+     "full pipeline (kernel run -> memsim -> model -> freq sweep) on the "
+     "parallel StudyEngine",
+     "--kernel --scale --threads --seed --trace-refs --jobs --kernel-jobs "
+     "--no-sweep --timing --golden --out --csv",
+     cmd_study},
+    {"memsim", "",
+     "per-kernel x machine cache-hierarchy hit-rate table (the simulated "
+     "PCM counters)",
+     "--kernel --scale --threads --seed --refs --trace-refs --scale-shift "
+     "--csv",
+     cmd_memsim},
+    {"trace", "FILE",
+     "replay a recorded fpr-trace binary address trace through the same "
+     "hierarchy simulation and print the per-machine hit-rate table "
+     "(record/convert files with the fpr-trace tool)",
+     "--machine --refs --warmup --scale-shift --threads --out --csv",
+     cmd_trace},
+    {"explore", "",
+     "what-if machine exploration: sweep the kernels across derived "
+     "variants of a base machine and score each variant against it "
+     "(Sec. VII)",
+     "--base --variants --golden --kernel --scale --threads --seed "
+     "--trace-refs --jobs --kernel-jobs --out --csv",
+     cmd_explore},
+    {"pareto", "",
+     "multi-objective design-space search: compose transforms under an "
+     "area/TDP budget and keep the non-dominated frontier over time, "
+     "energy, and the site projection (Sec. VII extended)",
+     "--base --kernel --scale --threads --seed --trace-refs --jobs "
+     "--kernel-jobs --budget-area --budget-tdp --objectives --rounds "
+     "--explorers --max-depth --search-seed --out --csv",
+     cmd_pareto},
+    {"diff", "A.json B.json",
+     "compare two results files (study, explore, or pareto) metric by "
+     "metric (relative deltas)",
+     "--tolerance --csv", cmd_diff},
+};
+
+/// "  HEAD  text": the text starts in a fixed column and word-wraps.
+void help_line(std::ostream& os, std::string_view head,
+               std::string_view text) {
+  constexpr std::size_t kColumn = 23;
+  constexpr std::size_t kWidth = 78;
+  std::string line = "  ";
+  line += head;
+  for (const auto word : words(text)) {
+    if (line.size() > kColumn && line.size() + 1 + word.size() > kWidth) {
+      os << line << "\n";
+      line.clear();
+    }
+    line.resize(std::max(line.size() + 1, kColumn), ' ');
+    line += word;
+  }
+  os << line << "\n";
+}
+
+/// A name followed by its placeholder, if any ("trace FILE", "--seed N").
+std::string with_arg(std::string_view name, std::string_view arg) {
+  std::string s(name);
+  if (!arg.empty()) {
+    s += ' ';
+    s += arg;
+  }
+  return s;
+}
+
+void print_usage(std::ostream& os) {
+  os << "usage: fpr <command> [options]\n\ncommands:\n";
+  for (const auto& c : kCommands) {
+    help_line(os, with_arg(c.name, c.args), c.summary);
+  }
+  help_line(os, "help", "show this message");
+  os << "\n'fpr <command> --help' lists the options a command takes; any\n"
+        "other option is a usage error.\n\n"
+        "exit codes: 0 ok; 1 runtime error or diff over tolerance; 2 usage\n"
+        "error; 3 diff/trace input file missing, unreadable, or malformed\n";
+}
+
+void print_command_usage(std::ostream& os, const Command& c) {
+  const std::string head = with_arg(c.name, c.args);
+  os << "usage: fpr " << head << " [options]\n";
+  help_line(os, head, c.summary);
+  os << "\noptions:\n";
+  for (const auto name : words(c.options)) {
+    const Option& o = *find_option(name);
+    help_line(os, with_arg(o.name, o.arg), o.help);
+  }
+  help_line(os, "--help", "show this message");
+}
+
+int usage_error(std::ostream& err, const std::string& message,
+                const Command* cmd) {
+  err << "fpr: " << message << "\n";
+  if (cmd != nullptr) {
+    print_command_usage(err, *cmd);
+  } else {
+    print_usage(err);
+  }
+  return kExitUsage;
+}
+
+/// Parses the command line `args` (args[0] names `cmd`) against `cmd`'s
+/// entry.
+RunOptions parse_args(const Command& cmd,
+                      const std::vector<std::string>& args) {
+  RunOptions opt;
+  const auto taken = words(cmd.options);
+  for (std::size_t i = 1; i < args.size(); ++i) {
+    const std::string& arg = args[i];
+    if (arg.rfind("--", 0) != 0) {
+      opt.positional.push_back(arg);
+      continue;
+    }
+    if (std::find(taken.begin(), taken.end(), arg) == taken.end()) {
+      throw UsageError("command '" + std::string(cmd.name) +
+                       "' does not take option '" + arg + "'");
+    }
+    const Option& o = *find_option(arg);
+    const bool flag = o.arg.empty();
+    if (!flag && i + 1 == args.size()) {
+      throw UsageError("option " + arg + " needs a value");
+    }
+    set_option(o, flag ? std::string() : args[++i], opt);
+    opt.given.insert(o.name);
+  }
+  const std::size_t want = words(cmd.args).size();
+  if (opt.positional.size() != want) {
+    throw UsageError("command '" + std::string(cmd.name) + "' takes " +
+                     std::to_string(want) + " argument(s), got " +
+                     std::to_string(opt.positional.size()));
+  }
+  return opt;
+}
+
 }  // namespace
 
 int run_cli(const std::vector<std::string>& args, std::ostream& out,
             std::ostream& err) {
-  if (args.empty()) return usage_error(err, "missing command");
-  const std::string& command = args[0];
-  if (command == "help" || command == "--help" || command == "-h") {
-    out << kUsage;
+  if (args.empty()) return usage_error(err, "missing command", nullptr);
+  const std::string& name = args[0];
+  if (name == "help" || name == "--help" || name == "-h") {
+    print_usage(out);
     return kExitOk;
   }
-
-  RunOptions opt;
-  for (std::size_t i = 1; i < args.size(); ++i) {
-    const std::string& arg = args[i];
-    auto value = [&]() -> const std::string& {
-      if (i + 1 >= args.size()) {
-        throw std::invalid_argument("option " + arg + " needs a value");
-      }
-      return args[++i];
-    };
-    // Numeric parse wrapper: std::sto* exceptions carry messages like
-    // "stod"; rethrow with the offending option and text instead.
-    auto number = [&](auto parse) {
-      const std::string& text = value();
-      try {
-        return parse(text);
-      } catch (const std::exception&) {
-        throw std::invalid_argument("invalid value '" + text + "' for " +
-                                    arg);
-      }
-    };
-    try {
-      if (arg == "--csv") {
-        opt.csv = true;
-      } else if (arg == "--auto-threads") {
-        opt.auto_threads = true;
-      } else if (arg == "--kernel" || arg == "--kernels") {
-        auto parts = split_csv(value());
-        if (parts.empty()) {
-          return usage_error(err, arg + " needs at least one abbreviation");
-        }
-        for (auto& k : parts) opt.kernels.push_back(std::move(k));
-      } else if (arg == "--scale") {
-        opt.scale = number([](const std::string& t) { return std::stod(t); });
-        if (!std::isfinite(opt.scale) || opt.scale <= 0.0) {
-          return usage_error(err, "--scale must be finite and > 0");
-        }
-      } else if (arg == "--threads") {
-        opt.threads = number(parse_worker_count);
-      } else if (arg == "--repeats") {
-        opt.repeats =
-            number([](const std::string& t) { return std::stoi(t); });
-        if (opt.repeats < 1) {
-          return usage_error(err, "--repeats must be >= 1");
-        }
-      } else if (arg == "--seed") {
-        opt.seed = number(parse_u64);
-      } else if (arg == "--jobs") {
-        opt.jobs = number(parse_worker_count);
-      } else if (arg == "--kernel-jobs") {
-        opt.kernel_jobs = number(parse_worker_count);
-      } else if (arg == "--trace-refs" || arg == "--refs") {
-        opt.trace_refs = number(parse_u64);
-        opt.refs_explicit = true;
-        if (opt.trace_refs == 0) {
-          return usage_error(err, arg + " must be > 0");
-        }
-      } else if (arg == "--warmup") {
-        opt.warmup = number(parse_u64);
-      } else if (arg == "--machine" || arg == "--machines") {
-        auto parts = split_csv(value());
-        if (parts.empty()) {
-          return usage_error(err, arg + " needs at least one machine name");
-        }
-        for (auto& m : parts) opt.machines.push_back(std::move(m));
-      } else if (arg == "--scale-shift") {
-        opt.scale_shift =
-            number([](const std::string& t) { return parse_worker_count(t); });
-        if (opt.scale_shift > 30) {
-          return usage_error(err, "--scale-shift must be <= 30");
-        }
-      } else if (arg == "--base") {
-        opt.base = value();
-        if (opt.base.empty()) {
-          return usage_error(err, "--base needs a machine short name");
-        }
-      } else if (arg == "--variants") {
-        auto parts = split_csv(value());
-        if (parts.empty()) {
-          return usage_error(err, arg + " needs at least one variant spec");
-        }
-        for (auto& v : parts) opt.variants.push_back(std::move(v));
-      } else if (arg == "--budget-area" || arg == "--budget-tdp") {
-        const double f =
-            number([](const std::string& t) { return std::stod(t); });
-        if (!std::isfinite(f) || f <= 0.0) {
-          return usage_error(err, arg + " must be finite and > 0");
-        }
-        (arg == "--budget-area" ? opt.budget_area : opt.budget_tdp) = f;
-      } else if (arg == "--objectives") {
-        auto parts = split_csv(value());
-        if (parts.empty()) {
-          return usage_error(err, arg + " needs at least one objective");
-        }
-        for (auto& o : parts) opt.objectives.push_back(std::move(o));
-      } else if (arg == "--rounds") {
-        opt.rounds = number(parse_worker_count);
-      } else if (arg == "--explorers") {
-        opt.explorers = number(parse_worker_count);
-      } else if (arg == "--max-depth") {
-        opt.max_depth = number(parse_worker_count);
-        if (opt.max_depth == 0) {
-          return usage_error(err, "--max-depth must be >= 1");
-        }
-      } else if (arg == "--search-seed") {
-        opt.search_seed = number(parse_u64);
-      } else if (arg == "--no-sweep") {
-        opt.no_sweep = true;
-      } else if (arg == "--timing") {
-        opt.timing = true;
-      } else if (arg == "--golden") {
-        opt.golden = true;
-      } else if (arg == "--out") {
-        opt.out = value();
-        if (opt.out.empty()) {
-          return usage_error(err, "--out needs a non-empty path");
-        }
-      } else if (arg == "--tolerance") {
-        opt.tolerance =
-            number([](const std::string& t) { return std::stod(t); });
-        if (opt.tolerance < 0.0 || !std::isfinite(opt.tolerance)) {
-          return usage_error(err, "--tolerance must be >= 0");
-        }
-      } else if (arg.size() >= 2 && arg[0] == '-' && arg[1] == '-') {
-        return usage_error(err, "unknown option '" + arg + "'");
-      } else {
-        opt.positional.push_back(arg);
-      }
-    } catch (const std::invalid_argument& e) {
-      return usage_error(err, e.what());
-    }
+  const auto* cmd =
+      std::find_if(std::begin(kCommands), std::end(kCommands),
+                   [&](const Command& c) { return c.name == name; });
+  if (cmd == std::end(kCommands)) {
+    return usage_error(err, "unknown command '" + name + "'", nullptr);
   }
-
-  // Only diff (two input files) and trace (one trace file) take
-  // non-option arguments.
-  if (command != "diff" && command != "trace" && !opt.positional.empty()) {
-    return usage_error(err,
-                       "unexpected argument '" + opt.positional.front() + "'");
+  if (std::find(args.begin() + 1, args.end(), "--help") != args.end()) {
+    print_command_usage(out, *cmd);
+    return kExitOk;
   }
-
   try {
-    if (command == "list") return cmd_list(opt.csv, out);
-    if (command == "tables") return cmd_tables(opt.csv, out);
-    if (command == "run") return cmd_run(opt, out, err);
-    if (command == "study") return cmd_study(opt, out, err);
-    if (command == "memsim") return cmd_memsim(opt, out, err);
-    if (command == "trace") return cmd_trace(opt, out, err);
-    if (command == "explore") return cmd_explore(opt, out, err);
-    if (command == "pareto") return cmd_pareto(opt, out, err);
-    if (command == "diff") return cmd_diff(opt, out, err);
+    return cmd->run(parse_args(*cmd, args), out, err);
+  } catch (const UsageError& e) {
+    return usage_error(err, e.what(), cmd);
   } catch (const std::exception& e) {
     err << "fpr: error: " << e.what() << "\n";
     return kExitFailure;
   }
-  return usage_error(err, "unknown command '" + command + "'");
 }
 
 }  // namespace fpr::cli

@@ -1,7 +1,7 @@
 // Run-scoped execution state: a worker pool plus a context-local counter
 // sink, bundled so a kernel run owns everything mutable it touches. This
 // replaces the two pieces of process-global state the repo used to lean
-// on — ThreadPool::global() and the process-wide tally registry — which
+// on — one process-wide pool and the process-wide tally registry — which
 // is what lets independent kernel runs execute concurrently without
 // racing a shared job slot or cross-contaminating each other's assay
 // deltas (the paper's SDE/PCM instrumentation is likewise scoped to one

@@ -23,11 +23,6 @@ ThreadPool::~ThreadPool() {
   for (auto& t : workers_) t.join();
 }
 
-ThreadPool& ThreadPool::global() {
-  static ThreadPool pool;
-  return pool;
-}
-
 void ThreadPool::run_chunk(Job& job, unsigned worker_index) {
   const std::size_t n = job.n;
   const unsigned p = job.participants;

@@ -42,14 +42,6 @@ class ThreadPool {
                       const std::function<void(std::size_t, std::size_t,
                                                unsigned)>& body);
 
-  /// Compatibility shim: a lazily created process-wide pool, sized to
-  /// hardware concurrency. Library code must not use it — kernels and
-  /// the study engine run on context-owned pools (see
-  /// common/execution_context.hpp), which is what allows independent
-  /// kernel runs to execute concurrently. Retained only so external
-  /// callers written against the pre-context API keep linking.
-  static ThreadPool& global();
-
  private:
   struct Job {
     std::size_t n = 0;

@@ -84,19 +84,11 @@ study::ExploreResults explore_from_json(const Json& j) {
   }
   study::ExploreResults r;
   r.base = j.at("base").as_string();
-  arch::CpuSpec base;
-  bool found = false;
-  for (auto& cpu : arch::all_machines()) {
-    if (cpu.short_name == r.base) {
-      base = std::move(cpu);
-      found = true;
-      break;
-    }
-  }
-  if (!found) throw JsonError("unknown base machine '" + r.base + "'");
-  r.baseline = variant_score_from_json(j.at("baseline"), base);
+  const auto base = arch::find_machine(r.base);
+  if (!base) throw JsonError("unknown base machine '" + r.base + "'");
+  r.baseline = variant_score_from_json(j.at("baseline"), *base);
   for (const auto& v : j.at("variants").as_array()) {
-    r.variants.push_back(variant_score_from_json(v, base));
+    r.variants.push_back(variant_score_from_json(v, *base));
   }
   return r;
 }

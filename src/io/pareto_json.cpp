@@ -60,16 +60,8 @@ study::ParetoResults pareto_from_json(const Json& j) {
   }
   study::ParetoResults r;
   r.base = j.at("base").as_string();
-  arch::CpuSpec base;
-  bool found = false;
-  for (auto& cpu : arch::all_machines()) {
-    if (cpu.short_name == r.base) {
-      base = std::move(cpu);
-      found = true;
-      break;
-    }
-  }
-  if (!found) throw JsonError("unknown base machine '" + r.base + "'");
+  const auto base = arch::find_machine(r.base);
+  if (!base) throw JsonError("unknown base machine '" + r.base + "'");
   const Json& budget = j.at("budget");
   r.budget.max_area_ratio = budget.at("max_area_ratio").as_number();
   r.budget.max_tdp_ratio = budget.at("max_tdp_ratio").as_number();
@@ -81,7 +73,7 @@ study::ParetoResults pareto_from_json(const Json& j) {
     }
   }
   for (const auto& p : j.at("frontier").as_array()) {
-    auto point = pareto_point_from_json(p, base);
+    auto point = pareto_point_from_json(p, *base);
     if (point.objectives.size() != r.objectives.size()) {
       throw JsonError("frontier point '" + point.name() + "' carries " +
                       std::to_string(point.objectives.size()) +

@@ -341,15 +341,9 @@ Json to_json(const study::MachineResult& m) {
 study::MachineResult machine_result_from_json(const Json& j) {
   study::MachineResult m;
   const std::string& name = j.at("machine").as_string();
-  bool found = false;
-  for (auto& cpu : arch::all_machines()) {
-    if (cpu.short_name == name) {
-      m.cpu = std::move(cpu);
-      found = true;
-      break;
-    }
-  }
-  if (!found) throw JsonError("unknown machine '" + name + "'");
+  auto cpu = arch::find_machine(name);
+  if (!cpu) throw JsonError("unknown machine '" + name + "'");
+  m.cpu = std::move(*cpu);
   m.mem = mem_profile_from_json(j.at("mem"));
   m.perf = eval_from_json(j.at("perf"));
   for (const auto& p : j.at("freq_sweep").as_array()) {

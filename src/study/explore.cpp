@@ -25,18 +25,11 @@ ExploreEngine::ExploreEngine(ExploreConfig cfg,
     : cfg_(std::move(cfg)), factory_(std::move(factory)) {}
 
 ExploreResults ExploreEngine::run() {
-  arch::CpuSpec base;
-  bool found = false;
-  for (auto& cpu : arch::all_machines()) {
-    if (cpu.short_name == cfg_.base) {
-      base = std::move(cpu);
-      found = true;
-      break;
-    }
-  }
+  auto found = arch::find_machine(cfg_.base);
   if (!found) {
     throw std::invalid_argument("unknown base machine '" + cfg_.base + "'");
   }
+  arch::CpuSpec base = std::move(*found);
 
   const auto specs = cfg_.variants.empty()
                          ? arch::builtin_variant_specs(base)
@@ -69,15 +62,7 @@ ExploreResults ExploreEngine::run() {
   }
 
   // Phase 1: measure every kernel on the base exactly once.
-  VariantEvaluator::Config ec;
-  ec.kernels = cfg_.kernels;
-  ec.scale = cfg_.scale;
-  ec.threads = cfg_.threads;
-  ec.trace_refs = cfg_.trace_refs;
-  ec.seed = cfg_.seed;
-  ec.jobs = cfg_.jobs;
-  ec.kernel_jobs = cfg_.kernel_jobs;
-  const VariantEvaluator evaluator(base, ec, factory_);
+  const VariantEvaluator evaluator(base, cfg_, factory_);
 
   // Phase 2: score the baseline and every variant from the cached
   // measurements — model arithmetic only, slot-ordered so any jobs
@@ -117,15 +102,11 @@ ExploreResults ExploreEngine::run() {
 
 ExploreConfig golden_explore_config() {
   ExploreConfig cfg;
+  // The study golden's measurement pass: its kernels, scale, seed, trace
+  // length and single-threaded (host-independent) runs.
+  static_cast<MeasureConfig&>(cfg) = golden_config();
   cfg.base = "KNL";
   cfg.variants = {};  // the built-in grid — gated along with the results
-  cfg.kernels = golden_config().kernels;
-  cfg.scale = 0.2;
-  cfg.threads = 1;  // host-independent op counts, as for the study golden
-  cfg.trace_refs = 120'000;
-  cfg.seed = 42;
-  cfg.jobs = 1;
-  cfg.kernel_jobs = 1;
   return cfg;
 }
 

@@ -37,20 +37,12 @@ struct ExploreResults {
   [[nodiscard]] const VariantScore* find(std::string_view name) const;
 };
 
-struct ExploreConfig {
+struct ExploreConfig : MeasureConfig {
   /// Base machine short name (a Table I machine: KNL, KNM, or BDW).
   std::string base = "KNL";
   /// Variant specs (arch::derive_variant grammar); empty = the built-in
   /// grid for the base (arch::builtin_variant_specs).
   std::vector<std::string> variants;
-  /// Kernel selection / run parameters, as for StudyConfig.
-  std::vector<std::string> kernels;
-  double scale = 0.3;
-  unsigned threads = 0;
-  std::uint64_t trace_refs = model::kDefaultTraceRefs;
-  std::uint64_t seed = 42;
-  unsigned jobs = 1;
-  unsigned kernel_jobs = 1;
 };
 
 class ExploreEngine {

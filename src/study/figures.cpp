@@ -208,13 +208,11 @@ TextTable fig6_freqscale(const StudyResults& r,
                          const std::string& machine_short_name) {
   // Columns: one per frequency state of that machine.
   std::vector<std::string> headers{"App"};
-  const arch::CpuSpec cpu = [&] {
-    for (const auto& c : arch::all_machines()) {
-      if (c.short_name == machine_short_name) return c;
-    }
+  const auto cpu = arch::find_machine(machine_short_name);
+  if (!cpu) {
     throw std::invalid_argument("unknown machine " + machine_short_name);
-  }();
-  for (const auto& fs : cpu.frequency_sweep()) {
+  }
+  for (const auto& fs : cpu->frequency_sweep()) {
     headers.push_back(fmt_double(fs.ghz, 1) + " GHz" +
                       (fs.turbo ? " +TB" : ""));
   }

@@ -80,18 +80,11 @@ struct Candidate {
 }  // namespace
 
 ParetoResults ParetoEngine::run() {
-  arch::CpuSpec base;
-  bool found = false;
-  for (auto& cpu : arch::all_machines()) {
-    if (cpu.short_name == cfg_.base) {
-      base = std::move(cpu);
-      found = true;
-      break;
-    }
-  }
+  const auto found = arch::find_machine(cfg_.base);
   if (!found) {
     throw std::invalid_argument("unknown base machine '" + cfg_.base + "'");
   }
+  const arch::CpuSpec& base = *found;
   if (cfg_.objectives.empty()) {
     throw std::invalid_argument("pareto: at least one objective required");
   }
@@ -121,15 +114,7 @@ ParetoResults ParetoEngine::run() {
   }
 
   // Phase 1: the one-time measurement pass.
-  VariantEvaluator::Config ec;
-  ec.kernels = cfg_.kernels;
-  ec.scale = cfg_.scale;
-  ec.threads = cfg_.threads;
-  ec.trace_refs = cfg_.trace_refs;
-  ec.seed = cfg_.seed;
-  ec.jobs = cfg_.jobs;
-  ec.kernel_jobs = cfg_.kernel_jobs;
-  const VariantEvaluator evaluator(base, ec, factory_);
+  const VariantEvaluator evaluator(base, cfg_, factory_);
 
   // Scoring workers: cfg_.jobs participants total (the caller counts as
   // one), mirroring the StudyEngine jobs resolution.

@@ -87,17 +87,9 @@ struct ParetoStats {
   EvaluatorStats evaluator;       ///< scoring-side memo counters
 };
 
-struct ParetoConfig {
+struct ParetoConfig : MeasureConfig {
   /// Base machine short name (a Table I machine: KNL, KNM, or BDW).
   std::string base = "KNL";
-  /// Kernel selection / run parameters, as for StudyConfig.
-  std::vector<std::string> kernels;
-  double scale = 0.3;
-  unsigned threads = 0;
-  std::uint64_t trace_refs = model::kDefaultTraceRefs;
-  std::uint64_t seed = 42;
-  unsigned jobs = 1;
-  unsigned kernel_jobs = 1;
   /// Seed of the explorer walks (independent of the kernel-input seed).
   std::uint64_t search_seed = 2019;
   /// Expansion rounds after the seed batch.

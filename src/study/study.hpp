@@ -33,18 +33,22 @@ struct KernelResult {
   [[nodiscard]] const MachineResult& on(std::string_view short_name) const;
 };
 
-struct StudyConfig {
-  double scale = 1.0;       ///< kernel input scale (tests use less)
-  unsigned threads = 0;     ///< host worker threads (0 = all)
-  bool freq_sweep = true;   ///< run the Fig. 6 frequency evaluation
-  std::uint64_t trace_refs = model::kDefaultTraceRefs;  ///< trace length
+/// The one measurement pass every engine starts from (Sec. III-A): which
+/// kernels run instrumented, at what input scale, seed and thread count,
+/// how long a trace each hierarchy replay draws, and how many workers
+/// share the work. StudyConfig, ExploreConfig and ParetoConfig derive
+/// from it; VariantEvaluator::Config is this struct itself.
+struct MeasureConfig {
   /// Subset of kernel abbreviations to run (empty = all).
   std::vector<std::string> kernels;
+  double scale = 0.3;    ///< kernel input scale multiplier, > 0
+  unsigned threads = 0;  ///< worker threads per kernel run (0 = all)
   /// PRNG seed for the kernels' synthetic inputs (fixed => repeatable).
   std::uint64_t seed = 42;
+  std::uint64_t trace_refs = model::kDefaultTraceRefs;  ///< trace length
   /// Engine workers for the per-machine (memsim + model + freq sweep)
-  /// stages (0 = hardware concurrency). Never changes the results, only
-  /// the wall time.
+  /// stages and for variant scoring (0 = hardware concurrency). Never
+  /// changes the results, only the wall time.
   unsigned jobs = 1;
   /// Concurrent instrumented kernel runs (the paper's per-workload
   /// SDE/PCM stage; 0 = hardware concurrency). Each run executes in its
@@ -53,6 +57,15 @@ struct StudyConfig {
   /// cross-contaminate assay deltas, and any value produces the same
   /// results byte for byte.
   unsigned kernel_jobs = 1;
+
+  /// The per-kernel part: what each instrumented run is handed.
+  [[nodiscard]] kernels::RunConfig run_config() const {
+    return {threads, scale, seed};
+  }
+};
+
+struct StudyConfig : MeasureConfig {
+  bool freq_sweep = true;  ///< run the Fig. 6 frequency evaluation
   /// Zero out the wall-clock field (host_seconds) of every measurement.
   /// This makes serialized results byte-stable across runs and jobs
   /// counts — the mode `fpr study` and the golden snapshot use.

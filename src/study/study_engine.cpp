@@ -117,11 +117,8 @@ StudyResults StudyEngine::run() {
         const std::size_t ki =
             next_kernel.fetch_add(1, std::memory_order_relaxed);
         if (ki >= selected.size()) break;
-        kernels::RunConfig rc;
-        rc.scale = cfg_.scale;
-        rc.threads = cfg_.threads;
-        rc.seed = cfg_.seed;
-        auto meas = selected[ki]->run(ctx, rc);  // throws on failed verify
+        // throws on failed verify
+        auto meas = selected[ki]->run(ctx, cfg_.run_config());
         kernel_runs.fetch_add(1, std::memory_order_relaxed);
         if (cfg_.canonical_timing) meas.host_seconds = 0.0;
         results.kernels[ki].meas = std::move(meas);
@@ -215,8 +212,6 @@ StudyConfig golden_config() {
   cfg.scale = 0.2;
   cfg.threads = 1;  // host-independent op counts and FP reductions
   cfg.trace_refs = 120'000;
-  cfg.jobs = 1;
-  cfg.kernel_jobs = 1;
   cfg.canonical_timing = true;
   // One kernel per workload class: stencil, dense, gather, stream, I/O,
   // plus the paper's Phi-hostile outlier (branchy scalar code).

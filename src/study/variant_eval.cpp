@@ -37,14 +37,8 @@ VariantEvaluator::VariantEvaluator(arch::CpuSpec base, const Config& cfg,
   // land in sim_cache_, which outlives the engine so later geometry-
   // changing variants extend the same memo instead of restarting it.
   StudyConfig sc;
-  sc.scale = cfg.scale;
-  sc.threads = cfg.threads;
+  static_cast<MeasureConfig&>(sc) = cfg;
   sc.freq_sweep = false;  // the Fig. 6 sweep is a per-real-machine study
-  sc.trace_refs = cfg.trace_refs;
-  sc.kernels = cfg.kernels;
-  sc.seed = cfg.seed;
-  sc.jobs = cfg.jobs;
-  sc.kernel_jobs = cfg.kernel_jobs;
   sc.canonical_timing = true;  // scores are analytic; keep them stable
   sc.machines.push_back(base_);
   sc.sim_cache = sim_cache_;

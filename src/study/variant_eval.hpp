@@ -80,16 +80,8 @@ struct EvaluatorStats {
 
 class VariantEvaluator {
  public:
-  struct Config {
-    /// Kernel selection / run parameters, as for StudyConfig.
-    std::vector<std::string> kernels;
-    double scale = 0.3;
-    unsigned threads = 0;
-    std::uint64_t trace_refs = model::kDefaultTraceRefs;
-    std::uint64_t seed = 42;
-    unsigned jobs = 1;
-    unsigned kernel_jobs = 1;
-  };
+  /// The measurement pass the evaluator runs once over the base.
+  using Config = MeasureConfig;
 
   /// Runs the measurement phase (throws whatever the kernel runs throw).
   VariantEvaluator(arch::CpuSpec base, const Config& cfg,

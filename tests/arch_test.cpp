@@ -125,6 +125,17 @@ TEST(Machines, AllMachinesPaperOrder) {
   for (const auto& c : m) c.validate();
 }
 
+TEST(Machines, FindMachineByExactShortName) {
+  for (const auto& c : all_machines()) {
+    const auto found = find_machine(c.short_name);
+    ASSERT_TRUE(found.has_value()) << c.short_name;
+    EXPECT_EQ(found->name, c.name);
+  }
+  EXPECT_FALSE(find_machine("EPYC").has_value());
+  EXPECT_FALSE(find_machine("knl").has_value());  // names are exact
+  EXPECT_FALSE(find_machine("").has_value());
+}
+
 // ---------------------------------------------------------------------
 // Machine-variant derivation (the Sec. VII what-if grid).
 

@@ -11,6 +11,8 @@
 #include <fstream>
 #include <iterator>
 #include <limits>
+#include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -62,6 +64,126 @@ TEST(Cli, HelpPrintsUsageOnStdout) {
   EXPECT_EQ(r.code, 0);
   EXPECT_NE(r.out.find("usage: fpr"), std::string::npos);
   EXPECT_TRUE(r.err.empty());
+}
+
+// ---------------------------------------------------------------------
+// The command table: the options each command takes
+
+/// What each command accepts, spelled out here independently of the
+/// table in cli.cpp. Positional placeholders follow the command name.
+const std::map<std::vector<std::string>, std::vector<std::string>>&
+command_options() {
+  static const std::map<std::vector<std::string>, std::vector<std::string>>
+      table = {
+          {{"list"}, {"--csv"}},
+          {{"tables"}, {"--csv"}},
+          {{"run"},
+           {"--kernel", "--scale", "--threads", "--repeats", "--seed",
+            "--auto-threads", "--csv"}},
+          {{"study"},
+           {"--kernel", "--scale", "--threads", "--seed", "--trace-refs",
+            "--jobs", "--kernel-jobs", "--no-sweep", "--timing", "--golden",
+            "--out", "--csv"}},
+          {{"memsim"},
+           {"--kernel", "--scale", "--threads", "--seed", "--refs",
+            "--trace-refs", "--scale-shift", "--csv"}},
+          {{"trace", "t.fpt"},
+           {"--machine", "--refs", "--warmup", "--scale-shift", "--threads",
+            "--out", "--csv"}},
+          {{"explore"},
+           {"--base", "--variants", "--golden", "--kernel", "--scale",
+            "--threads", "--seed", "--trace-refs", "--jobs", "--kernel-jobs",
+            "--out", "--csv"}},
+          {{"pareto"},
+           {"--base", "--kernel", "--scale", "--threads", "--seed",
+            "--trace-refs", "--jobs", "--kernel-jobs", "--budget-area",
+            "--budget-tdp", "--objectives", "--rounds", "--explorers",
+            "--max-depth", "--search-seed", "--out", "--csv"}},
+          {{"diff", "a.json", "b.json"}, {"--tolerance", "--csv"}},
+      };
+  return table;
+}
+
+/// A well-formed value for each option ("" = a flag), so a rejection
+/// can only come from the option's spelling.
+const std::map<std::string, std::string> kSampleValue = {
+    {"--auto-threads", ""},  {"--base", "KNM"},
+    {"--budget-area", "2"},  {"--budget-tdp", "2"},
+    {"--csv", ""},           {"--explorers", "2"},
+    {"--golden", ""},        {"--jobs", "1"},
+    {"--kernel", "BABL2"},   {"--kernel-jobs", "1"},
+    {"--machine", "KNL"},    {"--max-depth", "2"},
+    {"--no-sweep", ""},      {"--objectives", "time"},
+    {"--out", "o.json"},     {"--refs", "1000"},
+    {"--repeats", "1"},      {"--rounds", "1"},
+    {"--scale", "0.15"},     {"--scale-shift", "6"},
+    {"--search-seed", "7"},  {"--seed", "7"},
+    {"--threads", "1"},      {"--timing", ""},
+    {"--tolerance", "0.5"},  {"--trace-refs", "1000"},
+    {"--variants", "tdp=0.85"}, {"--warmup", "10"},
+};
+
+TEST(Cli, EveryCommandRejectsOptionsItDoesNotTake) {
+  std::set<std::string> all;
+  for (const auto& [cmd, options] : command_options()) {
+    all.insert(options.begin(), options.end());
+  }
+  ASSERT_EQ(all.size(), kSampleValue.size());
+  for (const auto& [cmd, options] : command_options()) {
+    for (const auto& option : all) {
+      if (std::find(options.begin(), options.end(), option) !=
+          options.end()) {
+        continue;
+      }
+      auto args = cmd;
+      args.push_back(option);
+      if (!kSampleValue.at(option).empty()) {
+        args.push_back(kSampleValue.at(option));
+      }
+      const auto r = run(args);
+      const std::string first_line = r.err.substr(0, r.err.find('\n'));
+      EXPECT_EQ(r.code, 2) << cmd[0] << " " << option;
+      EXPECT_NE(first_line.find("'" + option + "'"), std::string::npos)
+          << first_line;
+      EXPECT_NE(first_line.find("'" + cmd[0] + "'"), std::string::npos)
+          << first_line;
+      EXPECT_TRUE(r.out.empty()) << cmd[0] << " " << option;
+    }
+  }
+  // Both exited 0 and ignored the option before commands declared
+  // their options.
+  EXPECT_EQ(run({"list", "--budget-area", "2"}).code, 2);
+  EXPECT_EQ(run({"memsim", "--objectives", "time"}).code, 2);
+  // The undocumented plural aliases are gone too.
+  EXPECT_EQ(run({"run", "--kernels", "BABL2"}).code, 2);
+  EXPECT_EQ(run({"trace", "t.fpt", "--machines", "KNL"}).code, 2);
+}
+
+TEST(Cli, CommandHelpListsItsOptions) {
+  for (const auto& [cmd, options] : command_options()) {
+    const auto r = run({cmd[0], "--help"});
+    EXPECT_EQ(r.code, 0) << cmd[0];
+    EXPECT_TRUE(r.err.empty()) << cmd[0] << ": " << r.err;
+    EXPECT_EQ(r.out.rfind("usage: fpr " + cmd[0], 0), 0u) << r.out;
+    // An option line starts with its spelling after a two-space indent;
+    // wrapped help text is indented further.
+    std::set<std::string> listed;
+    std::istringstream lines(r.out);
+    for (std::string line; std::getline(lines, line);) {
+      if (line.rfind("  --", 0) == 0) {
+        listed.insert(line.substr(2, line.find(' ', 2) - 2));
+      }
+    }
+    std::set<std::string> expected(options.begin(), options.end());
+    expected.insert("--help");
+    EXPECT_EQ(listed, expected) << cmd[0];
+  }
+  // `fpr help` lists every command, from the same table.
+  const auto help = run({"help"});
+  for (const auto& [cmd, options] : command_options()) {
+    EXPECT_NE(help.out.find("\n  " + cmd[0] + " "), std::string::npos)
+        << cmd[0];
+  }
 }
 
 TEST(Cli, ListShowsEveryRegisteredKernel) {
@@ -332,6 +454,22 @@ TEST(Cli, ExploreRejectsBadOptions) {
   EXPECT_EQ(run({"explore", "--base"}).code, 2);  // missing value
   EXPECT_EQ(run({"explore", "--kernel", "NOPE"}).code, 2);
   EXPECT_EQ(run({"explore", "stray"}).code, 2);
+  // --golden fixes the measurement pass, the base and the grid; an
+  // option it would silently override is rejected instead.
+  for (const auto& fixed : std::vector<std::vector<std::string>>{
+           {"--kernel", "HPL"},
+           {"--scale", "9"},
+           {"--threads", "2"},
+           {"--seed", "7"},
+           {"--trace-refs", "5000"},
+           {"--base", "KNM"},
+           {"--variants", "tdp=0.85"}}) {
+    const auto r = run({"explore", "--golden", fixed[0], fixed[1]});
+    EXPECT_EQ(r.code, 2) << fixed[0];
+    EXPECT_NE(r.err.find("cannot be combined with " + fixed[0]),
+              std::string::npos)
+        << r.err;
+  }
 }
 
 TEST(Cli, DiffComparesExploreFilesAndRejectsMixing) {
@@ -677,6 +815,18 @@ TEST(Cli, StudyRejectsBadOptions) {
   // rejected instead.
   EXPECT_EQ(run({"study", "--golden", "--timing"}).code, 2);
   EXPECT_EQ(run({"study", "--golden", "--no-sweep"}).code, 2);
+  for (const auto& fixed : std::vector<std::vector<std::string>>{
+           {"--kernel", "HPL"},
+           {"--scale", "9"},
+           {"--threads", "2"},
+           {"--seed", "7"},
+           {"--trace-refs", "5000"}}) {
+    const auto r = run({"study", "--golden", fixed[0], fixed[1]});
+    EXPECT_EQ(r.code, 2) << fixed[0];
+    EXPECT_NE(r.err.find("cannot be combined with " + fixed[0]),
+              std::string::npos)
+        << r.err;
+  }
 }
 
 TEST(Cli, StudyPropagatesSeedToKernels) {

@@ -171,17 +171,8 @@ TEST(VariantEvaluator, MatchesTheExploreEngineOnTheGoldenConfig) {
   const ExploreConfig gc = golden_explore_config();
   const auto explored = ExploreEngine(gc).run();
 
-  arch::CpuSpec base;
-  for (auto& cpu : arch::all_machines()) {
-    if (cpu.short_name == gc.base) base = std::move(cpu);
-  }
-  VariantEvaluator::Config ec;
-  ec.kernels = gc.kernels;
-  ec.scale = gc.scale;
-  ec.threads = gc.threads;
-  ec.trace_refs = gc.trace_refs;
-  ec.seed = gc.seed;
-  const VariantEvaluator evaluator(base, ec);
+  const arch::CpuSpec base = arch::find_machine(gc.base).value();
+  const VariantEvaluator evaluator(base, gc);
 
   auto dump = [](const VariantScore& s) {
     return io::dump(io::to_json(s));

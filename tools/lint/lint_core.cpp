@@ -25,9 +25,6 @@ struct RuleInfo {
 };
 
 constexpr RuleInfo kRules[] = {
-    {"global-thread-pool",
-     "ThreadPool::global() outside the compatibility shim; run on an "
-     "ExecutionContext-owned pool so kernel runs stay isolated"},
     {"nondeterministic-call",
      "wall-clock/system-entropy call in a determinism-sensitive path "
      "(src/{memsim,model,study,arch,io}); take seeds and timestamps as "
@@ -1063,13 +1060,6 @@ void file_passes(Analysis& a, std::vector<Finding>& out) {
   Prepared& p = a.prep;
   const std::string& rel = a.rel;
   const std::string& path = a.path;
-
-  if (starts_with(rel, "src/") && rel != "src/common/thread_pool.hpp" &&
-      rel != "src/common/thread_pool.cpp") {
-    static const std::regex re(R"(ThreadPool\s*::\s*global\b)");
-    scan_pattern(p, re, path, "global-thread-pool",
-                 rule_description("global-thread-pool").c_str(), out);
-  }
 
   if (starts_with(rel, "src/memsim/") || starts_with(rel, "src/model/") ||
       starts_with(rel, "src/study/") || starts_with(rel, "src/arch/") ||

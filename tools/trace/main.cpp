@@ -132,12 +132,8 @@ int cmd_record(const Args& a) {
     std::cerr << "fpr-trace record: --out is required\n";
     return usage(std::cerr);
   }
-  const auto all = arch::all_machines();
-  const arch::CpuSpec* cpu = nullptr;
-  for (const auto& m : all) {
-    if (m.short_name == a.machine) cpu = &m;
-  }
-  if (cpu == nullptr) {
+  const auto cpu = arch::find_machine(a.machine);
+  if (!cpu) {
     std::cerr << "fpr-trace record: unknown machine '" << a.machine
               << "' (expected a Table I short name)\n";
     return usage(std::cerr);
