@@ -6,10 +6,12 @@
 // re-pays the full instrumented measurement pass. Incremental path: one
 // ParetoEngine run, which measures once and prices every candidate from
 // the cached profiles. The bench reports candidates/sec for both, the
-// dedup and profile-memo hit rates, and the speedup; it exits nonzero
-// if the frontier JSON is not byte-identical across the --jobs ladder
-// (always), or if the speedup falls under 10x (unless --no-perf-gate,
-// for sanitizer builds where wall-clock ratios are meaningless).
+// dedup and profile-memo hit rates, the scoring replays, and the
+// speedup; it exits nonzero if any rung of the --jobs ladder differs
+// from the jobs=1 rung in its frontier JSON or in its memo hits, memo
+// misses or replays (always), or if the speedup falls under 10x (unless
+// --no-perf-gate, for sanitizer builds where wall-clock ratios are
+// meaningless).
 //
 //   ./build/pareto_search [--kernels A,B,...] [--scale S]
 //                         [--trace-refs N] [--rounds R] [--jobs 1,2,8]
@@ -105,10 +107,11 @@ int main(int argc, char** argv) {
   // Incremental path: the full Pareto search at each jobs count. Every
   // run includes its own one-time measurement phase, so candidates/sec
   // is the honest end-to-end figure, not an evaluate()-only best case.
-  TextTable table(
-      {"Jobs", "Wall[s]", "Cand/s", "Evald", "Dedup%", "Memo%", "Identical"});
+  TextTable table({"Jobs", "Wall[s]", "Cand/s", "Evald", "Dedup%", "Memo%",
+                   "Replays", "Identical"});
   std::string base_json;
   bool identical = true;
+  bool counters_identical = true;
   double cps_j1 = 0.0;
   double best_cps = 0.0;
   study::ParetoStats stats_j1;
@@ -129,6 +132,11 @@ int main(int argc, char** argv) {
       stats_j1 = st;
     }
     best_cps = std::max(best_cps, cps);
+    const bool same_json = json == base_json;
+    const bool same_counters =
+        st.evaluator.memo_hits == stats_j1.evaluator.memo_hits &&
+        st.evaluator.memo_misses == stats_j1.evaluator.memo_misses &&
+        st.replays == stats_j1.replays;
     const double memo_total = static_cast<double>(st.evaluator.memo_hits +
                                                   st.evaluator.memo_misses);
     table.row()
@@ -145,11 +153,17 @@ int main(int argc, char** argv) {
                                   memo_total
                             : 0.0,
              1)
-        .cell(json == base_json ? "yes" : "NO")
+        .integer(static_cast<long long>(st.replays))
+        .cell(same_json && same_counters ? "yes" : "NO")
         .done();
-    if (json != base_json) {
+    if (!same_json) {
       identical = false;
       std::cerr << "[bench] DETERMINISM VIOLATION at jobs=" << jobs << "\n";
+    }
+    if (!same_counters) {
+      counters_identical = false;
+      std::cerr << "[bench] COUNTER MISMATCH at jobs=" << jobs
+                << ": memo hits/misses or replays differ from jobs=1\n";
     }
   }
   table.print(std::cout);
@@ -185,7 +199,8 @@ int main(int argc, char** argv) {
                                       stats_j1.evaluator.memo_hits) /
                                       memo_total
                                 : 0.0)
-            .set("frontier_identical_across_jobs", identical);
+            .set("frontier_identical_across_jobs", identical)
+            .set("counters_identical_across_jobs", counters_identical);
     std::ofstream out(json_path);
     out << io::dump(doc) << "\n";
     if (!out) {
@@ -195,7 +210,7 @@ int main(int argc, char** argv) {
     std::cerr << "[bench] wrote " << json_path << "\n";
   }
 
-  if (!identical) return 1;
+  if (!identical || !counters_identical) return 1;
   if (perf_gate && speedup < 10.0) {
     std::cerr << "[bench] PERF GATE FAILED: " << speedup << "x < 10x\n";
     return 1;

@@ -666,7 +666,7 @@ int cmd_pareto(const RunOptions& opt, std::ostream& out, std::ostream& err) {
       << st.over_budget << " over budget, " << st.invalid << " invalid, "
       << st.rounds << " round(s); " << st.evaluator.memo_hits
       << " profile-memo hit(s), " << st.evaluator.memo_misses
-      << " miss(es)\n";
+      << " miss(es), " << st.replays << " replay(s)\n";
 
   if (!opt.out.empty()) write_out(opt, io::to_json(results), out, err);
   return kExitOk;

@@ -1,14 +1,11 @@
 #include "study/explore.hpp"
 
-#include <algorithm>
 #include <map>
 #include <set>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 #include "arch/machines.hpp"
-#include "common/thread_pool.hpp"
 
 namespace fpr::study {
 
@@ -42,8 +39,10 @@ ExploreResults ExploreEngine::run() {
   std::set<std::string> seen_specs;
   std::map<std::string, std::string> canonical;  // digest -> first spec
   canonical.emplace(arch::canonical_cpu_digest(base), "<the base machine>");
+  // Slot 0 is the baseline: the base itself, scored like any variant.
   std::vector<arch::MachineVariant> variants;
-  variants.reserve(specs.size());
+  variants.reserve(specs.size() + 1);
+  variants.push_back({"", base});
   for (const auto& spec : specs) {
     if (!seen_specs.insert(spec).second) {
       throw std::invalid_argument("duplicate variant spec '" + spec + "'");
@@ -64,35 +63,20 @@ ExploreResults ExploreEngine::run() {
   // Phase 1: measure every kernel on the base exactly once.
   const VariantEvaluator evaluator(base, cfg_, factory_);
 
-  // Phase 2: score the baseline and every variant from the cached
-  // measurements — model arithmetic only, slot-ordered so any jobs
-  // split is a pure reordering.
+  // Phase 2: score the baseline and every variant in one batch, which
+  // replays each new geometry's traces once over cfg.jobs workers.
+  auto scores = evaluator.evaluate(variants);
   ExploreResults out;
   out.base = base.short_name;
-  out.baseline = evaluator.evaluate(arch::MachineVariant{"", std::move(base)});
-  out.variants.resize(variants.size());
-
-  const unsigned hw = std::thread::hardware_concurrency();
-  const unsigned jobs = std::max(1u, cfg_.jobs != 0 ? cfg_.jobs : hw);
-  if (jobs == 1 || variants.size() <= 1) {
-    for (std::size_t i = 0; i < variants.size(); ++i) {
-      out.variants[i] = evaluator.evaluate(variants[i]);
-    }
-  } else {
-    ThreadPool pool(jobs);
-    pool.parallel_for(variants.size(),
-                      [&](std::size_t begin, std::size_t end, unsigned) {
-                        for (std::size_t i = begin; i < end; ++i) {
-                          out.variants[i] = evaluator.evaluate(variants[i]);
-                        }
-                      });
-  }
+  out.baseline = std::move(scores.front());
+  scores.erase(scores.begin());
+  out.variants = std::move(scores);
 
   stats_ = evaluator.measurement_stats();
   // Count the scored (kernel, variant) grid like the monolithic engine
   // did, and report replay-cache totals across both phases.
-  stats_.machine_evals +=
-      variants.size() * static_cast<std::uint64_t>(evaluator.kernel_count());
+  stats_.machine_evals += out.variants.size() *
+                          static_cast<std::uint64_t>(evaluator.kernel_count());
   const auto sim = evaluator.sim_stats();
   stats_.sim_hits = sim.hits;
   stats_.sim_misses = sim.misses;

@@ -1,16 +1,12 @@
 #include "study/pareto.hpp"
 
 #include <algorithm>
-#include <optional>
 #include <set>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 #include "arch/machines.hpp"
-#include "common/execution_context.hpp"
 #include "common/rng.hpp"
-#include "common/thread_pool.hpp"
 
 namespace fpr::study {
 
@@ -69,16 +65,6 @@ const ParetoPoint* ParetoResults::find(std::string_view name) const {
 ParetoEngine::ParetoEngine(ParetoConfig cfg, StudyEngine::KernelFactory factory)
     : cfg_(std::move(cfg)), factory_(std::move(factory)) {}
 
-namespace {
-
-/// A candidate that survived dedup + budget filtering, ready to score.
-struct Candidate {
-  arch::MachineVariant variant;
-  arch::ResourceBudget budget;
-};
-
-}  // namespace
-
 ParetoResults ParetoEngine::run() {
   const auto found = arch::find_machine(cfg_.base);
   if (!found) {
@@ -116,13 +102,6 @@ ParetoResults ParetoEngine::run() {
   // Phase 1: the one-time measurement pass.
   const VariantEvaluator evaluator(base, cfg_, factory_);
 
-  // Scoring workers: cfg_.jobs participants total (the caller counts as
-  // one), mirroring the StudyEngine jobs resolution.
-  const unsigned hw = std::thread::hardware_concurrency();
-  const unsigned jobs = std::max(1u, cfg_.jobs != 0 ? cfg_.jobs : hw);
-  std::optional<ExecutionContext> ctx;
-  if (jobs > 1) ctx.emplace(std::make_shared<ThreadPool>(jobs - 1));
-
   const auto objective_vector = [&](const VariantScore& s) {
     std::vector<double> o;
     o.reserve(cfg_.objectives.size());
@@ -145,9 +124,11 @@ ParetoResults ParetoEngine::run() {
   // Run-wide canonical dedup: a machine is proposed at most once however
   // it is spelled. The candidate filters all run on the (sequential)
   // generation path, so counters and the admitted stream are identical
-  // for every jobs value.
+  // for every jobs value. A candidate that survives them waits in
+  // `batch`, its budget position in the matching `budgets` slot.
   std::set<std::string> seen;
-  std::vector<Candidate> batch;
+  std::vector<arch::MachineVariant> batch;
+  std::vector<arch::ResourceBudget> budgets;
   const auto admit = [&](const std::string& spec) {
     ++stats_.generated;
     arch::MachineVariant v;
@@ -166,7 +147,8 @@ ParetoResults ParetoEngine::run() {
       ++stats_.over_budget;
       return;
     }
-    batch.push_back({std::move(v), budget});
+    batch.push_back(std::move(v));
+    budgets.push_back(budget);
   };
 
   // NSGA-style archive: only non-dominated points survive insertion.
@@ -182,28 +164,18 @@ ParetoResults ParetoEngine::run() {
   };
 
   const auto score_batch = [&] {
-    std::vector<ParetoPoint> points(batch.size());
-    const auto score_one = [&](std::size_t i) {
-      points[i].score = evaluator.evaluate(batch[i].variant);
-      points[i].budget = batch[i].budget;
-      points[i].objectives = objective_vector(points[i].score);
-    };
-    if (ctx && batch.size() > 1) {
-      ctx->parallel_for(batch.size(),
-                        [&](std::size_t begin, std::size_t end, unsigned) {
-                          for (std::size_t i = begin; i < end; ++i) {
-                            score_one(i);
-                          }
-                        });
-    } else {
-      for (std::size_t i = 0; i < batch.size(); ++i) score_one(i);
-    }
+    auto scores = evaluator.evaluate(batch);
     stats_.evaluated += batch.size();
     ++stats_.rounds;
-    // Slot-ordered merge: insertion order equals generation order, so
-    // the archive evolves identically for every jobs split.
-    for (auto& p : points) merge_into_archive(std::move(p));
+    // Merge in generation order, so the archive evolves identically for
+    // every jobs value.
+    for (std::size_t i = 0; i < scores.size(); ++i) {
+      ParetoPoint p{std::move(scores[i]), budgets[i], {}};
+      p.objectives = objective_vector(p.score);
+      merge_into_archive(std::move(p));
+    }
     batch.clear();
+    budgets.clear();
   };
 
   // Seed round: the base itself, the built-in explore grid, and every
@@ -257,6 +229,7 @@ ParetoResults ParetoEngine::run() {
 
   stats_.measurement = evaluator.measurement_stats();
   stats_.evaluator = evaluator.stats();
+  stats_.replays = evaluator.sim_stats().misses - stats_.measurement.sim_misses;
   return out;
 }
 

@@ -18,12 +18,13 @@
 //                (common/rng.hpp — no wall-clock, no random_device);
 //                candidates are deduplicated by canonical resolved
 //                machine across the whole run, budget-filtered, then
-//                scored by one shared study::VariantEvaluator across
-//                ExecutionContext workers into slot-indexed buffers and
-//                merged into the archive in slot order.
+//                scored as one batch by the shared
+//                study::VariantEvaluator and merged into the archive in
+//                generation order.
 //
 // Candidate generation, dedup, filtering, and the merge are all
-// sequential and jobs-independent; scoring is pure model arithmetic.
+// sequential and jobs-independent. Scoring replays the traces of each
+// new cache geometry once, over --jobs workers, and scores serially.
 // The frontier (sorted by objective vector, then spec) is therefore
 // byte-identical once serialized for every --jobs value — the same
 // guarantee the study and explore pipelines carry.
@@ -72,10 +73,7 @@ struct ParetoPoint {
 [[nodiscard]] std::vector<std::size_t> non_dominated(
     const std::vector<std::vector<double>>& objectives);
 
-/// Candidate-stream counters. Everything here is computed in the
-/// sequential generation/merge phases, so all values are identical for
-/// every --jobs; the nested evaluator memo split is the one exception
-/// (see EvaluatorStats) and is deliberately never serialized.
+/// Candidate-stream and scoring counters, identical for every --jobs.
 struct ParetoStats {
   std::uint64_t generated = 0;    ///< specs proposed (before any filter)
   std::uint64_t deduped = 0;      ///< dropped: canonical machine seen
@@ -83,6 +81,8 @@ struct ParetoStats {
   std::uint64_t over_budget = 0;  ///< dropped: outside the budget box
   std::uint64_t evaluated = 0;    ///< candidates actually scored
   std::uint64_t rounds = 0;       ///< batches executed (seed round incl.)
+  std::uint64_t replays = 0;      ///< hierarchy replays while scoring
+                                  ///< (SimCache misses after measurement)
   EngineStats measurement;        ///< the one-time measurement phase
   EvaluatorStats evaluator;       ///< scoring-side memo counters
 };

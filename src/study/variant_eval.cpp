@@ -1,9 +1,14 @@
 #include "study/variant_eval.hpp"
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <stdexcept>
+#include <thread>
+#include <unordered_set>
 #include <utility>
 
+#include "common/thread_pool.hpp"
 #include "common/units.hpp"
 #include "study/domain_util.hpp"
 
@@ -31,6 +36,8 @@ VariantEvaluator::VariantEvaluator(arch::CpuSpec base, const Config& cfg,
                                    StudyEngine::KernelFactory factory)
     : base_(std::move(base)),
       trace_refs_(cfg.trace_refs),
+      jobs_(std::max(1u, cfg.jobs != 0 ? cfg.jobs
+                                        : std::thread::hardware_concurrency())),
       sim_cache_(std::make_shared<memsim::SimCache>()) {
   // Measurement phase: one study over the base machine alone. Each
   // kernel runs instrumented exactly once; the base's hierarchy replays
@@ -61,44 +68,104 @@ VariantEvaluator::VariantEvaluator(arch::CpuSpec base, const Config& cfg,
   memo_.emplace(arch::memory_model_digest(base_), std::move(base_profiles));
 }
 
-std::shared_ptr<const VariantEvaluator::ProfileSet>
-VariantEvaluator::profiles_for(const arch::CpuSpec& cpu) const {
-  const std::string digest = arch::memory_model_digest(cpu);
-  {
-    std::lock_guard lock(mu_);
-    if (const auto it = memo_.find(digest); it != memo_.end()) {
+std::vector<std::shared_ptr<const VariantEvaluator::ProfileSet>>
+VariantEvaluator::profiles_for(
+    const std::vector<arch::MachineVariant>& variants) const {
+  std::lock_guard lock(mu_);  // one batch at a time: memo and counts exact
+
+  // 1. Walk the batch in input order, counting as a loop of one-variant
+  //    calls would: a digest first seen earlier in the batch is a hit.
+  std::vector<std::string> digests;
+  digests.reserve(variants.size());
+  std::unordered_map<std::string, std::size_t> fresh_slot;
+  std::vector<const arch::CpuSpec*> fresh;  // first cpu per new digest
+  for (const auto& v : variants) {
+    digests.push_back(arch::memory_model_digest(v.cpu));
+    if (memo_.contains(digests.back()) ||
+        !fresh_slot.emplace(digests.back(), fresh.size()).second) {
       ++stats_.memo_hits;
-      return it->second;
+    } else {
+      ++stats_.memo_misses;
+      fresh.push_back(&v.cpu);
     }
-    ++stats_.memo_misses;
   }
-  // Compute outside the lock: a distinct geometry costs one replay set,
-  // and concurrent callers racing on the same new digest just compute
-  // identical profiles (deterministic simulation) — first insert wins.
-  auto set = std::make_shared<ProfileSet>();
-  set->reserve(kernels_.size());
-  for (const auto& kb : kernels_) {
-    set->push_back(model::profile_memory(cpu, kb.meas, trace_refs_,
-                                         model::kDefaultScaleShift,
-                                         sim_cache_.get()));
+
+  // 2. One unit per (new digest, kernel). Units with equal SimCache keys
+  //    replay the same trace (a bandwidth respin of a new geometry, or
+  //    two kernels with one sliced pattern), so only the first of each
+  //    key replays on the pool; the rest read it back from the SimCache.
+  const std::size_t nk = kernels_.size();
+  std::vector<ProfileSet> sets(fresh.size(), ProfileSet(nk));
+  const auto profile = [&](std::size_t unit) {
+    const arch::CpuSpec& cpu = *fresh[unit / nk];
+    sets[unit / nk][unit % nk] = model::profile_memory(
+        cpu, kernels_[unit % nk].meas, trace_refs_, model::kDefaultScaleShift,
+        sim_cache_.get());
+  };
+  std::vector<std::size_t> leads, followers;
+  std::unordered_set<std::string> keys;
+  for (std::size_t unit = 0; unit < sets.size() * nk; ++unit) {
+    const arch::CpuSpec& cpu = *fresh[unit / nk];
+    const std::string key = memsim::SimCache::key(
+        cpu, model::per_core_slice(kernels_[unit % nk].meas.access, cpu.cores),
+        trace_refs_, model::kProfileSeed, model::kDefaultScaleShift);
+    (keys.insert(key).second ? leads : followers).push_back(unit);
+  }
+  if (!leads.empty()) {
+    // Replay costs vary by kernel, so workers claim units from a shared
+    // cursor; static chunks would leave some idle.
+    ThreadPool pool(static_cast<unsigned>(
+        std::min<std::size_t>(jobs_, leads.size())));
+    std::atomic<std::size_t> next{0};
+    pool.parallel_for(pool.size() + 1, [&](std::size_t, std::size_t, unsigned) {
+      for (std::size_t i = next++; i < leads.size(); i = next++) {
+        profile(leads[i]);
+      }
+    });
+  }
+
+  // 3. Every remaining unit is a SimCache hit now.
+  for (const std::size_t unit : followers) profile(unit);
+  for (auto& [digest, slot] : fresh_slot) {
+    memo_.emplace(digest, std::make_shared<const ProfileSet>(
+                              std::move(sets[slot])));
+  }
+  std::vector<std::shared_ptr<const ProfileSet>> out;
+  out.reserve(variants.size());
+  for (const auto& digest : digests) out.push_back(memo_.at(digest));
+  return out;
+}
+
+std::vector<VariantScore> VariantEvaluator::evaluate(
+    const std::vector<arch::MachineVariant>& variants) const {
+  const auto profiles = profiles_for(variants);
+  std::vector<VariantScore> scores;
+  scores.reserve(variants.size());
+  for (std::size_t i = 0; i < variants.size(); ++i) {
+    scores.push_back(score_variant(variants[i], *profiles[i]));
   }
   std::lock_guard lock(mu_);
-  return memo_.emplace(digest, std::move(set)).first->second;
+  stats_.evaluations += variants.size();
+  return scores;
 }
 
 VariantScore VariantEvaluator::evaluate(
     const arch::MachineVariant& variant) const {
+  return std::move(evaluate(std::vector{variant}).front());
+}
+
+VariantScore VariantEvaluator::score_variant(
+    const arch::MachineVariant& variant, const ProfileSet& profiles) const {
   VariantScore score;
   score.variant = variant;
   const arch::CpuSpec& cpu = score.variant.cpu;
-  const auto profiles = profiles_for(cpu);
 
   std::vector<double> time_ratios, energy_ratios, fp64_pcts;
   for (std::size_t i = 0; i < kernels_.size(); ++i) {
     const KernelBase& kb = kernels_[i];
     KernelProjection p;
     p.abbrev = kb.info.abbrev;
-    p.mem = (*profiles)[i];
+    p.mem = profiles[i];
     p.perf = model::evaluate_at_turbo(cpu, kb.meas, p.mem);
     p.time_ratio = p.perf.seconds / kb.perf.seconds;
     p.energy_ratio = (p.perf.power_w * p.perf.seconds) /
@@ -140,11 +207,6 @@ VariantScore VariantEvaluator::evaluate(
   }
   score.site_pct_peak =
       sites.empty() ? 0.0 : site_sum / static_cast<double>(sites.size());
-
-  {
-    std::lock_guard lock(mu_);
-    ++stats_.evaluations;
-  }
   return score;
 }
 

@@ -9,19 +9,18 @@
 //     instrumented exactly once (a StudyEngine over the base machine
 //     alone), and the base machine's hierarchy replays land in a
 //     SimCache the evaluator keeps alive;
-//  2. on-demand *scoring*: evaluate(variant) is model arithmetic only —
-//     memory profiles come from a model-level memo keyed by
-//     arch::memory_model_digest (so bandwidth/TDP/FPU respins reuse the
-//     base profiles outright, and geometry-changing variants replay
-//     through the shared SimCache once per distinct geometry), and the
-//     compute-side model (model::evaluate_at_turbo) is recomputed per
-//     call because it is cheap pure arithmetic.
+//  2. batch *scoring*: evaluate(variants) takes memory profiles from a
+//     model-level memo keyed by arch::memory_model_digest, so
+//     bandwidth/TDP/FPU respins reuse the base profiles outright. A
+//     geometry-changing variant (cores, capacities, associativities)
+//     needs one hierarchy replay per kernel: each batch replays every
+//     such trace once, fanned over cfg.jobs workers, through the shared
+//     SimCache. The compute-side model (model::evaluate_at_turbo) then
+//     runs serially per variant, because it is cheap pure arithmetic.
 //
-// evaluate() is const and thread-safe: a search engine may score
-// candidates from many workers concurrently. Scoring reproduces the
-// monolithic pipeline's arithmetic exactly — same model calls, same
-// inputs, same order — which is what lets the rewired ExploreEngine
-// keep the golden explore snapshot byte for byte.
+// Scoring reproduces the monolithic pipeline's arithmetic exactly —
+// same model calls, same inputs, same order — which is what lets the
+// rewired ExploreEngine keep the golden explore snapshot byte for byte.
 #pragma once
 
 #include <cstdint>
@@ -87,9 +86,17 @@ class VariantEvaluator {
   VariantEvaluator(arch::CpuSpec base, const Config& cfg,
                    StudyEngine::KernelFactory factory = nullptr);
 
-  /// Score one variant against the measured base. `variant.cpu` must be
-  /// derived from this evaluator's base machine (arch::derive_variant);
-  /// the base itself is the empty spec. Thread-safe.
+  /// Score a batch of variants against the measured base; the scores
+  /// come back in input order. Every `cpu` must be derived from this
+  /// evaluator's base machine (arch::derive_variant); the base itself is
+  /// the empty spec. The batch replays each trace its new memory models
+  /// need once, on up to cfg.jobs workers, and counts memo hits and
+  /// misses as a one-at-a-time loop over the batch would. Thread-safe:
+  /// concurrent calls take turns on the memo.
+  [[nodiscard]] std::vector<VariantScore> evaluate(
+      const std::vector<arch::MachineVariant>& variants) const;
+
+  /// Score one variant: a batch of one.
   [[nodiscard]] VariantScore evaluate(const arch::MachineVariant& variant) const;
 
   [[nodiscard]] const arch::CpuSpec& base() const { return base_; }
@@ -99,10 +106,7 @@ class VariantEvaluator {
   [[nodiscard]] const EngineStats& measurement_stats() const {
     return measurement_stats_;
   }
-  /// Scoring-side counters. Totals are deterministic for a fixed call
-  /// sequence; hit/miss split may shift under concurrent evaluate()
-  /// racing on a fresh digest (both compute, first insert wins) — never
-  /// the scores.
+  /// Scoring-side counters; identical for every cfg.jobs.
   [[nodiscard]] EvaluatorStats stats() const;
   /// The shared hierarchy-replay cache's counters (measurement + scoring).
   [[nodiscard]] memsim::SimCache::Stats sim_stats() const {
@@ -118,11 +122,16 @@ class VariantEvaluator {
   };
   using ProfileSet = std::vector<model::MemoryProfile>;  // kernel order
 
-  [[nodiscard]] std::shared_ptr<const ProfileSet> profiles_for(
-      const arch::CpuSpec& cpu) const;
+  /// The profile set of each variant, in input order, replaying what
+  /// the memo lacks.
+  [[nodiscard]] std::vector<std::shared_ptr<const ProfileSet>> profiles_for(
+      const std::vector<arch::MachineVariant>& variants) const;
+  [[nodiscard]] VariantScore score_variant(const arch::MachineVariant& variant,
+                                           const ProfileSet& profiles) const;
 
   arch::CpuSpec base_;
   std::uint64_t trace_refs_ = model::kDefaultTraceRefs;
+  unsigned jobs_ = 1;  ///< replay workers per batch (cfg.jobs resolved)
   std::vector<KernelBase> kernels_;
   std::shared_ptr<memsim::SimCache> sim_cache_;
   EngineStats measurement_stats_;

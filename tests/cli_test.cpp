@@ -530,6 +530,23 @@ TEST(Cli, ParetoOutDashIsByteIdenticalAcrossJobs) {
   (void)io::pareto_from_json(io::parse(serial.out));  // schema-valid
 }
 
+TEST(Cli, ParetoStatsLineIsIdenticalForEveryJobCount) {
+  // Only the stats line: the header line echoes jobs.
+  const auto stats_line = [](const CliOutcome& r) {
+    const auto at = r.err.find("[fpr] pareto search:");
+    return at == std::string::npos
+               ? std::string()
+               : r.err.substr(at, r.err.find('\n', at) - at);
+  };
+  const auto serial = run_pareto({"--jobs", "1"});
+  const auto parallel = run_pareto({"--jobs", "4"});
+  EXPECT_EQ(serial.code, 0) << serial.err;
+  EXPECT_EQ(parallel.code, 0) << parallel.err;
+  EXPECT_NE(stats_line(serial).find(" replay(s)"), std::string::npos)
+      << serial.err;
+  EXPECT_EQ(stats_line(serial), stats_line(parallel));
+}
+
 TEST(Cli, ParetoCsvKeepsStdoutMachineParsable) {
   const auto r = run_pareto({"--csv"});
   EXPECT_EQ(r.code, 0) << r.err;

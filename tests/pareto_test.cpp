@@ -1,7 +1,8 @@
 // Tests for the incremental design-space machinery: dominance and the
 // non-dominated filter, the ParetoEngine's archive/budget/determinism
-// invariants, VariantEvaluator-vs-ExploreEngine equality, the
-// geomean_ratio guard, and the pareto-results JSON round trip.
+// invariants, VariantEvaluator-vs-ExploreEngine equality, the batch
+// scorer's replay and memo counts, the geomean_ratio guard, and the
+// pareto-results JSON round trip.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -142,6 +143,29 @@ TEST(ParetoEngine, StatsAccountForTheCandidateStream) {
   EXPECT_GT(st.evaluator.memo_hits, 0u);
 }
 
+TEST(ParetoEngine, StatsIdenticalAcrossJobCounts) {
+  // Scoring replays fan out over the jobs workers, but every counter
+  // must read as the serial run's: one replay per new trace, memo hits
+  // and misses in candidate order.
+  const auto stats_at = [](unsigned jobs) {
+    ParetoConfig cfg = small_config();
+    cfg.jobs = jobs;
+    ParetoEngine engine(cfg);
+    (void)engine.run();
+    return engine.stats();
+  };
+  const ParetoStats serial = stats_at(1);
+  EXPECT_GT(serial.replays, 0u);  // cores moves bring new geometries
+  EXPECT_GT(serial.evaluator.memo_misses, 0u);
+  for (const unsigned jobs : {2u, 8u}) {
+    const ParetoStats st = stats_at(jobs);
+    EXPECT_EQ(st.evaluator.memo_hits, serial.evaluator.memo_hits) << jobs;
+    EXPECT_EQ(st.evaluator.memo_misses, serial.evaluator.memo_misses) << jobs;
+    EXPECT_EQ(st.evaluator.evaluations, serial.evaluator.evaluations) << jobs;
+    EXPECT_EQ(st.replays, serial.replays) << jobs;
+  }
+}
+
 TEST(ParetoEngine, RejectsDegenerateConfigs) {
   {
     ParetoConfig cfg = small_config();
@@ -204,6 +228,43 @@ TEST(VariantEvaluator, MemoizesProfilesByMemoryModel) {
   EXPECT_EQ(st.memo_misses, 1u);
   EXPECT_EQ(st.memo_hits, 3u);
   EXPECT_EQ(st.evaluations, 4u);
+}
+
+TEST(VariantEvaluator, BatchReplaysEachGeometryOnce) {
+  const arch::CpuSpec base = arch::knl();
+  VariantEvaluator::Config ec;
+  ec.kernels = {"HPL", "BABL2"};
+  ec.scale = 0.15;
+  ec.threads = 1;
+  ec.trace_refs = 60'000;
+  ec.jobs = 4;
+  // One new geometry (cores=0.9) under two new memory models (with and
+  // without the DRAM bump); the TDP respins reuse a known model.
+  std::vector<arch::MachineVariant> batch;
+  for (const char* spec : {"cores=0.9", "cores=0.9+tdp=0.9",
+                           "cores=0.9+dram-bw=1.25", "tdp=0.85"}) {
+    batch.push_back(arch::derive_variant(base, spec));
+  }
+
+  const VariantEvaluator evaluator(base, ec);
+  const auto misses_before = evaluator.sim_stats().misses;
+  const auto scores = evaluator.evaluate(batch);
+  EXPECT_EQ(evaluator.sim_stats().misses - misses_before,
+            evaluator.kernel_count());
+  const auto st = evaluator.stats();
+  EXPECT_EQ(st.memo_misses, 2u);
+  EXPECT_EQ(st.memo_hits, 2u);
+  EXPECT_EQ(st.evaluations, batch.size());
+
+  // Each score is what a one-at-a-time evaluate() gives.
+  ec.jobs = 1;
+  const VariantEvaluator single(base, ec);
+  ASSERT_EQ(scores.size(), batch.size());
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    EXPECT_EQ(io::dump(io::to_json(scores[i])),
+              io::dump(io::to_json(single.evaluate(batch[i]))))
+        << batch[i].spec;
+  }
 }
 
 TEST(ParetoJson, RoundTripIsLossless) {
