@@ -5,15 +5,15 @@
 #include <iostream>
 
 #include "arch/machines.hpp"
-#include "bench_util.hpp"
 #include "common/table.hpp"
 #include "model/exec_model.hpp"
 #include "model/memprofile.hpp"
+#include "study/study.hpp"
 
 int main() {
   using namespace fpr;
-  bench::header("Ablation - FPU silicon swap (KNL core, varying FPU)",
-                "Sec. V / conclusion");
+  std::cout << "Ablation - FPU silicon swap (KNL core, varying FPU; paper "
+               "Sec. V / conclusion)\n\n";
 
   study::StudyConfig cfg;
   cfg.scale = 0.3;

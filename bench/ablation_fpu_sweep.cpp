@@ -10,15 +10,15 @@
 #include <vector>
 
 #include "arch/machines.hpp"
-#include "bench_util.hpp"
 #include "common/table.hpp"
 #include "model/exec_model.hpp"
 #include "model/memprofile.hpp"
+#include "study/study.hpp"
 
 int main() {
   using namespace fpr;
-  bench::header("Ablation sweep - FP64 silicon from 1/4x to 2x KNL",
-                "conclusion / future-work question");
+  std::cout << "Ablation sweep - FP64 silicon from 1/4x to 2x KNL (the "
+               "paper's conclusion / future-work question)\n\n";
 
   study::StudyConfig cfg;
   cfg.scale = 0.3;

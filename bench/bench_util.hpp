@@ -1,19 +1,14 @@
-// Shared plumbing for the figure/table reproduction binaries: run the
-// full study once (all 24 kernels, all 3 machines, frequency sweep),
-// provide paper-vs-measured printing helpers, and parse the options the
-// engine throughput benches share.
+// Option parsing shared by the engine throughput benches.
 #pragma once
 
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
 #include <cstdlib>
 #include <iostream>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "study/paper_data.hpp"
 #include "study/study.hpp"
 
 namespace fpr::bench {
@@ -105,31 +100,6 @@ inline bool parse_measure_option(int argc, char** argv, int& i,
     return false;
   }
   return true;
-}
-
-inline study::StudyResults run_full_study(bool freq_sweep = true) {
-  study::StudyConfig cfg;
-  cfg.scale = 0.3;
-  cfg.trace_refs = 150'000;
-  cfg.freq_sweep = freq_sweep;
-  std::cerr << "[bench] running instrumented kernels + machine models...\n";
-  return study::run_study(cfg);
-}
-
-inline void header(const std::string& title, const std::string& paper_ref) {
-  std::cout << "==============================================================\n"
-            << title << "\n"
-            << "(reproduces " << paper_ref
-            << " of Domke et al., IPDPS 2019)\n"
-            << "==============================================================\n";
-}
-
-/// Print a paper-vs-measured ratio line for quick eyeballing.
-inline void compare_line(const std::string& label, double paper,
-                         double measured) {
-  std::printf("  %-28s paper=%10.3f  measured=%10.3f  ratio=%6.2f\n",
-              label.c_str(), paper, measured,
-              paper > 0 ? measured / paper : 0.0);
 }
 
 }  // namespace fpr::bench

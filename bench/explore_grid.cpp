@@ -54,8 +54,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  bench::header("ExploreEngine what-if grid throughput",
-                "the Sec. VII design-space sweep, parallelized");
+  std::cout << "ExploreEngine what-if grid throughput (the Sec. VII "
+               "design-space sweep, parallelized)\n\n";
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
   std::cout << "host: " << hw << " hardware thread(s); " << cfg.kernels.size()
             << " kernel(s) x (base + built-in " << cfg.base

@@ -405,8 +405,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  bench::header("Memory-hierarchy replay throughput (scalar/batched)",
-                "the Sec. III-A PCM-profiling stage");
+  std::cout << "Memory-hierarchy replay throughput (scalar/batched; the "
+               "Sec. III-A PCM-profiling stage)\n\n";
   Totals totals;
   bool all_identical = true;
   for (const auto& cpu : arch::all_machines()) {

@@ -74,8 +74,8 @@ int main(int argc, char** argv) {
     jobs_ladder.insert(jobs_ladder.begin(), 1);
   }
 
-  bench::header("Pareto search throughput (incremental evaluator)",
-                "the Sec. VII design-space trade, searched under budget");
+  std::cout << "Pareto search throughput (incremental evaluator; the "
+               "Sec. VII design-space trade, searched under budget)\n\n";
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
   std::cout << "host: " << hw << " hardware thread(s); "
             << cfg.kernels.size() << " kernel(s), base " << cfg.base

@@ -59,8 +59,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  bench::header("StudyEngine parallel throughput",
-                "the Sec. III-A pipeline, parallelized on both axes");
+  std::cout << "StudyEngine parallel throughput (the Sec. III-A pipeline, "
+               "parallelized on both axes)\n\n";
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
   std::cout << "host: " << hw << " hardware thread(s); "
             << cfg.kernels.size() << " kernel(s), trace_refs="

@@ -44,6 +44,12 @@ struct UsageError : std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+/// An input file that is missing, unreadable or malformed: exits
+/// kExitBadInput with the message.
+struct BadInput : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
 /// Every value an `fpr` command reads, at the `fpr` defaults. The
 /// measurement pass is the MeasureConfig base, handed whole to the
 /// engines; the fields below belong to the commands named above them.
@@ -74,7 +80,7 @@ struct RunOptions : study::MeasureConfig {
   std::uint64_t search_seed = 2019;
   // diff
   double tolerance = 0.0;
-  std::vector<std::string> positional;  // trace's file, diff's two files
+  std::vector<std::string> positional;  // trace's, diff's, report's files
   std::set<std::string_view> given;     // option spellings seen
 };
 
@@ -316,6 +322,23 @@ void write_out(const RunOptions& opt, const io::Json& doc, std::ostream& out,
   }
 }
 
+/// Results file `path`, converted by `from_json`. A missing or
+/// unreadable file, and any io::JsonError while reading or converting it
+/// (not JSON, a missing key, another format), is bad input naming the
+/// file.
+template <class FromJson>
+auto load_results(const std::string& path, FromJson from_json) {
+  if (!std::ifstream(path, std::ios::binary)) {
+    throw BadInput("cannot read input file '" + path +
+                   "': missing or unreadable");
+  }
+  try {
+    return from_json(io::load_file(path));
+  } catch (const io::JsonError& e) {
+    throw BadInput("malformed results file '" + path + "': " + e.what());
+  }
+}
+
 int cmd_list(const RunOptions& opt, std::ostream& out, std::ostream&) {
   TextTable t({"#", "Abbrev", "Name", "Suite", "Domain", "Pattern",
                "Language", "Paper input"});
@@ -345,7 +368,7 @@ int cmd_tables(const RunOptions& opt, std::ostream& out, std::ostream&) {
 }
 
 /// Fig. 1-style operation-mix row for one measured kernel.
-void add_opmix_row(TextTable& t, const model::WorkloadMeasurement& m) {
+void add_opmix_row(TextTable& t, const kernels::WorkloadMeasurement& m) {
   const auto& ops = m.ops;
   const double giga = 1e9;
   t.row()
@@ -368,7 +391,7 @@ void add_opmix_row(TextTable& t, const model::WorkloadMeasurement& m) {
 /// hierarchy replays memoize through `cache` so repeated projections of
 /// identical sliced specs simulate once per command.
 void add_projection_rows(TextTable& t, const std::string& abbrev,
-                         const model::WorkloadMeasurement& meas,
+                         const kernels::WorkloadMeasurement& meas,
                          memsim::SimCache* cache) {
   for (const auto& cpu : arch::all_machines()) {
     const auto mem =
@@ -695,7 +718,7 @@ void add_hit_rate_row(TextTable& t, const std::string& label,
 /// (the stand-in for the paper's PCM counter readings). Kernels run once
 /// (instrumented, at --scale) to publish their access-pattern specs;
 /// then the (kernel, machine) replays fan out over the --threads pool,
-/// each through the command context's SimCache into its own slot.
+/// each through the command's SimCache into its own slot.
 int cmd_memsim(const RunOptions& opt, std::ostream& out, std::ostream& err) {
   const auto selection = resolve_kernels(opt.kernels);
   // A repeated kernel would replay the same memo keys twice, on any
@@ -711,7 +734,7 @@ int cmd_memsim(const RunOptions& opt, std::ostream& out, std::ostream& err) {
       << opt.scale_shift << "\n";
 
   ExecutionContext ctx(opt.threads);
-  memsim::SimCache* cache = ctx.sim_cache().get();
+  memsim::SimCache cache;
 
   // Each kernel run already spreads over the pool, so kernels run one
   // after another.
@@ -726,7 +749,7 @@ int cmd_memsim(const RunOptions& opt, std::ostream& out, std::ostream& err) {
     const auto sliced =
         model::per_core_slice(specs[u / machines.size()], cpu.cores);
     results[u] = memsim::simulate_pattern_cached(
-        cache, cpu, sliced, opt.trace_refs, model::kProfileSeed,
+        &cache, cpu, sliced, opt.trace_refs, model::kProfileSeed,
         opt.scale_shift);
   });
 
@@ -742,7 +765,7 @@ int cmd_memsim(const RunOptions& opt, std::ostream& out, std::ostream& err) {
           << " refs, capacities/footprints scaled by 2^-" << opt.scale_shift
           << "):\n";
   print(t, opt.csv, out);
-  const auto cs = cache->stats();
+  const auto cs = cache.stats();
   err << "[fpr] memsim cache: " << cs.hits << " hit(s), " << cs.misses
       << " simulation(s)\n";
   return kExitOk;
@@ -770,7 +793,7 @@ std::string trace_stem(const std::string& path) {
 /// per-machine hit-rate columns (so rows are directly comparable:
 /// `--csv` output matches memsim's minus the leading kernel/trace
 /// cell). The per-machine replays fan out over the --threads pool, each
-/// through the context SimCache keyed by the trace's content digest.
+/// through the command's SimCache keyed by the trace's content digest.
 int cmd_trace(const RunOptions& opt, std::ostream& out, std::ostream& err) {
   const std::string& path = opt.positional.front();
 
@@ -816,14 +839,14 @@ int cmd_trace(const RunOptions& opt, std::ostream& out, std::ostream& err) {
       << "\n";
 
   ExecutionContext ctx(opt.threads);
-  memsim::SimCache* cache = ctx.sim_cache().get();
+  memsim::SimCache cache;
 
   // One replay per machine, fanned out over the pool into per-machine
   // slots; the machines are distinct, so every slot has its own memo key.
   std::vector<memsim::HierarchyResult> results(machines.size());
   try {
     ctx.for_each(machines.size(), [&](std::size_t i) {
-      results[i] = io::replay_trace_cached(cache, machines[i], path, refs,
+      results[i] = io::replay_trace_cached(&cache, machines[i], path, refs,
                                            opt.warmup, opt.scale_shift);
     });
   } catch (const io::TraceFormatError& e) {
@@ -881,7 +904,7 @@ int cmd_trace(const RunOptions& opt, std::ostream& out, std::ostream& err) {
     doc.set("machines", std::move(machines_json));
     write_out(opt, doc, out, err);
   }
-  const auto cs = cache->stats();
+  const auto cs = cache.stats();
   err << "[fpr] trace cache: " << cs.hits << " hit(s), " << cs.misses
       << " replay(s)\n";
   return kExitOk;
@@ -1107,8 +1130,8 @@ void diff_variant(DiffReport& d, const study::VariantScore& a,
   }
 }
 
-void diff_pareto(DiffReport& d, const study::ParetoResults& a,
-                 const study::ParetoResults& b) {
+void diff_results(DiffReport& d, const study::ParetoResults& a,
+                  const study::ParetoResults& b) {
   d.mismatch("-", "-", "base", a.base, b.base);
   d.metric("-", "-", "budget.max_area_ratio", a.budget.max_area_ratio,
            b.budget.max_area_ratio);
@@ -1152,7 +1175,7 @@ void diff_pareto(DiffReport& d, const study::ParetoResults& a,
   }
 }
 
-void diff_explore(DiffReport& d, const study::ExploreResults& a,
+void diff_results(DiffReport& d, const study::ExploreResults& a,
                   const study::ExploreResults& b) {
   d.mismatch("-", "-", "base", a.base, b.base);
   diff_variant(d, a.baseline, b.baseline);
@@ -1171,49 +1194,48 @@ void diff_explore(DiffReport& d, const study::ExploreResults& a,
   }
 }
 
-int cmd_diff(const RunOptions& opt, std::ostream& out, std::ostream& err) {
-  for (const auto& path : opt.positional) {
-    std::ifstream probe(path, std::ios::binary);
-    if (!probe) {
-      err << "fpr diff: cannot read input file '" << path
-          << "': missing or unreadable\n";
-      return kExitBadInput;
+void diff_results(DiffReport& d, const study::StudyResults& a,
+                  const study::StudyResults& b) {
+  for (const auto& ka : a.kernels) {
+    const auto* kb = b.find(ka.info.abbrev);
+    if (kb == nullptr) {
+      d.mismatch(ka.info.abbrev, "-", "kernel", "present", "missing");
+      continue;
+    }
+    diff_kernel(d, ka, *kb);
+  }
+  for (const auto& kb : b.kernels) {
+    if (a.find(kb.info.abbrev) == nullptr) {
+      d.mismatch(kb.info.abbrev, "-", "kernel", "missing", "present");
     }
   }
-  const auto ja = io::load_file(opt.positional[0]);
-  const auto jb = io::load_file(opt.positional[1]);
-  const bool ea = io::is_explore_document(ja);
-  const bool eb = io::is_explore_document(jb);
-  const bool pa = io::is_pareto_document(ja);
-  const bool pb = io::is_pareto_document(jb);
-  if (ea != eb || pa != pb) {
+}
+
+/// A results file of any format, told apart by its `format` tag.
+using AnyResults = std::variant<study::StudyResults, study::ExploreResults,
+                                study::ParetoResults>;
+
+AnyResults any_results_from_json(const io::Json& j) {
+  if (io::is_pareto_document(j)) return io::pareto_from_json(j);
+  if (io::is_explore_document(j)) return io::explore_from_json(j);
+  return io::study_from_json(j);
+}
+
+int cmd_diff(const RunOptions& opt, std::ostream& out, std::ostream& err) {
+  const auto a = load_results(opt.positional[0], any_results_from_json);
+  const auto b = load_results(opt.positional[1], any_results_from_json);
+  if (a.index() != b.index()) {
     throw UsageError(
         "cannot compare results files of different formats (study, explore, "
         "pareto)");
   }
 
   DiffReport d(opt.tolerance);
-  if (pa) {
-    diff_pareto(d, io::pareto_from_json(ja), io::pareto_from_json(jb));
-  } else if (ea) {
-    diff_explore(d, io::explore_from_json(ja), io::explore_from_json(jb));
-  } else {
-    const auto ra = io::study_from_json(ja);
-    const auto rb = io::study_from_json(jb);
-    for (const auto& ka : ra.kernels) {
-      const auto* kb = rb.find(ka.info.abbrev);
-      if (kb == nullptr) {
-        d.mismatch(ka.info.abbrev, "-", "kernel", "present", "missing");
-        continue;
-      }
-      diff_kernel(d, ka, *kb);
-    }
-    for (const auto& kb : rb.kernels) {
-      if (ra.find(kb.info.abbrev) == nullptr) {
-        d.mismatch(kb.info.abbrev, "-", "kernel", "missing", "present");
-      }
-    }
-  }
+  std::visit(
+      [&](const auto& ra) {
+        diff_results(d, ra, std::get<std::decay_t<decltype(ra)>>(b));
+      },
+      a);
 
   std::ostream& heading = opt.csv ? err : out;
   if (!d.ok()) {
@@ -1226,6 +1248,20 @@ int cmd_diff(const RunOptions& opt, std::ostream& out, std::ostream& err) {
           << " exceeding tolerance " << fmt_g(opt.tolerance)
           << " (max relative delta " << fmt_g(d.max_delta()) << ")\n";
   return d.ok() ? kExitOk : kExitFailure;
+}
+
+/// `fpr report FILE`: the paper's figures and Table IV, each followed by
+/// its paper-vs-model comparison, from a `fpr study --out` results file.
+int cmd_report(const RunOptions& opt, std::ostream& out, std::ostream& err) {
+  const auto results =
+      load_results(opt.positional.front(), io::study_from_json);
+  std::ostream& heading = opt.csv ? err : out;
+  for (const auto& section : study::paper_report(results)) {
+    heading << section.heading << ":\n";
+    print(section.table, opt.csv, out);
+    if (!section.notes.empty()) heading << section.notes << "\n";
+  }
+  return kExitOk;
 }
 
 using Handler = int (*)(const RunOptions&, std::ostream&, std::ostream&);
@@ -1258,8 +1294,7 @@ constexpr Command kCommands[] = {
     {"memsim", "",
      "per-kernel x machine cache-hierarchy hit-rate table (the simulated "
      "PCM counters)",
-     "--kernel --scale --threads --seed --refs --trace-refs --scale-shift "
-     "--csv",
+     "--kernel --scale --threads --seed --refs --scale-shift --csv",
      cmd_memsim},
     {"trace", "FILE",
      "replay a recorded fpr-trace binary address trace through the same "
@@ -1286,6 +1321,10 @@ constexpr Command kCommands[] = {
      "compare two results files (study, explore, or pareto) metric by "
      "metric (relative deltas)",
      "--tolerance --csv", cmd_diff},
+    {"report", "FILE",
+     "print Figs. 1-7 and Table IV, each with its paper-vs-model "
+     "comparison, from a results file written by 'fpr study --out'",
+     "--csv", cmd_report},
 };
 
 /// "  HEAD  text": the text starts in a fixed column and word-wraps.
@@ -1324,8 +1363,9 @@ void print_usage(std::ostream& os) {
   help_line(os, "help", "show this message");
   os << "\n'fpr <command> --help' lists the options a command takes; any\n"
         "other option is a usage error.\n\n"
-        "exit codes: 0 ok; 1 runtime error or diff over tolerance; 2 usage\n"
-        "error; 3 diff/trace input file missing, unreadable, or malformed\n";
+        "exit codes: 0 ok; 1 runtime error or diff over tolerance;\n"
+        "2 usage error; 3 diff/report/trace input file missing, unreadable,\n"
+        "or malformed\n";
 }
 
 void print_command_usage(std::ostream& os, const Command& c) {
@@ -1408,6 +1448,9 @@ int run_cli(const std::vector<std::string>& args, std::ostream& out,
     return cmd->run(parse_args(*cmd, args), out, err);
   } catch (const UsageError& e) {
     return usage_error(err, e.what(), cmd);
+  } catch (const BadInput& e) {
+    err << "fpr " << name << ": " << e.what() << "\n";
+    return kExitBadInput;
   } catch (const std::exception& e) {
     err << "fpr: error: " << e.what() << "\n";
     return kExitFailure;

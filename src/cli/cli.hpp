@@ -1,10 +1,10 @@
 // The `fpr` suite-runner: one driveable entry point over the whole
 // reproduction (list, tables, run, study, memsim, trace, explore, pareto,
-// diff). Each command is one entry of the command table in cli.cpp: its
-// positional arguments, the options it takes (each with its value
-// placeholder, help line and checks), and its handler. Parsing, `fpr help`
-// and `fpr <command> --help` are all generated from that table, and an
-// option the command does not take is a usage error.
+// diff, report). Each command is one entry of the command table in
+// cli.cpp: its positional arguments, the options it takes (each with its
+// value placeholder, help line and checks), and its handler. Parsing,
+// `fpr help` and `fpr <command> --help` are all generated from that
+// table, and an option the command does not take is a usage error.
 //
 // The command core is a library function taking explicit streams so the
 // CLI is testable without spawning processes; src/cli/main.cpp is the

@@ -1,13 +1,5 @@
 #include "common/execution_context.hpp"
 
-#include <stdexcept>
-
-// Composition-root exception, mirroring the counters/sink.hpp edge in
-// the header: the context *owns* the run's SimCache lease, and only
-// this .cpp needs the complete type (the header forward-declares it).
-// fpr-lint: allow(layer-violation)
-#include "memsim/sim_cache.hpp"
-
 namespace fpr {
 
 namespace {
@@ -31,21 +23,10 @@ class RegionGuard {
 
 ExecutionContext::ExecutionContext(unsigned threads)
     : pool_(std::make_shared<ThreadPool>(threads)),
-      sink_(pool_->size() + 1),
-      sim_cache_(std::make_shared<memsim::SimCache>()) {}
+      sink_(pool_->size() + 1) {}
 
 ExecutionContext::ExecutionContext(std::shared_ptr<ThreadPool> pool)
-    : pool_(std::move(pool)),
-      sink_(pool_->size() + 1),
-      sim_cache_(std::make_shared<memsim::SimCache>()) {}
-
-void ExecutionContext::lease_sim_cache(
-    std::shared_ptr<memsim::SimCache> cache) {
-  if (!cache) {
-    throw std::invalid_argument("leased SimCache must not be null");
-  }
-  sim_cache_ = std::move(cache);
-}
+    : pool_(std::move(pool)), sink_(pool_->size() + 1) {}
 
 void ExecutionContext::parallel_for(std::size_t n, const Body& body) {
   parallel_for_n(concurrency(), n, body);

@@ -27,10 +27,6 @@
 // fpr-lint: allow(layer-violation)
 #include "counters/sink.hpp"
 
-namespace fpr::memsim {
-class SimCache;  // memsim/sim_cache.hpp
-}
-
 namespace fpr {
 
 class ExecutionContext {
@@ -57,20 +53,6 @@ class ExecutionContext {
   [[nodiscard]] const counters::CounterSink& counters() const {
     return sink_;
   }
-
-  /// The context's memoized-simulation store (memsim::SimCache): every
-  /// hierarchy replay made on behalf of this run consults it, so
-  /// repeated identical simulations are paid once per run. Owned by
-  /// default; lease_sim_cache shares one store across contexts (the
-  /// StudyEngine leases its engine-wide cache into every producer
-  /// context so hits cross kernel-jobs and machine stages). Never null.
-  [[nodiscard]] const std::shared_ptr<memsim::SimCache>& sim_cache() const {
-    return sim_cache_;
-  }
-
-  /// Replace the owned cache with a shared one. SimCache is internally
-  /// synchronized, so unlike pool leases this needs no exclusivity.
-  void lease_sim_cache(std::shared_ptr<memsim::SimCache> cache);
 
   /// Run `body(begin, end, worker_id)` over [0, n) split into contiguous
   /// static chunks (deterministic op counts), every participating worker
@@ -106,7 +88,6 @@ class ExecutionContext {
  private:
   std::shared_ptr<ThreadPool> pool_;
   counters::CounterSink sink_;
-  std::shared_ptr<memsim::SimCache> sim_cache_;
 };
 
 }  // namespace fpr

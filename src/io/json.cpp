@@ -513,11 +513,7 @@ Json load_file(const std::string& path) {
   std::ostringstream ss;
   ss << in.rdbuf();
   if (!in.good() && !in.eof()) throw JsonError("read failure on " + path);
-  try {
-    return parse(ss.str());
-  } catch (const JsonError& e) {
-    throw JsonError(path + ": " + e.what());
-  }
+  return parse(ss.str());
 }
 
 void save_file(const std::string& path, const Json& v) {

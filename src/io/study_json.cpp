@@ -174,7 +174,7 @@ memsim::AccessPatternSpec access_spec_from_json(const Json& j) {
   return spec;
 }
 
-Json to_json(const model::KernelTraits& t) {
+Json to_json(const kernels::KernelTraits& t) {
   return Json::object()
       .set("vec_eff", t.vec_eff)
       .set("int_eff", t.int_eff)
@@ -192,8 +192,8 @@ Json to_json(const model::KernelTraits& t) {
       .set("int_lane_inflation", t.int_lane_inflation);
 }
 
-model::KernelTraits traits_from_json(const Json& j) {
-  model::KernelTraits t;
+kernels::KernelTraits traits_from_json(const Json& j) {
+  kernels::KernelTraits t;
   t.vec_eff = j.at("vec_eff").as_number();
   t.int_eff = j.at("int_eff").as_number();
   t.latency_dep_fraction = j.at("latency_dep_fraction").as_number();
@@ -211,7 +211,7 @@ model::KernelTraits traits_from_json(const Json& j) {
   return t;
 }
 
-Json to_json(const model::WorkloadMeasurement& w) {
+Json to_json(const kernels::WorkloadMeasurement& w) {
   return Json::object()
       .set("name", w.name)
       .set("ops", to_json(w.ops))
@@ -224,8 +224,8 @@ Json to_json(const model::WorkloadMeasurement& w) {
       .set("ops_scale_to_paper", w.ops_scale_to_paper);
 }
 
-model::WorkloadMeasurement measurement_from_json(const Json& j) {
-  model::WorkloadMeasurement w;
+kernels::WorkloadMeasurement measurement_from_json(const Json& j) {
+  kernels::WorkloadMeasurement w;
   w.name = j.at("name").as_string();
   w.ops = op_tally_from_json(j.at("ops"));
   w.host_seconds = j.at("host_seconds").as_number();

@@ -20,8 +20,8 @@ inline constexpr std::int64_t kStudyVersion = 1;
 
 Json to_json(const counters::OpTally& t);
 Json to_json(const memsim::AccessPatternSpec& spec);
-Json to_json(const model::KernelTraits& t);
-Json to_json(const model::WorkloadMeasurement& w);
+Json to_json(const kernels::KernelTraits& t);
+Json to_json(const kernels::WorkloadMeasurement& w);
 Json to_json(const model::MemoryProfile& m);
 Json to_json(const model::EvalResult& e);
 Json to_json(const kernels::KernelInfo& info);
@@ -33,8 +33,8 @@ Json to_json(const study::StudyResults& r);
 
 counters::OpTally op_tally_from_json(const Json& j);
 memsim::AccessPatternSpec access_spec_from_json(const Json& j);
-model::KernelTraits traits_from_json(const Json& j);
-model::WorkloadMeasurement measurement_from_json(const Json& j);
+kernels::KernelTraits traits_from_json(const Json& j);
+kernels::WorkloadMeasurement measurement_from_json(const Json& j);
 model::MemoryProfile mem_profile_from_json(const Json& j);
 model::EvalResult eval_from_json(const Json& j);
 kernels::KernelInfo kernel_info_from_json(const Json& j);

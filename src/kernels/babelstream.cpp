@@ -1,11 +1,8 @@
 #include "kernels/babelstream.hpp"
 
-#include <algorithm>
-#include <atomic>
 #include <string>
 
 #include "common/aligned_buffer.hpp"
-#include "common/timer.hpp"
 #include "common/units.hpp"
 
 namespace fpr::kernels {
@@ -124,23 +121,6 @@ WorkloadMeasurement BabelStream::run(ExecutionContext& ctx,
   return finish_measurement(info(), rec, ops_scale, paper_ws,
                             memsim::AccessPatternSpec::single(pat), traits,
                             dot_result);
-}
-
-double BabelStream::host_triad_gbs(std::size_t n, int reps) const {
-  AlignedBuffer<double> a(n, 0.1), b(n, 0.2), c(n, 0.3);
-  // Raw host-bandwidth probe: no counting, so a plain private pool
-  // (hardware-sized) is all it needs.
-  ThreadPool pool;
-  double best = 0.0;
-  for (int r = 0; r < reps; ++r) {
-    WallTimer t;
-    pool.parallel_for(n, [&](std::size_t lo, std::size_t hi, unsigned) {
-      for (std::size_t i = lo; i < hi; ++i) a[i] = b[i] + kScalar * c[i];
-    });
-    const double sec = t.seconds();
-    best = std::max(best, gbs(static_cast<double>(n) * 24.0, sec));
-  }
-  return best;
 }
 
 }  // namespace fpr::kernels

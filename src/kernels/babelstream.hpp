@@ -18,11 +18,6 @@ class BabelStream final : public KernelBase {
   [[nodiscard]] WorkloadMeasurement run(
       ExecutionContext& ctx, const RunConfig& cfg) const override;
 
-  /// Host-measured Triad bandwidth (GB/s) — used by the Table I bench to
-  /// demonstrate the measurement path on real hardware.
-  [[nodiscard]] double host_triad_gbs(std::size_t n_doubles,
-                                      int reps = 11) const;
-
  private:
   double paper_gib_;
 };

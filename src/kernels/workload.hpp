@@ -7,8 +7,7 @@
 // landed): a kernel *produces* a WorkloadMeasurement, the model layer
 // above *consumes* it, so the type belongs to the producer's layer —
 // otherwise every kernel would have to include model/ headers, an
-// upward edge the architecture DAG forbids. The fpr::model aliases at
-// the bottom keep the established spelling for the consumers.
+// upward edge the architecture DAG forbids.
 #pragma once
 
 #include <cstdint>
@@ -107,12 +106,3 @@ struct WorkloadMeasurement {
 };
 
 }  // namespace fpr::kernels
-
-namespace fpr::model {
-// The model layer consumes these types under its own name — the
-// established spelling throughout exec_model/roofline/memprofile and
-// the tests. Aliases, not copies: one definition, owned by kernels.
-using kernels::KernelTraits;
-using kernels::PhiOpAdjust;
-using kernels::WorkloadMeasurement;
-}  // namespace fpr::model

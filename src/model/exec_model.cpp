@@ -18,12 +18,12 @@ std::string_view to_string(Bound b) {
 }
 
 EvalResult evaluate(const arch::CpuSpec& cpu, double ghz,
-                    const WorkloadMeasurement& w, const MemoryProfile& mem,
-                    const ModelParams& params) {
+                    const kernels::WorkloadMeasurement& w,
+                    const MemoryProfile& mem, const ModelParams& params) {
   EvalResult r;
   const bool is_phi = cpu.has_mcdram();
   const counters::OpTally ops = w.ops_on(is_phi);
-  const KernelTraits& tr = w.traits;
+  const kernels::KernelTraits& tr = w.traits;
 
   // --- Compute term: each op class at its (efficiency-derated) peak.
   const double scalar_pen = is_phi ? tr.phi_scalar_penalty : 1.0;
@@ -46,7 +46,7 @@ EvalResult evaluate(const arch::CpuSpec& cpu, double ghz,
   r.t_fp64 = static_cast<double>(ops.fp64) / peak64;
   r.t_fp32 = static_cast<double>(ops.fp32) / peak32;
   // Lane-inflated SDE-style integer tallies are divided back to issued
-  // work before entering the time budget (see KernelTraits).
+  // work before entering the time budget (see kernels::KernelTraits).
   r.t_int = static_cast<double>(ops.int_ops) / tr.int_lane_inflation /
             peak_int;
   const double t_par = r.t_fp64 + r.t_fp32 + r.t_int;
@@ -114,7 +114,7 @@ EvalResult evaluate(const arch::CpuSpec& cpu, double ghz,
 }
 
 EvalResult evaluate_at_turbo(const arch::CpuSpec& cpu,
-                             const WorkloadMeasurement& w,
+                             const kernels::WorkloadMeasurement& w,
                              const MemoryProfile& mem,
                              const ModelParams& params) {
   // The paper's performance runs use max frequency with turbo enabled and

@@ -53,13 +53,13 @@ struct EvalResult {
 
 /// Predict the kernel time on `cpu` at core frequency `ghz`.
 EvalResult evaluate(const arch::CpuSpec& cpu, double ghz,
-                    const WorkloadMeasurement& w, const MemoryProfile& mem,
-                    const ModelParams& params = {});
+                    const kernels::WorkloadMeasurement& w,
+                    const MemoryProfile& mem, const ModelParams& params = {});
 
 /// Evaluate at the machine's performance-run operating point (base
 /// frequency + the paper's pessimistic +100 MHz turbo).
 EvalResult evaluate_at_turbo(const arch::CpuSpec& cpu,
-                             const WorkloadMeasurement& w,
+                             const kernels::WorkloadMeasurement& w,
                              const MemoryProfile& mem,
                              const ModelParams& params = {});
 

@@ -51,7 +51,7 @@ memsim::AccessPatternSpec per_core_slice(const memsim::AccessPatternSpec& spec,
 }
 
 MemoryProfile profile_memory(const arch::CpuSpec& cpu,
-                             const WorkloadMeasurement& w,
+                             const kernels::WorkloadMeasurement& w,
                              std::uint64_t refs, unsigned scale_shift,
                              memsim::SimCache* cache) {
   MemoryProfile mp;

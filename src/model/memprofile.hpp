@@ -49,7 +49,7 @@ memsim::AccessPatternSpec per_core_slice(const memsim::AccessPatternSpec& spec,
 /// through it, keyed by the full simulation input tuple; results are
 /// bit-identical with or without a cache.
 MemoryProfile profile_memory(const arch::CpuSpec& cpu,
-                             const WorkloadMeasurement& w,
+                             const kernels::WorkloadMeasurement& w,
                              std::uint64_t refs = kDefaultTraceRefs,
                              unsigned scale_shift = kDefaultScaleShift,
                              memsim::SimCache* cache = nullptr);

@@ -19,7 +19,7 @@ double ridge_point(const arch::CpuSpec& cpu, bool fp64_dominant) {
 }
 
 RooflinePoint roofline_point(const arch::CpuSpec& cpu,
-                             const WorkloadMeasurement& w,
+                             const kernels::WorkloadMeasurement& w,
                              const MemoryProfile& mem, const EvalResult& ev) {
   RooflinePoint p;
   p.name = w.name;

@@ -24,13 +24,13 @@ struct RooflinePoint {
 double ridge_point(const arch::CpuSpec& cpu, bool fp64_dominant);
 
 /// Place one evaluated kernel on the roofline of `cpu`. The op tally is
-/// resolved for the machine (WorkloadMeasurement::ops_on, the same view
-/// the evaluation used for `ev`), and the bandwidth roof is the modeled
-/// sustained bandwidth of this workload on this machine
+/// resolved for the machine (kernels::WorkloadMeasurement::ops_on, the
+/// same view the evaluation used for `ev`), and the bandwidth roof is the
+/// modeled sustained bandwidth of this workload on this machine
 /// (MemoryProfile::effective_bw_gbs) — on BDW that equals the flat
 /// dram_bw_gbs roof, on the Phis it reflects the MCDRAM cache mode.
 RooflinePoint roofline_point(const arch::CpuSpec& cpu,
-                             const WorkloadMeasurement& w,
+                             const kernels::WorkloadMeasurement& w,
                              const MemoryProfile& mem, const EvalResult& ev);
 
 /// Ceiling value at a given arithmetic intensity. `bw_gbs` is the

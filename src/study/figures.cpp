@@ -2,11 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
+#include <sstream>
+#include <utility>
 
 #include "arch/machines.hpp"
 #include "common/units.hpp"
 #include "model/roofline.hpp"
 #include "study/domain_util.hpp"
+#include "study/paper_data.hpp"
 
 namespace fpr::study {
 
@@ -20,6 +24,108 @@ bool fp_significant(const KernelResult& k) {
 
 bool is_reference_stream(const KernelResult& k) {
   return k.info.abbrev == "BABL2" || k.info.abbrev == "BABL14";
+}
+
+TextTable versus_table() {
+  return TextTable({"App", "Paper", "Model", "Model/Paper"});
+}
+
+void add_versus_row(TextTable& t, const std::string& app, double paper,
+                    double model) {
+  auto row = t.row();
+  row.cell(app).num(paper, 3).num(model, 3);
+  if (paper > 0.0) {
+    row.num(model / paper, 2);
+  } else {
+    row.cell("-");
+  }
+  row.done();
+}
+
+/// A kernel's (paper, model) values in one comparison; nullopt skips it.
+using Versus = std::optional<std::pair<double, double>>;
+
+/// One comparison row per kernel that Table IV covers and `versus`
+/// does not skip, in study order.
+template <class F>
+TextTable versus_paper(const StudyResults& r, F versus) {
+  TextTable t = versus_table();
+  for (const auto& k : r.kernels) {
+    const PaperRow* p = paper_row(k.info.abbrev);
+    if (p == nullptr) continue;
+    if (const Versus v = versus(*p, k)) {
+      add_versus_row(t, k.info.abbrev, v->first, v->second);
+    }
+  }
+  return t;
+}
+
+/// Fig. 4's cache-mode capture check (Sec. IV-C): vectors that fit in
+/// MCDRAM reach 86% (KNL) and 75% (KNM) of its flat-mode Triad; BABL14's
+/// do not, and KNL falls to near-DRAM speed.
+TextTable capture_vs_paper(const StudyResults& r) {
+  TextTable t = versus_table();
+  if (const auto* k = r.find("BABL2")) {
+    add_versus_row(t, "BABL2 KNL", 439.0 * 0.86,
+                   k->on("KNL").perf.mem_throughput_gbs);
+    add_versus_row(t, "BABL2 KNM", 430.0 * 0.75,
+                   k->on("KNM").perf.mem_throughput_gbs);
+  }
+  if (const auto* k = r.find("BABL14")) {
+    add_versus_row(t, "BABL14 KNL", 75.0,
+                   k->on("KNL").perf.mem_throughput_gbs);
+  }
+  return t;
+}
+
+/// Sec. V-B: over their annual node-hours, ANL and the K computer would
+/// reach ~14% and ~11% of peak.
+TextTable projection_vs_paper(const StudyResults& r) {
+  TextTable t = versus_table();
+  for (const auto& site : site_utilization()) {
+    const double paper = site.site.rfind("ANL", 0) == 0     ? 14.0
+                         : site.site.rfind("R-CCS", 0) == 0 ? 11.0
+                                                            : 0.0;
+    if (paper == 0.0) continue;
+    for (const char* m : {"KNL", "BDW"}) {
+      add_versus_row(t, site.site + " " + m, paper,
+                     project_site_pct_peak(site, r, m));
+    }
+  }
+  return t;
+}
+
+double paper_t2sol(const PaperRow& p, const std::string& machine) {
+  return machine == "KNL"   ? p.t2sol_knl
+         : machine == "KNM" ? p.t2sol_knm
+                            : p.t2sol_bdw;
+}
+
+std::string triad_ceilings() {
+  std::ostringstream os;
+  os << "Flat-mode Triad ceilings (dotted lines in the paper):\n";
+  for (const auto& cpu : arch::all_machines()) {
+    os << "  " << cpu.short_name << ": DRAM " << fmt_double(cpu.dram_bw_gbs, 0)
+       << " GB/s";
+    if (cpu.has_mcdram()) {
+      os << ", MCDRAM " << fmt_double(cpu.mcdram_bw_gbs, 0) << " GB/s";
+    }
+    os << "\n";
+  }
+  return os.str();
+}
+
+std::string roofline_notes() {
+  const auto bdw = arch::bdw();
+  std::ostringstream os;
+  os << "Roofs: FP64 peak " << bdw.peak_gflops(arch::Precision::fp64)
+     << " Gflop/s; Triad BW " << bdw.dram_bw_gbs << " GB/s; ridge at "
+     << fmt_double(model::ridge_point(bdw, true), 2) << " flop/byte\n"
+     << "Expected qualitative picture (paper Sec. IV-D): nearly all "
+        "proxies sit on the memory side of the ridge;\nHPL is the "
+        "compute-side exception; Laghos under-performs its ceiling (the "
+        "paper's noted outlier).\n";
+  return os.str();
 }
 
 }  // namespace
@@ -279,6 +385,73 @@ TextTable table4_metrics(const StudyResults& r,
         .done();
   }
   return t;
+}
+
+std::vector<ReportSection> paper_report(const StudyResults& r) {
+  std::vector<ReportSection> s;
+  auto add = [&s](std::string heading, TextTable table,
+                  std::string notes = "") {
+    s.push_back({std::move(heading), std::move(table), std::move(notes)});
+  };
+  const PaperDerived derived;
+  add("Fig. 1 - operation mix (INT / FP32 / FP64)", fig1_opmix(r));
+  add("Fig. 1 vs paper - FP64 share on BDW [%] (paper: Table IV op counts)",
+      versus_paper(r, [](const PaperRow& p, const KernelResult& k) -> Versus {
+        const double total = p.gop_fp64_bdw + p.gop_fp32_bdw + p.gop_int_bdw;
+        if (total <= 0) return std::nullopt;
+        return std::pair{p.gop_fp64_bdw / total * 100.0,
+                         k.meas.ops_on(false).fp64_share() * 100.0};
+      }));
+  add("Fig. 2 (top) - relative Gflop/s vs BDW", fig2_relative_flops(r));
+  add("Fig. 2 (bottom) - % of theoretical peak", fig2_pct_of_peak(r));
+  add("Fig. 2 vs paper - relative Gflop/s of KNL over BDW (paper: derived "
+      "from Table IV)",
+      versus_paper(r, [](const PaperRow& p, const KernelResult& k) -> Versus {
+        const double paper_knl =
+            (p.gop_fp64_knl + p.gop_fp32_knl) / p.t2sol_knl;
+        const double paper_bdw =
+            (p.gop_fp64_bdw + p.gop_fp32_bdw) / p.t2sol_bdw;
+        const double bdw = k.on("BDW").perf.gflops;
+        if (paper_bdw <= 0.1 || bdw <= 0.0) return std::nullopt;
+        return std::pair{paper_knl / paper_bdw, k.on("KNL").perf.gflops / bdw};
+      }));
+  add("Fig. 3 - time-to-solution speedup vs BDW", fig3_speedup(r));
+  add("Fig. 3 vs paper - speedup of KNL over BDW (paper: Table IV)",
+      versus_paper(r, [&](const PaperRow& p, const KernelResult& k) -> Versus {
+        return std::pair{derived.speedup_knl_vs_bdw(p),
+                         k.on("BDW").perf.seconds / k.on("KNL").perf.seconds};
+      }));
+  add("Fig. 3 vs paper - speedup of KNM over KNL (paper: Table IV)",
+      versus_paper(r, [&](const PaperRow& p, const KernelResult& k) -> Versus {
+        return std::pair{derived.knm_vs_knl(p),
+                         k.on("KNL").perf.seconds / k.on("KNM").perf.seconds};
+      }));
+  add("Fig. 4 - memory throughput [GB/s]", fig4_membw(r), triad_ceilings());
+  add("Fig. 4 vs paper - cache-mode capture [GB/s] (paper: 86% KNL / 75% "
+      "KNM of the MCDRAM Triad when vectors fit; near-DRAM when not)",
+      capture_vs_paper(r));
+  add("Fig. 5 - BDW roofline coordinates", fig5_roofline(r), roofline_notes());
+  for (const char* m : {"KNL", "KNM", "BDW"}) {
+    add(std::string("Fig. 6 - frequency scaling on ") + m,
+        fig6_freqscale(r, m));
+  }
+  s.back().notes =
+      "Expected shape (paper Sec. IV-E): HPL/compute-bound apps track the "
+      "frequency ratio;\nstream/bandwidth apps are flat; MACSio scales with "
+      "frequency (kernel-bound I/O);\nHPCG is flat on the Phis "
+      "(latency-bound).\n";
+  add("Fig. 7 - site utilization by domain + projection",
+      fig7_site_utilization(r));
+  add("Fig. 7 vs paper - projected %peak (paper: Sec. V-B)",
+      projection_vs_paper(r));
+  for (const std::string m : {"KNL", "KNM", "BDW"}) {
+    add("Table IV - measured metrics on " + m, table4_metrics(r, m));
+    add("Table IV vs paper - kernel time-to-solution on " + m + " [s]",
+        versus_paper(r, [&](const PaperRow& p, const KernelResult& k) {
+          return Versus{std::pair{paper_t2sol(p, m), k.on(m).perf.seconds}};
+        }));
+  }
+  return s;
 }
 
 }  // namespace fpr::study

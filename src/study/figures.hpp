@@ -1,7 +1,11 @@
 // Generators for every table and figure in the paper's evaluation
 // (Sec. IV). Each returns a TextTable holding exactly the rows/series
-// the corresponding paper artifact plots; the bench binaries print them.
+// the corresponding paper artifact plots; `fpr tables` prints Tables
+// I-III and `fpr report` the rest, through paper_report().
 #pragma once
+
+#include <string>
+#include <vector>
 
 #include "common/table.hpp"
 #include "study/study.hpp"
@@ -50,5 +54,19 @@ TextTable fig7_site_utilization(const StudyResults& r);
 /// Table IV: full measured-metric dump for one machine.
 TextTable table4_metrics(const StudyResults& r,
                          const std::string& machine_short_name);
+
+/// One artifact as `fpr report` prints it: a heading, the table, and
+/// the note lines under it ("" = none).
+struct ReportSection {
+  std::string heading;
+  TextTable table;
+  std::string notes;
+};
+
+/// Figs. 1-7 (Fig. 2 top and bottom, Fig. 6 per machine) and then
+/// Table IV per machine, in paper order. Each artifact that has paper
+/// numbers is followed by a paper-vs-model table with the columns App,
+/// Paper, Model and Model/Paper.
+std::vector<ReportSection> paper_report(const StudyResults& r);
 
 }  // namespace fpr::study

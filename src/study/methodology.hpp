@@ -36,7 +36,7 @@ ParallelismChoice find_best_parallelism(const kernels::ProxyKernel& k,
 
 struct PerformanceRun {
   SampleSummary timing;   ///< over `repeats` runs; `best` is reported
-  model::WorkloadMeasurement best_meas;
+  kernels::WorkloadMeasurement best_meas;
 };
 
 /// Step 3: execute the performance run — `repeats` trials (10 in the

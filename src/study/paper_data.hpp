@@ -1,7 +1,7 @@
 // Reference values transcribed from the paper (Table IV and Table I),
-// used by the bench harness and EXPERIMENTS.md to print paper-vs-
-// measured comparisons. These values are *never* inputs to the model —
-// they are the ground truth our reproduction is judged against.
+// used by `fpr report` (study/figures.cpp) and the benchmark to compare
+// the model with the paper. These values are *never* inputs to the
+// model — they are the ground truth our reproduction is judged against.
 #pragma once
 
 #include <optional>

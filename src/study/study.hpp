@@ -27,7 +27,7 @@ struct MachineResult {
 
 struct KernelResult {
   kernels::KernelInfo info;
-  model::WorkloadMeasurement meas;
+  kernels::WorkloadMeasurement meas;
   std::vector<MachineResult> machines;  ///< KNL, KNM, BDW (paper order)
 
   [[nodiscard]] const MachineResult& on(std::string_view short_name) const;

@@ -108,7 +108,6 @@ StudyResults StudyEngine::run() {
       // isolation (and, since assays are snapshot deltas, the
       // byte-identity) while avoiding a pool construction per kernel.
       ExecutionContext ctx(cfg_.threads);
-      ctx.lease_sim_cache(sim_cache);
       for (;;) {
         {
           std::lock_guard lock(mu);

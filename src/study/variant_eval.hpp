@@ -117,7 +117,7 @@ class VariantEvaluator {
   /// Everything evaluate() needs per kernel, captured once.
   struct KernelBase {
     kernels::KernelInfo info;
-    model::WorkloadMeasurement meas;
+    kernels::WorkloadMeasurement meas;
     model::EvalResult perf;  ///< on the base machine
   };
   using ProfileSet = std::vector<model::MemoryProfile>;  // kernel order

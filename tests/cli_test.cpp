@@ -86,7 +86,7 @@ command_options() {
             "--out", "--csv"}},
           {{"memsim"},
            {"--kernel", "--scale", "--threads", "--seed", "--refs",
-            "--trace-refs", "--scale-shift", "--csv"}},
+            "--scale-shift", "--csv"}},
           {{"trace", "t.fpt"},
            {"--machine", "--refs", "--warmup", "--scale-shift", "--threads",
             "--out", "--csv"}},
@@ -100,6 +100,7 @@ command_options() {
             "--budget-tdp", "--objectives", "--rounds", "--explorers",
             "--max-depth", "--search-seed", "--out", "--csv"}},
           {{"diff", "a.json", "b.json"}, {"--tolerance", "--csv"}},
+          {{"report", "r.json"}, {"--csv"}},
       };
   return table;
 }
@@ -880,14 +881,28 @@ TEST(Cli, DiffMissingInputFileIsDistinctExitCode) {
   // Both orders are covered — the first file is probed too.
   const auto first = run({"diff", "/no/such/results.json", a.path()});
   EXPECT_EQ(first.code, 3) << first.err;
-  // A present-but-corrupt file is still a runtime (parse) error, code 1.
+  // A present but malformed file is bad input too, named in the
+  // message: text that is not JSON, and JSON missing a required key.
   TempFile bad("diff_corrupt");
   {
     std::ofstream out(bad.path());
     out << "{not json";
   }
   const auto corrupt = run({"diff", a.path(), bad.path()});
-  EXPECT_EQ(corrupt.code, 1) << corrupt.err;
+  EXPECT_EQ(corrupt.code, 3) << corrupt.err;
+  EXPECT_NE(corrupt.err.find(bad.path()), std::string::npos) << corrupt.err;
+  TempFile keyless("diff_keyless");
+  {
+    std::string text = io::dump(io::load_file(a.path()));
+    text.replace(text.find("\"info\""), 6, "\"note\"");
+    std::ofstream(keyless.path()) << text;
+  }
+  const auto no_key = run({"diff", keyless.path(), a.path()});
+  EXPECT_EQ(no_key.code, 3) << no_key.err;
+  EXPECT_NE(no_key.err.find("missing key \"info\""), std::string::npos)
+      << no_key.err;
+  EXPECT_NE(no_key.err.find(keyless.path()), std::string::npos)
+      << no_key.err;
 }
 
 TEST(Cli, DiffIdenticalFilesIsCleanExitZero) {
@@ -983,6 +998,95 @@ TEST(Cli, DiffUsageAndIoErrors) {
   const auto r = run({"diff", "/nonexistent/a.json", "/nonexistent/b.json"});
   EXPECT_EQ(r.code, 3);  // bad input files get their own exit code
   EXPECT_NE(r.err.find("cannot read input file"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------
+// fpr report
+
+TEST(Cli, ReportRendersEverySectionFromGoldenSnapshot) {
+  const auto r = run({"report", FPR_GOLDEN_SNAPSHOT});
+  ASSERT_EQ(r.code, 0) << r.err;
+  EXPECT_TRUE(r.err.empty()) << r.err;
+  // Paper order: each artifact, then its comparison with the paper.
+  std::vector<std::string> headings = {
+      "Fig. 1 - operation mix (INT / FP32 / FP64):",
+      "Fig. 1 vs paper - FP64 share on BDW [%]",
+      "Fig. 2 (top) - relative Gflop/s vs BDW:",
+      "Fig. 2 (bottom) - % of theoretical peak:",
+      "Fig. 2 vs paper - relative Gflop/s of KNL over BDW",
+      "Fig. 3 - time-to-solution speedup vs BDW:",
+      "Fig. 3 vs paper - speedup of KNL over BDW",
+      "Fig. 3 vs paper - speedup of KNM over KNL",
+      "Fig. 4 - memory throughput [GB/s]:",
+      "Flat-mode Triad ceilings",
+      "Fig. 4 vs paper - cache-mode capture [GB/s]",
+      "Fig. 5 - BDW roofline coordinates:",
+      "Roofs: FP64 peak",
+      "Fig. 6 - frequency scaling on KNL:",
+      "Fig. 6 - frequency scaling on KNM:",
+      "Fig. 6 - frequency scaling on BDW:",
+      "Expected shape (paper Sec. IV-E)",
+      "Fig. 7 - site utilization by domain + projection:",
+      "Fig. 7 vs paper - projected %peak",
+  };
+  for (const std::string m : {"KNL", "KNM", "BDW"}) {
+    headings.push_back("Table IV - measured metrics on " + m + ":");
+    headings.push_back("Table IV vs paper - kernel time-to-solution on " + m +
+                       " [s]:");
+  }
+  const std::string text = "\n" + r.out;
+  std::size_t at = 0;
+  for (const auto& h : headings) {
+    const auto found = text.find("\n" + h, at);
+    ASSERT_NE(found, std::string::npos) << "missing or out of order: " << h;
+    at = found + 1;
+  }
+}
+
+TEST(Cli, ReportComparesWithPaperValuesAndKeepsCsvParsable) {
+  const auto r = run({"report", FPR_GOLDEN_SNAPSHOT, "--csv"});
+  ASSERT_EQ(r.code, 0) << r.err;
+  // Headings and notes are diagnostics in CSV mode.
+  EXPECT_EQ(r.out.find("Fig. 3"), std::string::npos);
+  EXPECT_NE(r.err.find("Fig. 3 vs paper"), std::string::npos);
+  EXPECT_NE(r.out.find("App,Paper,Model,Model/Paper"), std::string::npos);
+  // Table IV: AMG's KNL-over-BDW speedup is 10.780 s / 6.057 s, and its
+  // KNL time-to-solution 6.057 s.
+  EXPECT_NE(r.out.find("\nAMG,1.780,"), std::string::npos);
+  EXPECT_NE(r.out.find("\nAMG,6.057,"), std::string::npos);
+}
+
+TEST(Cli, ReportIsByteIdenticalAcrossRunsAndJobCounts) {
+  TempFile serial("report_jobs1"), parallel("report_jobs4");
+  ASSERT_EQ(run_study_to(serial.path(), {"--jobs", "1"}).code, 0);
+  ASSERT_EQ(run_study_to(parallel.path(), {"--jobs", "4"}).code, 0);
+  const auto first = run({"report", serial.path()});
+  ASSERT_EQ(first.code, 0) << first.err;
+  EXPECT_EQ(run({"report", serial.path()}).out, first.out);
+  EXPECT_EQ(run({"report", parallel.path()}).out, first.out);
+}
+
+TEST(Cli, ReportRejectsFilesThatAreNotStudyResults) {
+  TempFile junk("report_junk"), pareto("report_pareto");
+  {
+    std::ofstream out(junk.path());
+    out << "{not json";
+  }
+  ASSERT_EQ(run_pareto({"--rounds", "0", "--out", pareto.path()}).code, 0);
+  for (const std::string& path :
+       {std::string("/no/such/results.json"), junk.path(),
+        std::string(FPR_EXPLORE_GOLDEN), pareto.path()}) {
+    const auto r = run({"report", path});
+    EXPECT_EQ(r.code, 3) << path << ": " << r.err;
+    EXPECT_NE(r.err.find("fpr report: "), std::string::npos) << r.err;
+    EXPECT_NE(r.err.find(path), std::string::npos) << r.err;
+    EXPECT_TRUE(r.out.empty()) << path;
+  }
+}
+
+TEST(Cli, ReportTakesExactlyOneFile) {
+  EXPECT_EQ(run({"report"}).code, 2);
+  EXPECT_EQ(run({"report", "a.json", "b.json"}).code, 2);
 }
 
 }  // namespace

@@ -12,8 +12,8 @@ namespace fpr::model {
 namespace {
 
 // A synthetic compute-heavy FP64 workload (HPL-like).
-WorkloadMeasurement compute_heavy() {
-  WorkloadMeasurement w;
+kernels::WorkloadMeasurement compute_heavy() {
+  kernels::WorkloadMeasurement w;
   w.name = "synthetic-compute";
   w.ops.fp64 = 2'000'000'000'000ull;  // 2 Tflop
   w.ops.int_ops = 100'000'000'000ull;
@@ -28,8 +28,8 @@ WorkloadMeasurement compute_heavy() {
 }
 
 // A synthetic streaming workload (BabelStream-like).
-WorkloadMeasurement bandwidth_heavy() {
-  WorkloadMeasurement w;
+kernels::WorkloadMeasurement bandwidth_heavy() {
+  kernels::WorkloadMeasurement w;
   w.name = "synthetic-stream";
   w.ops.fp64 = 5'000'000'000ull;
   w.ops.int_ops = 2'000'000'000ull;
@@ -136,7 +136,7 @@ TEST(ExecModel, HigherPeakMeansFasterComputeBound) {
 }
 
 TEST(ExecModel, PhiAdjustScalesOps) {
-  WorkloadMeasurement w = compute_heavy();
+  kernels::WorkloadMeasurement w = compute_heavy();
   w.traits.phi_adjust.fp64 = 2.0;
   const auto phi_ops = w.ops_on(true);
   const auto bdw_ops = w.ops_on(false);
@@ -145,7 +145,7 @@ TEST(ExecModel, PhiAdjustScalesOps) {
 }
 
 TEST(ExecModel, IoTermDominatesForIoKernels) {
-  WorkloadMeasurement w;
+  kernels::WorkloadMeasurement w;
   w.name = "synthetic-io";
   w.ops.int_ops = 1'000'000'000ull;
   w.ops.bytes_read = 100'000'000ull;
@@ -165,13 +165,13 @@ TEST(ExecModel, IoTermDominatesForIoKernels) {
 }
 
 TEST(ExecModel, LatencyTermRespondsToDependentRefs) {
-  WorkloadMeasurement w = bandwidth_heavy();
+  kernels::WorkloadMeasurement w = bandwidth_heavy();
   w.traits.latency_dep_fraction = 0.5;
   const auto cpu = arch::knl();
   const auto mp = profile_memory(cpu, w, 150'000);
   EXPECT_GT(mp.dep_refs, 0.0);
   const auto ev = evaluate_at_turbo(cpu, w, mp);
-  WorkloadMeasurement w2 = bandwidth_heavy();
+  kernels::WorkloadMeasurement w2 = bandwidth_heavy();
   const auto mp2 = profile_memory(cpu, w2, 150'000);
   const auto ev2 = evaluate_at_turbo(cpu, w2, mp2);
   EXPECT_GT(ev.seconds, ev2.seconds);
@@ -216,7 +216,7 @@ TEST(Roofline, TallyResolvedConsistentlyWithAchieved) {
   // point and could land above its own roof. Both sides must use
   // ops_on(is_phi), and the achieved point must respect the ceiling on
   // every machine.
-  WorkloadMeasurement w = compute_heavy();
+  kernels::WorkloadMeasurement w = compute_heavy();
   w.traits.phi_adjust.fp64 = 2.0;  // Laghos-style op inflation on Phi
   for (const auto& cpu : arch::all_machines()) {
     const auto mp = profile_memory(cpu, w, 150'000);

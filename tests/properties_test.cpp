@@ -219,7 +219,7 @@ TEST_P(FreqSweepProperty, TimeMonotoneNonIncreasingInFrequency) {
     throw std::logic_error("machine");
   }();
   for (double fp_share : {0.0, 0.3, 0.9}) {
-    model::WorkloadMeasurement w;
+    kernels::WorkloadMeasurement w;
     w.name = "sweep";
     w.ops.fp64 = static_cast<std::uint64_t>(1e12 * fp_share);
     w.ops.int_ops = static_cast<std::uint64_t>(1e12 * (1 - fp_share));
@@ -242,7 +242,7 @@ INSTANTIATE_TEST_SUITE_P(Machines, FreqSweepProperty,
 
 TEST(ModelProperty, MoreBytesNeverFaster) {
   const auto cpu = arch::knl();
-  model::WorkloadMeasurement w;
+  kernels::WorkloadMeasurement w;
   w.name = "bytes";
   w.ops.fp64 = 1'000'000'000ull;
   w.working_set_bytes = 4ull << 30;
@@ -262,7 +262,7 @@ TEST(ModelProperty, MoreBytesNeverFaster) {
 TEST(ModelProperty, EfficiencyBoundsRespected) {
   // Achieved Gflop/s can never exceed the (issue-derated) peak.
   for (const auto& cpu : arch::all_machines()) {
-    model::WorkloadMeasurement w;
+    kernels::WorkloadMeasurement w;
     w.name = "peak-check";
     w.ops.fp64 = 10'000'000'000'000ull;
     w.ops.bytes_read = 1'000'000ull;  // nearly free memory

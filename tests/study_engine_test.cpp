@@ -49,7 +49,7 @@ class FakeKernel : public kernels::ProxyKernel {
     return info_;
   }
 
-  [[nodiscard]] model::WorkloadMeasurement run(
+  [[nodiscard]] kernels::WorkloadMeasurement run(
       ExecutionContext&, const kernels::RunConfig&) const override {
     log_->total.fetch_add(1);
     {
@@ -61,7 +61,7 @@ class FakeKernel : public kernels::ProxyKernel {
                                ": verification failed (injected)");
     }
     if (delay_.count() > 0) std::this_thread::sleep_for(delay_);
-    model::WorkloadMeasurement m;
+    kernels::WorkloadMeasurement m;
     m.name = info_.abbrev;
     m.ops.fp64 = 1'000'000'000;
     m.ops.int_ops = 250'000'000;
