@@ -6,10 +6,11 @@
 // re-pays the full instrumented measurement pass. Incremental path: one
 // ParetoEngine run, which measures once and prices every candidate from
 // the cached profiles. The bench reports candidates/sec for both, the
-// dedup and profile-memo hit rates, the scoring replays, and the
-// speedup; it exits nonzero if any rung of the --jobs ladder differs
-// from the jobs=1 rung in its frontier JSON or in its memo hits, memo
-// misses or replays (always), or if the speedup falls under 10x (unless
+// dedup and profile-memo hit rates, the scoring replay passes and the
+// sibling fills they carry, and the speedup; it exits nonzero if any
+// rung of the --jobs ladder differs from the jobs=1 rung in its
+// frontier JSON or in its memo hits, memo misses, replays or sibling
+// fills (always), or if the speedup falls under 10x (unless
 // --no-perf-gate, for sanitizer builds where wall-clock ratios are
 // meaningless).
 //
@@ -108,7 +109,7 @@ int main(int argc, char** argv) {
   // run includes its own one-time measurement phase, so candidates/sec
   // is the honest end-to-end figure, not an evaluate()-only best case.
   TextTable table({"Jobs", "Wall[s]", "Cand/s", "Evald", "Dedup%", "Memo%",
-                   "Replays", "Identical"});
+                   "Replays", "Fills", "Identical"});
   std::string base_json;
   bool identical = true;
   bool counters_identical = true;
@@ -136,7 +137,8 @@ int main(int argc, char** argv) {
     const bool same_counters =
         st.evaluator.memo_hits == stats_j1.evaluator.memo_hits &&
         st.evaluator.memo_misses == stats_j1.evaluator.memo_misses &&
-        st.replays == stats_j1.replays;
+        st.evaluator.replays == stats_j1.evaluator.replays &&
+        st.evaluator.sibling_fills == stats_j1.evaluator.sibling_fills;
     const double memo_total = static_cast<double>(st.evaluator.memo_hits +
                                                   st.evaluator.memo_misses);
     table.row()
@@ -153,7 +155,8 @@ int main(int argc, char** argv) {
                                   memo_total
                             : 0.0,
              1)
-        .integer(static_cast<long long>(st.replays))
+        .integer(static_cast<long long>(st.evaluator.replays))
+        .integer(static_cast<long long>(st.evaluator.sibling_fills))
         .cell(same_json && same_counters ? "yes" : "NO")
         .done();
     if (!same_json) {
@@ -163,7 +166,8 @@ int main(int argc, char** argv) {
     if (!same_counters) {
       counters_identical = false;
       std::cerr << "[bench] COUNTER MISMATCH at jobs=" << jobs
-                << ": memo hits/misses or replays differ from jobs=1\n";
+                << ": memo hits/misses, replays or sibling fills differ "
+                   "from jobs=1\n";
     }
   }
   table.print(std::cout);
@@ -199,6 +203,10 @@ int main(int argc, char** argv) {
                                       stats_j1.evaluator.memo_hits) /
                                       memo_total
                                 : 0.0)
+            .set("replays",
+                 static_cast<std::int64_t>(stats_j1.evaluator.replays))
+            .set("sibling_fills",
+                 static_cast<std::int64_t>(stats_j1.evaluator.sibling_fills))
             .set("frontier_identical_across_jobs", identical)
             .set("counters_identical_across_jobs", counters_identical);
     std::ofstream out(json_path);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <stdexcept>
 
 namespace fpr::arch {
@@ -30,10 +31,38 @@ double parse_factor(const std::string& transform, const std::string& text) {
   return f;
 }
 
+constexpr int kMaxInt = std::numeric_limits<int>::max();
+
 int integer_factor(const std::string& transform, double f, int min) {
   const double r = std::round(f);
-  if (std::abs(f - r) > 1e-9 || r < min) {
-    bad(transform, "factor must be an integer >= " + std::to_string(min));
+  if (std::abs(f - r) > 1e-9 || r < min || r > kMaxInt) {
+    bad(transform, "factor must be an integer in [" + std::to_string(min) +
+                       ", " + std::to_string(kMaxInt) + "]");
+  }
+  return static_cast<int>(r);
+}
+
+/// `value * factor` for a floating-point field; a result that is not
+/// finite does not fit it.
+double scaled_field(const std::string& transform, double value,
+                    double factor) {
+  const double r = value * factor;
+  if (!std::isfinite(r)) bad(transform, "result is not finite");
+  return r;
+}
+
+/// `value * factor` rounded for an int field, checked before the cast.
+int scaled_count(const std::string& transform, double value, double factor) {
+  const double r = std::round(value * factor);
+  if (!(r <= kMaxInt)) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%g", value * factor);
+    std::string why = "result ";
+    why += buf;
+    why += " does not fit an int (max ";
+    why += std::to_string(kMaxInt);
+    why += ')';
+    bad(transform, why);
   }
   return static_cast<int>(r);
 }
@@ -91,21 +120,26 @@ void apply_transform(CpuSpec& spec, const std::string& transform) {
     spec.fp64_fpu = FpuConfig{.units = 1, .vector_bits = 64, .pump = 1};
   } else if (name == "widen-fp32") {
     const int k = integer_factor(transform, has_factor ? factor : 2.0, 2);
-    spec.fp32_fpu.units *= k;
+    spec.fp32_fpu.units =
+        scaled_count(transform, static_cast<double>(spec.fp32_fpu.units),
+                     static_cast<double>(k));
   } else if (name == "dram-bw") {
-    spec.dram_bw_gbs *= has_factor ? factor : 1.5;
+    spec.dram_bw_gbs =
+        scaled_field(transform, spec.dram_bw_gbs, has_factor ? factor : 1.5);
   } else if (name == "mcdram-bw") {
     require_mcdram(spec, transform);
-    spec.mcdram_bw_gbs *= has_factor ? factor : 1.5;
+    spec.mcdram_bw_gbs =
+        scaled_field(transform, spec.mcdram_bw_gbs, has_factor ? factor : 1.5);
   } else if (name == "mcdram-cap") {
     require_mcdram(spec, transform);
-    spec.mcdram_gib *= has_factor ? factor : 2.0;
+    spec.mcdram_gib =
+        scaled_field(transform, spec.mcdram_gib, has_factor ? factor : 2.0);
   } else if (name == "cores") {
-    const double f = has_factor ? factor : 1.25;
     spec.cores = std::max(
-        1, static_cast<int>(std::lround(static_cast<double>(spec.cores) * f)));
+        1, scaled_count(transform, static_cast<double>(spec.cores),
+                        has_factor ? factor : 1.25));
   } else if (name == "tdp") {
-    spec.tdp_w *= has_factor ? factor : 0.85;
+    spec.tdp_w = scaled_field(transform, spec.tdp_w, has_factor ? factor : 0.85);
   } else {
     bad(transform, "unknown transform");
   }

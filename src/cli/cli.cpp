@@ -438,6 +438,16 @@ study::MeasureConfig measure_config(const RunOptions& opt) {
   return m;
 }
 
+/// The --base machine; an unknown name is a usage error.
+arch::CpuSpec base_machine(const std::string& name) {
+  auto cpu = arch::find_machine(name);
+  if (!cpu) {
+    throw UsageError("unknown machine '" + name +
+                     "' for --base (expected a Table I short name)");
+  }
+  return std::move(*cpu);
+}
+
 int cmd_run(const RunOptions& opt, std::ostream& out, std::ostream& err) {
   const auto selection = resolve_kernels(opt.kernels);
 
@@ -560,6 +570,15 @@ int cmd_explore(const RunOptions& opt, std::ostream& out, std::ostream& err) {
     cfg = study::golden_explore_config();
   } else {
     static_cast<study::MeasureConfig&>(cfg) = measure_config(opt);
+    const arch::CpuSpec base = base_machine(opt.base);
+    for (const auto& spec : opt.variants) {
+      try {
+        (void)arch::derive_variant(base, spec);
+      } catch (const std::invalid_argument& e) {
+        throw UsageError("invalid --variants value '" + spec + "': " +
+                         e.what());
+      }
+    }
     cfg.base = opt.base;
     cfg.variants = opt.variants;
   }
@@ -635,6 +654,7 @@ int cmd_explore(const RunOptions& opt, std::ostream& out, std::ostream& err) {
 int cmd_pareto(const RunOptions& opt, std::ostream& out, std::ostream& err) {
   study::ParetoConfig cfg;
   static_cast<study::MeasureConfig&>(cfg) = measure_config(opt);
+  (void)base_machine(opt.base);
   cfg.base = opt.base;
   cfg.search_seed = opt.search_seed;
   cfg.rounds = opt.rounds;
@@ -689,7 +709,8 @@ int cmd_pareto(const RunOptions& opt, std::ostream& out, std::ostream& err) {
       << st.over_budget << " over budget, " << st.invalid << " invalid, "
       << st.rounds << " round(s); " << st.evaluator.memo_hits
       << " profile-memo hit(s), " << st.evaluator.memo_misses
-      << " miss(es), " << st.replays << " replay(s)\n";
+      << " miss(es), " << st.evaluator.replays << " replay(s), "
+      << st.evaluator.sibling_fills << " sibling fill(s)\n";
 
   if (!opt.out.empty()) write_out(opt, io::to_json(results), out, err);
   return kExitOk;

@@ -1,6 +1,8 @@
 #include "memsim/hierarchy.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <cstdio>
 #include <stdexcept>
 #include <utility>
 
@@ -69,37 +71,47 @@ double HierarchyResult::dram_fraction(void) const {
 }
 
 Hierarchy::Hierarchy(const arch::CpuSpec& cpu, unsigned scale_shift)
-    : scale_shift_(scale_shift) {
+    : machine_(cpu.short_name), scale_shift_(scale_shift) {
   // Single-core view: private L1 and L2 slice; shared LLC and (if present)
   // MCDRAM modelled as per-core shares of the aggregate capacity.
-  const auto scale = [&](double bytes) {
-    const auto b = static_cast<std::uint64_t>(bytes);
-    const std::uint64_t s = b >> scale_shift_;
-    return std::max<std::uint64_t>(s, 4 * 64);
+  const auto add_level = [&](const char* name, double bytes,
+                             std::uint32_t assoc) {
+    // Scaling by a power of two is exact, so truncating the scaled size
+    // equals shifting the truncated one; checking it first keeps every
+    // cast below in range.
+    const double scaled = std::ldexp(bytes, -static_cast<int>(scale_shift_));
+    if (!(scaled >= 0.0 &&
+          scaled / 64.0 <= static_cast<double>(kMaxLevelLines))) {
+      char size[32];
+      std::snprintf(size, sizeof(size), "%g", scaled);
+      std::string msg = "memsim: ";
+      msg += machine_;
+      msg += " level ";
+      msg += name;
+      msg += ": scaled size ";
+      msg += size;
+      msg += " bytes is not finite or exceeds the ";
+      msg += std::to_string(kMaxLevelLines);
+      msg += "-line limit";
+      throw std::invalid_argument(msg);
+    }
+    const auto s = static_cast<std::uint64_t>(scaled);
+    levels_.emplace_back(make_cfg(std::max<std::uint64_t>(s, 4 * 64), assoc));
+    names_.emplace_back(name);
   };
 
-  levels_.emplace_back(
-      make_cfg(scale(cpu.l1_kib * 1024.0), cpu.l1_assoc));
-  names_.emplace_back("L1");
-
+  add_level("L1", cpu.l1_kib * 1024.0, cpu.l1_assoc);
   if (cpu.l2_kib_per_core > 0) {
-    levels_.emplace_back(
-        make_cfg(scale(cpu.l2_kib_per_core * 1024.0), cpu.l2_assoc));
-    names_.emplace_back("L2");
+    add_level("L2", cpu.l2_kib_per_core * 1024.0, cpu.l2_assoc);
   }
-
   if (cpu.has_mcdram()) {
     // Xeon Phi: the aggregated L2 already is the LLC in Table I terms; the
     // MCDRAM acts as a memory-side cache shared by all cores.
-    const double mcdram_share =
-        cpu.mcdram_gib * static_cast<double>(GiB) / cpu.cores;
-    levels_.emplace_back(make_cfg(scale(mcdram_share), 8));
-    names_.emplace_back("MCDRAM$");
+    add_level("MCDRAM$", cpu.mcdram_gib * static_cast<double>(GiB) / cpu.cores,
+              8);
   } else {
-    const double llc_share =
-        cpu.llc_mib * static_cast<double>(MiB) / cpu.cores;
-    levels_.emplace_back(make_cfg(scale(llc_share), cpu.llc_assoc));
-    names_.emplace_back("LLC");
+    add_level("LLC", cpu.llc_mib * static_cast<double>(MiB) / cpu.cores,
+              cpu.llc_assoc);
   }
 }
 
@@ -114,13 +126,26 @@ constexpr std::size_t kReplayBlock = 1024;
 
 HierarchyResult Hierarchy::replay(TraceSource& src, std::uint64_t refs,
                                   std::uint64_t warmup) {
+  return std::move(replay(src, refs, warmup, {}).front());
+}
+
+std::vector<HierarchyResult> Hierarchy::replay(TraceSource& src,
+                                               std::uint64_t refs,
+                                               std::uint64_t warmup,
+                                               std::span<Hierarchy> siblings) {
+  for (const Hierarchy& sib : siblings) check_sibling(sib);
   for (auto& c : levels_) c.clear();
+  for (Hierarchy& sib : siblings) sib.levels_.back().clear();
   std::vector<MemRef> block(kReplayBlock);
+  std::vector<MemRef> sibling_block(siblings.empty() ? 0 : kReplayBlock);
+  Cache& last = levels_.back();
+  const std::size_t upper = levels_.size() - 1;
   // Per level L, the accesses it sees are level L-1's misses in order,
   // so filtering a whole block level by level replays exactly the same
-  // per-cache access sequences as the scalar reference walk. A finite
-  // source may produce a short block; run() reports how many references
-  // it actually replayed.
+  // per-cache access sequences as the scalar reference walk. A sibling's
+  // levels above the last equal these, so its last level sees exactly
+  // this last level's input. A finite source may produce a short block;
+  // run() reports how many references it actually replayed.
   auto run = [&](std::uint64_t count) -> std::uint64_t {
     std::uint64_t done = 0;
     while (count > 0) {
@@ -129,9 +154,17 @@ HierarchyResult Hierarchy::replay(TraceSource& src, std::uint64_t refs,
       const std::size_t n = src.fill(block.data(), want);
       if (n == 0) break;
       std::size_t live = n;
-      for (auto& level : levels_) {
-        live = level.access_many(block.data(), live);
-        if (live == 0) break;
+      for (std::size_t i = 0; i < upper && live > 0; ++i) {
+        live = levels_[i].access_many(block.data(), live);
+      }
+      if (live > 0) {
+        // access_many compacts its input in place: each sibling filters
+        // its own copy.
+        for (Hierarchy& sib : siblings) {
+          std::copy_n(block.data(), live, sibling_block.data());
+          sib.levels_.back().access_many(sibling_block.data(), live);
+        }
+        last.access_many(block.data(), live);
       }
       count -= n;
       done += n;
@@ -140,12 +173,55 @@ HierarchyResult Hierarchy::replay(TraceSource& src, std::uint64_t refs,
   };
   run(warmup);
   for (auto& c : levels_) c.reset_stats();
+  for (Hierarchy& sib : siblings) sib.levels_.back().reset_stats();
   const std::uint64_t measured = run(refs);
+  std::vector<HierarchyResult> out;
+  out.reserve(1 + siblings.size());
+  out.push_back(result(measured, *this));
+  for (const Hierarchy& sib : siblings) out.push_back(result(measured, sib));
+  return out;
+}
+
+void Hierarchy::check_sibling(const Hierarchy& sib) const {
+  std::string why;
+  if (sib.scale_shift_ != scale_shift_) {
+    why = "scale shift " + std::to_string(sib.scale_shift_) + " vs " +
+          std::to_string(scale_shift_);
+  } else if (sib.levels_.size() != levels_.size()) {
+    why = std::to_string(sib.levels_.size()) + " levels vs " +
+          std::to_string(levels_.size());
+  } else {
+    for (std::size_t i = 0; i + 1 < levels_.size(); ++i) {
+      const CacheConfig& a = levels_[i].config();
+      const CacheConfig& b = sib.levels_[i].config();
+      if (names_[i] != sib.names_[i] || a.size_bytes != b.size_bytes ||
+          a.line_bytes != b.line_bytes || a.associativity != b.associativity) {
+        why = "level " + names_[i] + " differs";
+        break;
+      }
+    }
+  }
+  if (!why.empty()) {
+    std::string msg = "memsim: ";
+    msg += sib.machine_;
+    msg += " cannot share a replay pass with ";
+    msg += machine_;
+    msg += ": ";
+    msg += why;
+    msg += " (siblings differ only in the last level)";
+    throw std::invalid_argument(msg);
+  }
+}
+
+HierarchyResult Hierarchy::result(std::uint64_t refs,
+                                  const Hierarchy& last) const {
   HierarchyResult r;
-  r.refs = measured;
-  for (std::size_t i = 0; i < levels_.size(); ++i) {
+  r.refs = refs;
+  const std::size_t upper = levels_.size() - 1;
+  for (std::size_t i = 0; i < upper; ++i) {
     r.levels.push_back({names_[i], levels_[i].stats()});
   }
+  r.levels.push_back({last.names_.back(), last.levels_.back().stats()});
   return r;
 }
 
@@ -237,6 +313,19 @@ HierarchyResult simulate_pattern(const arch::CpuSpec& cpu,
   // steady-state (cyclic generators otherwise bias toward cold misses).
   SyntheticTraceSource src(scaled, seed);
   return h.replay(src, refs, refs);
+}
+
+std::vector<HierarchyResult> simulate_siblings(
+    std::span<const arch::CpuSpec> cpus, const AccessPatternSpec& spec,
+    std::uint64_t refs, std::uint64_t seed, unsigned scale_shift) {
+  if (cpus.empty()) return {};
+  std::vector<Hierarchy> hs;
+  hs.reserve(cpus.size());
+  for (const auto& cpu : cpus) hs.emplace_back(cpu, scale_shift);
+  // The same source and warmup as simulate_pattern.
+  SyntheticTraceSource src(scale_spec(spec, scale_shift), seed);
+  return hs.front().replay(src, refs, refs,
+                           std::span<Hierarchy>(hs).subspan(1));
 }
 
 }  // namespace fpr::memsim

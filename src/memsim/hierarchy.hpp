@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -46,9 +47,17 @@ struct HierarchyResult {
 
 class Hierarchy {
  public:
+  /// Largest level a hierarchy builds, in 64-byte lines after scaling
+  /// (512 MiB of capacity, about 80 MB of way state). It admits every
+  /// Table I machine at scale shift 0: KNL's per-core MCDRAM share is
+  /// 4,194,304 lines.
+  static constexpr std::uint64_t kMaxLevelLines = std::uint64_t{1} << 23;
+
   /// Build a scaled single-core hierarchy for `cpu`. `scale_shift` halves
   /// all capacities that many times (default 2^6 = 64x reduction; pass 0
-  /// for exact geometry in unit tests).
+  /// for exact geometry in unit tests). Throws std::invalid_argument,
+  /// naming the machine and the level, when a level's scaled size is not
+  /// finite or exceeds kMaxLevelLines.
   explicit Hierarchy(const arch::CpuSpec& cpu, unsigned scale_shift = 6);
 
   /// Replay up to `refs` references from a source. Working-set
@@ -65,6 +74,17 @@ class Hierarchy {
   /// Results are bit-identical to replay_scalar().
   HierarchyResult replay(TraceSource& src, std::uint64_t refs,
                          std::uint64_t warmup = 0);
+
+  /// Shared pass: the same replay, and in the same loop each block's
+  /// last-level input also goes to the last level of every sibling — a
+  /// hierarchy with this one's scale shift and levels above the last.
+  /// Returns this hierarchy's result, then each sibling's in order; every
+  /// one equals what a separate replay() of the same source through that
+  /// hierarchy gives. Throws std::invalid_argument, naming both machines,
+  /// for a sibling whose levels above the last differ.
+  std::vector<HierarchyResult> replay(TraceSource& src, std::uint64_t refs,
+                                      std::uint64_t warmup,
+                                      std::span<Hierarchy> siblings);
 
   /// Synthetic convenience: wraps `gen` in a borrowing
   /// SyntheticTraceSource — same computation, same RNG state advance,
@@ -98,8 +118,15 @@ class Hierarchy {
   [[nodiscard]] Cache& level_cache(std::size_t i) { return levels_[i]; }
 
  private:
+  /// Throws unless `sib` is a sibling of this hierarchy (see replay).
+  void check_sibling(const Hierarchy& sib) const;
+  /// This hierarchy's levels above the last with `last` as the last one.
+  [[nodiscard]] HierarchyResult result(std::uint64_t refs,
+                                       const Hierarchy& last) const;
+
   std::vector<Cache> levels_;
   std::vector<std::string> names_;
+  std::string machine_;  ///< the CpuSpec's short name, for errors
   unsigned scale_shift_ = 0;
 };
 
@@ -110,6 +137,13 @@ HierarchyResult simulate_pattern(const arch::CpuSpec& cpu,
                                  std::uint64_t refs = 1u << 20,
                                  std::uint64_t seed = 0x0fbeef,
                                  unsigned scale_shift = 6);
+
+/// simulate_pattern for sibling machines (Hierarchy::replay's rule) in
+/// one shared pass: one result per machine, in order, each equal to
+/// simulate_pattern for that machine alone.
+std::vector<HierarchyResult> simulate_siblings(
+    std::span<const arch::CpuSpec> cpus, const AccessPatternSpec& spec,
+    std::uint64_t refs, std::uint64_t seed, unsigned scale_shift);
 
 /// Scale all footprint fields of a pattern spec by 2^-shift (helper used
 /// by simulate_pattern; exposed for tests).

@@ -58,6 +58,15 @@ void append_pattern(std::string& out, const Pattern& p) {
   out += '}';
 }
 
+/// The levels above the last: the part of the geometry a replay's
+/// prefix (SimCache::prefix_key) depends on.
+void append_upper_levels(std::string& k, const arch::CpuSpec& cpu) {
+  append_u64(k, static_cast<std::uint64_t>(cpu.l1_kib));
+  append_u64(k, static_cast<std::uint64_t>(cpu.l1_assoc));
+  append_u64(k, static_cast<std::uint64_t>(cpu.l2_kib_per_core));
+  append_u64(k, static_cast<std::uint64_t>(cpu.l2_assoc));
+}
+
 /// Machine part shared by key() and trace_key(): exactly the fields
 /// Hierarchy's geometry derives from, and nothing else. The short name
 /// is deliberately absent: a replay is a pure function of the geometry,
@@ -67,14 +76,27 @@ void append_pattern(std::string& out, const Pattern& p) {
 /// capacities, associativities) changes the key and cannot alias old
 /// results.
 void append_geometry(std::string& k, const arch::CpuSpec& cpu) {
+  append_upper_levels(k, cpu);
+  // The last level: a per-core share of the LLC or MCDRAM.
   append_u64(k, static_cast<std::uint64_t>(cpu.cores));
-  append_u64(k, static_cast<std::uint64_t>(cpu.l1_kib));
-  append_u64(k, static_cast<std::uint64_t>(cpu.l1_assoc));
-  append_u64(k, static_cast<std::uint64_t>(cpu.l2_kib_per_core));
-  append_u64(k, static_cast<std::uint64_t>(cpu.l2_assoc));
   append_u64(k, static_cast<std::uint64_t>(cpu.llc_assoc));
   append_f(k, cpu.llc_mib);
   append_f(k, cpu.mcdram_gib);
+}
+
+/// Simulation part shared by key() and prefix_key().
+void append_simulation(std::string& k, const AccessPatternSpec& spec,
+                       std::uint64_t refs, std::uint64_t seed,
+                       unsigned scale_shift) {
+  k += '|';
+  append_u64(k, refs);
+  append_u64(k, seed);
+  append_u64(k, scale_shift);
+  k += '|';
+  for (const auto& c : spec.components) {
+    append_pattern(k, c.pattern);
+    append_f(k, c.weight);
+  }
 }
 
 }  // namespace
@@ -85,16 +107,18 @@ std::string SimCache::key(const arch::CpuSpec& cpu,
   std::string k;
   k.reserve(160);
   append_geometry(k, cpu);
-  // Simulation part.
-  k += '|';
-  append_u64(k, refs);
-  append_u64(k, seed);
-  append_u64(k, scale_shift);
-  k += '|';
-  for (const auto& c : spec.components) {
-    append_pattern(k, c.pattern);
-    append_f(k, c.weight);
-  }
+  append_simulation(k, spec, refs, seed, scale_shift);
+  return k;
+}
+
+std::string SimCache::prefix_key(const arch::CpuSpec& cpu,
+                                 const AccessPatternSpec& spec,
+                                 std::uint64_t refs, std::uint64_t seed,
+                                 unsigned scale_shift) {
+  std::string k;
+  k.reserve(160);
+  append_upper_levels(k, cpu);
+  append_simulation(k, spec, refs, seed, scale_shift);
   return k;
 }
 
@@ -124,6 +148,11 @@ std::shared_ptr<const HierarchyResult> SimCache::find(const std::string& key) {
   }
   ++stats_.hits;
   return it->second;
+}
+
+bool SimCache::contains(const std::string& key) const {
+  std::lock_guard lock(mu_);
+  return entries_.contains(key);
 }
 
 std::shared_ptr<const HierarchyResult> SimCache::insert(

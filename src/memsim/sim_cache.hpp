@@ -38,6 +38,17 @@ class SimCache {
                          const AccessPatternSpec& spec, std::uint64_t refs,
                          std::uint64_t seed, unsigned scale_shift);
 
+  /// Digest of a replay's *prefix*: key()'s inputs minus the last
+  /// level's geometry (cores, LLC, MCDRAM), leaving the per-core slice
+  /// `spec`, the trace length, seed, scale shift and every level above
+  /// the last. Replays with equal prefix keys feed their last levels the
+  /// same stream, so they can share one pass (Hierarchy::replay's
+  /// siblings) and still each get the result a separate replay gives.
+  static std::string prefix_key(const arch::CpuSpec& cpu,
+                                const AccessPatternSpec& spec,
+                                std::uint64_t refs, std::uint64_t seed,
+                                unsigned scale_shift);
+
   /// Digest of a file-backed replay: the same geometry prefix as key(),
   /// then the trace's content digest (io::TraceInfo::digest — a pure
   /// function of the record stream, independent of chunking or file
@@ -53,6 +64,9 @@ class SimCache {
   /// absent.
   [[nodiscard]] std::shared_ptr<const HierarchyResult> find(
       const std::string& key);
+
+  /// True when `key` is stored; counts neither a hit nor a miss.
+  [[nodiscard]] bool contains(const std::string& key) const;
 
   /// Store a freshly simulated result. First writer wins: when an entry
   /// already exists (two threads simulated the same key concurrently)

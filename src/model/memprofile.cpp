@@ -54,14 +54,19 @@ MemoryProfile profile_memory(const arch::CpuSpec& cpu,
                              const kernels::WorkloadMeasurement& w,
                              std::uint64_t refs, unsigned scale_shift,
                              memsim::SimCache* cache) {
-  MemoryProfile mp;
-
   // Per-core slice of the footprint, then the shared scale-down that the
   // hierarchy also applies to its capacities.
   const auto sliced = per_core_slice(w.access, cpu.cores);
-  const auto res = memsim::simulate_pattern_cached(
-      cache, cpu, sliced, refs, kProfileSeed, scale_shift);
+  return profile_from_replay(
+      cpu, w,
+      memsim::simulate_pattern_cached(cache, cpu, sliced, refs, kProfileSeed,
+                                      scale_shift));
+}
 
+MemoryProfile profile_from_replay(const arch::CpuSpec& cpu,
+                                  const kernels::WorkloadMeasurement& w,
+                                  const memsim::HierarchyResult& res) {
+  MemoryProfile mp;
   mp.l2_hit = res.hit_rate("L2");
   mp.llc_hit = cpu.has_mcdram() ? res.hit_rate("MCDRAM$")
                                 : res.hit_rate("LLC");

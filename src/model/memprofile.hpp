@@ -54,6 +54,13 @@ MemoryProfile profile_memory(const arch::CpuSpec& cpu,
                              unsigned scale_shift = kDefaultScaleShift,
                              memsim::SimCache* cache = nullptr);
 
+/// profile_memory's derivation alone: the profile of `w` on `cpu` given
+/// `res`, the replay of `w`'s per-core slice that profile_memory runs.
+/// For callers that schedule that replay themselves.
+MemoryProfile profile_from_replay(const arch::CpuSpec& cpu,
+                                  const kernels::WorkloadMeasurement& w,
+                                  const memsim::HierarchyResult& res);
+
 /// Profile a replayed external trace (`fpr trace --out`): the same
 /// derived quantities as profile_memory, but the traffic terms come
 /// straight from the replay — each trace reference models an 8-byte

@@ -1,6 +1,7 @@
 #include "study/pareto.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <set>
 #include <stdexcept>
 #include <utility>
@@ -55,6 +56,17 @@ std::vector<std::size_t> non_dominated(
   return keep;
 }
 
+ParetoConfig golden_pareto_config() {
+  ParetoConfig cfg;
+  cfg.base = "KNL";
+  cfg.kernels = {"AMG", "HPL", "XSBn", "BABL2"};
+  cfg.scale = 0.2;
+  cfg.trace_refs = 120'000;
+  cfg.rounds = 2;
+  cfg.threads = 1;  // host-independent op counts and FP reductions
+  return cfg;
+}
+
 const ParetoPoint* ParetoResults::find(std::string_view name) const {
   for (const auto& p : frontier) {
     if (p.name() == name) return &p;
@@ -101,6 +113,26 @@ ParetoResults ParetoEngine::run() {
 
   // Phase 1: the one-time measurement pass.
   const VariantEvaluator evaluator(base, cfg_, factory_);
+
+  // The machine a spec derives, or none when derive_variant rejects it.
+  const auto machine_of =
+      [&](const std::string& spec) -> std::optional<arch::CpuSpec> {
+    try {
+      return arch::derive_variant(base, spec).cpu;
+    } catch (const std::invalid_argument&) {
+      return std::nullopt;
+    }
+  };
+  // The moves that change only the last cache level (mcdram-cap): a pass
+  // that replays a candidate can fill the candidate plus such a move as a
+  // sibling, and the next round's expansion proposes exactly that machine.
+  std::vector<std::string> sibling_moves;
+  for (const auto& move : moves) {
+    const auto moved = machine_of(move);
+    if (moved && evaluator.is_sibling(base, *moved)) {
+      sibling_moves.push_back(move);
+    }
+  }
 
   const auto objective_vector = [&](const VariantScore& s) {
     std::vector<double> o;
@@ -163,8 +195,28 @@ ParetoResults ParetoEngine::run() {
     archive.push_back(std::move(p));
   };
 
-  const auto score_batch = [&] {
-    auto scores = evaluator.evaluate(batch);
+  // `more_rounds`: another expansion round follows this batch. Only
+  // then are its candidates composed with the sibling moves, and only
+  // where that round could admit the composition: within the depth cap,
+  // never proposed before, inside the budget box. Any other composition
+  // is never scored, so filling it would waste a walk and its memory.
+  const auto score_batch = [&](bool more_rounds) {
+    std::vector<arch::CpuSpec> siblings;
+    for (const auto& v : batch) {
+      if (!more_rounds ||
+          arch::spec_transform_count(v.spec) + 1 > cfg_.max_depth) {
+        continue;
+      }
+      for (const auto& move : sibling_moves) {
+        auto sib = machine_of(arch::compose_specs(v.spec, move));
+        if (sib && !seen.contains(arch::canonical_cpu_digest(*sib)) &&
+            arch::within_budget(arch::variant_budget(*sib, base),
+                                cfg_.budget)) {
+          siblings.push_back(std::move(*sib));
+        }
+      }
+    }
+    auto scores = evaluator.evaluate(batch, siblings);
     stats_.evaluated += batch.size();
     ++stats_.rounds;
     // Merge in generation order, so the archive evolves identically for
@@ -183,7 +235,7 @@ ParetoResults ParetoEngine::run() {
   admit("");
   for (const auto& spec : arch::builtin_variant_specs(base)) admit(spec);
   for (const auto& move : moves) admit(move);
-  score_batch();
+  score_batch(cfg_.rounds > 0);
 
   // Expansion rounds: compose every archive member with every move
   // (depth-capped), then propose seeded explorer walks for diversity
@@ -209,7 +261,7 @@ ParetoResults ParetoEngine::run() {
       admit(spec);
     }
     if (batch.empty()) break;  // neighborhood exhausted
-    score_batch();
+    score_batch(round < cfg_.rounds);
   }
 
   ParetoResults out;
@@ -229,7 +281,6 @@ ParetoResults ParetoEngine::run() {
 
   stats_.measurement = evaluator.measurement_stats();
   stats_.evaluator = evaluator.stats();
-  stats_.replays = evaluator.sim_stats().misses - stats_.measurement.sim_misses;
   return out;
 }
 

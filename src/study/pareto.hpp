@@ -28,6 +28,12 @@
 // The frontier (sorted by objective vector, then spec) is therefore
 // byte-identical once serialized for every --jobs value — the same
 // guarantee the study and explore pipelines carry.
+//
+// Each batch also hands the evaluator its candidates composed with the
+// moves that change only the last cache level (mcdram-cap) as siblings,
+// where the next round could admit the composition: the passes that
+// replay a candidate fill those last levels too, so the next round,
+// which proposes exactly those compositions, replays less.
 #pragma once
 
 #include <cstdint>
@@ -81,10 +87,9 @@ struct ParetoStats {
   std::uint64_t over_budget = 0;  ///< dropped: outside the budget box
   std::uint64_t evaluated = 0;    ///< candidates actually scored
   std::uint64_t rounds = 0;       ///< batches executed (seed round incl.)
-  std::uint64_t replays = 0;      ///< hierarchy replays while scoring
-                                  ///< (SimCache misses after measurement)
   EngineStats measurement;        ///< the one-time measurement phase
-  EvaluatorStats evaluator;       ///< scoring-side memo counters
+  EvaluatorStats evaluator;       ///< scoring-side memo, replay-pass and
+                                  ///< sibling-fill counters
 };
 
 struct ParetoConfig : MeasureConfig {
@@ -105,6 +110,12 @@ struct ParetoConfig : MeasureConfig {
   std::vector<Objective> objectives = {Objective::time, Objective::energy,
                                        Objective::site};
 };
+
+/// The pareto golden's configuration (tests/golden/pareto_snapshot.json),
+/// which is CI's pareto smoke run: `fpr pareto --base KNL --kernel
+/// AMG,HPL,XSBn,BABL2 --scale 0.2 --trace-refs 120000 --rounds 2
+/// --threads 1`, every other option at its default.
+[[nodiscard]] ParetoConfig golden_pareto_config();
 
 struct ParetoResults {
   std::string base;  ///< base machine short name

@@ -70,7 +70,8 @@ VariantEvaluator::VariantEvaluator(arch::CpuSpec base, const Config& cfg,
 
 std::vector<std::shared_ptr<const VariantEvaluator::ProfileSet>>
 VariantEvaluator::profiles_for(
-    const std::vector<arch::MachineVariant>& variants) const {
+    const std::vector<arch::MachineVariant>& variants,
+    const std::vector<arch::CpuSpec>& siblings) const {
   std::lock_guard lock(mu_);  // one batch at a time: memo and counts exact
 
   // 1. Walk the batch in input order, counting as a loop of one-variant
@@ -90,42 +91,89 @@ VariantEvaluator::profiles_for(
     }
   }
 
-  // 2. One unit per (new digest, kernel). Units with equal SimCache keys
-  //    replay the same trace (a bandwidth respin of a new geometry, or
-  //    two kernels with one sliced pattern), so only the first of each
-  //    key replays on the pool; the rest read it back from the SimCache.
+  // 2. One unit per (new digest, kernel). The first unit of each
+  //    SimCache key looks it up; a new key joins the pass of its prefix
+  //    key, so replays that differ only in the last level share one walk
+  //    of the levels above it. Later units of a key (a bandwidth respin
+  //    of a new geometry, or two kernels with one sliced pattern) read it
+  //    back from the SimCache once the passes have run.
   const std::size_t nk = kernels_.size();
   std::vector<ProfileSet> sets(fresh.size(), ProfileSet(nk));
-  const auto profile = [&](std::size_t unit) {
-    const arch::CpuSpec& cpu = *fresh[unit / nk];
-    sets[unit / nk][unit % nk] = model::profile_memory(
-        cpu, kernels_[unit % nk].meas, trace_refs_, model::kDefaultScaleShift,
-        sim_cache_.get());
+  const auto set_profile = [&](std::size_t unit,
+                               const memsim::HierarchyResult& res) {
+    sets[unit / nk][unit % nk] = model::profile_from_replay(
+        *fresh[unit / nk], kernels_[unit % nk].meas, res);
   };
-  std::vector<std::size_t> leads, followers;
+  struct Pass {
+    memsim::AccessPatternSpec slice;  // every member's per-core slice
+    std::vector<arch::CpuSpec> cpus;  // scored members, then siblings
+    std::vector<std::string> keys;    // in cpus order
+    std::vector<std::size_t> units;   // the scored members' units
+  };
+  std::vector<Pass> passes;
+  std::unordered_map<std::string, std::size_t> pass_of;  // by prefix key
   std::unordered_set<std::string> keys;
+  std::vector<std::size_t> followers;
   for (std::size_t unit = 0; unit < sets.size() * nk; ++unit) {
     const arch::CpuSpec& cpu = *fresh[unit / nk];
-    const std::string key = memsim::SimCache::key(
-        cpu, model::per_core_slice(kernels_[unit % nk].meas.access, cpu.cores),
-        trace_refs_, model::kProfileSeed, model::kDefaultScaleShift);
-    (keys.insert(key).second ? leads : followers).push_back(unit);
+    Replay r = replay_of(cpu, unit % nk);
+    if (!keys.insert(r.key).second) {
+      followers.push_back(unit);
+    } else if (const auto stored = sim_cache_->find(r.key)) {
+      set_profile(unit, *stored);
+    } else {
+      const auto [at, added] = pass_of.try_emplace(r.prefix, passes.size());
+      if (added) passes.push_back({std::move(r.slice), {}, {}, {}});
+      Pass& pass = passes[at->second];
+      pass.cpus.push_back(cpu);
+      pass.keys.push_back(std::move(r.key));
+      pass.units.push_back(unit);
+    }
   }
-  if (!leads.empty()) {
-    // Replay costs vary by kernel, so workers claim units from a shared
+  // A sibling joins a pass that shares its prefix, unless its key is
+  // stored or already in the batch; it is never replayed alone.
+  for (const auto& sib : siblings) {
+    for (std::size_t k = 0; k < nk; ++k) {
+      Replay r = replay_of(sib, k);
+      const auto at = pass_of.find(r.prefix);
+      if (at == pass_of.end() || sim_cache_->contains(r.key) ||
+          !keys.insert(r.key).second) {
+        continue;
+      }
+      passes[at->second].cpus.push_back(sib);
+      passes[at->second].keys.push_back(std::move(r.key));
+      ++stats_.sibling_fills;
+    }
+  }
+  stats_.replays += passes.size();
+
+  if (!passes.empty()) {
+    // Replay costs vary by kernel, so workers claim passes from a shared
     // cursor; static chunks would leave some idle.
     ThreadPool pool(static_cast<unsigned>(
-        std::min<std::size_t>(jobs_, leads.size())));
+        std::min<std::size_t>(jobs_, passes.size())));
     std::atomic<std::size_t> next{0};
     pool.parallel_for(pool.size() + 1, [&](std::size_t, std::size_t, unsigned) {
-      for (std::size_t i = next++; i < leads.size(); i = next++) {
-        profile(leads[i]);
+      for (std::size_t i = next++; i < passes.size(); i = next++) {
+        Pass& pass = passes[i];
+        auto results = memsim::simulate_siblings(
+            pass.cpus, pass.slice, trace_refs_, model::kProfileSeed,
+            model::kDefaultScaleShift);
+        for (std::size_t m = 0; m < results.size(); ++m) {
+          const auto stored =
+              sim_cache_->insert(pass.keys[m], std::move(results[m]));
+          if (m < pass.units.size()) set_profile(pass.units[m], *stored);
+        }
       }
     });
   }
 
   // 3. Every remaining unit is a SimCache hit now.
-  for (const std::size_t unit : followers) profile(unit);
+  for (const std::size_t unit : followers) {
+    sets[unit / nk][unit % nk] = model::profile_memory(
+        *fresh[unit / nk], kernels_[unit % nk].meas, trace_refs_,
+        model::kDefaultScaleShift, sim_cache_.get());
+  }
   for (auto& [digest, slot] : fresh_slot) {
     memo_.emplace(digest, std::make_shared<const ProfileSet>(
                               std::move(sets[slot])));
@@ -137,8 +185,9 @@ VariantEvaluator::profiles_for(
 }
 
 std::vector<VariantScore> VariantEvaluator::evaluate(
-    const std::vector<arch::MachineVariant>& variants) const {
-  const auto profiles = profiles_for(variants);
+    const std::vector<arch::MachineVariant>& variants,
+    const std::vector<arch::CpuSpec>& siblings) const {
+  const auto profiles = profiles_for(variants, siblings);
   std::vector<VariantScore> scores;
   scores.reserve(variants.size());
   for (std::size_t i = 0; i < variants.size(); ++i) {
@@ -147,6 +196,28 @@ std::vector<VariantScore> VariantEvaluator::evaluate(
   std::lock_guard lock(mu_);
   stats_.evaluations += variants.size();
   return scores;
+}
+
+bool VariantEvaluator::is_sibling(const arch::CpuSpec& a,
+                                  const arch::CpuSpec& b) const {
+  for (std::size_t k = 0; k < kernels_.size(); ++k) {
+    const Replay ra = replay_of(a, k);
+    const Replay rb = replay_of(b, k);
+    if (ra.prefix != rb.prefix || ra.key == rb.key) return false;
+  }
+  return !kernels_.empty();
+}
+
+VariantEvaluator::Replay VariantEvaluator::replay_of(const arch::CpuSpec& cpu,
+                                                     std::size_t k) const {
+  Replay r;
+  r.slice = model::per_core_slice(kernels_[k].meas.access, cpu.cores);
+  r.key = memsim::SimCache::key(cpu, r.slice, trace_refs_,
+                                model::kProfileSeed, model::kDefaultScaleShift);
+  r.prefix = memsim::SimCache::prefix_key(cpu, r.slice, trace_refs_,
+                                          model::kProfileSeed,
+                                          model::kDefaultScaleShift);
+  return r;
 }
 
 VariantScore VariantEvaluator::evaluate(

@@ -15,8 +15,12 @@
 //     geometry-changing variant (cores, capacities, associativities)
 //     needs one hierarchy replay per kernel: each batch replays every
 //     such trace once, fanned over cfg.jobs workers, through the shared
-//     SimCache. The compute-side model (model::evaluate_at_turbo) then
-//     runs serially per variant, because it is cheap pure arithmetic.
+//     SimCache. Replays that differ only in the last cache level share
+//     one pass (memsim::SimCache::prefix_key), and a pass also fills the
+//     last levels of any *siblings* the caller supplies, so a later batch
+//     finds those geometries simulated. The compute-side model
+//     (model::evaluate_at_turbo) then runs serially per variant, because
+//     it is cheap pure arithmetic.
 //
 // Scoring reproduces the monolithic pipeline's arithmetic exactly —
 // same model calls, same inputs, same order — which is what lets the
@@ -75,6 +79,8 @@ struct EvaluatorStats {
   std::uint64_t memo_hits = 0;    ///< profile sets served from the memo
   std::uint64_t memo_misses = 0;  ///< profile sets computed (once per
                                   ///< distinct memory-model digest)
+  std::uint64_t replays = 0;        ///< hierarchy replay passes run
+  std::uint64_t sibling_fills = 0;  ///< (sibling, kernel) replays they fill
 };
 
 class VariantEvaluator {
@@ -91,13 +97,24 @@ class VariantEvaluator {
   /// evaluator's base machine (arch::derive_variant); the base itself is
   /// the empty spec. The batch replays each trace its new memory models
   /// need once, on up to cfg.jobs workers, and counts memo hits and
-  /// misses as a one-at-a-time loop over the batch would. Thread-safe:
-  /// concurrent calls take turns on the memo.
+  /// misses as a one-at-a-time loop over the batch would. Replays whose
+  /// prefix keys match share one pass. A `siblings` machine (derived
+  /// from the base too) is never scored, memoized or replayed alone: a
+  /// pass that shares the prefix of one of its replays also fills that
+  /// replay's SimCache entry, so scoring it later replays nothing.
+  /// Thread-safe: concurrent calls take turns on the memo.
   [[nodiscard]] std::vector<VariantScore> evaluate(
-      const std::vector<arch::MachineVariant>& variants) const;
+      const std::vector<arch::MachineVariant>& variants,
+      const std::vector<arch::CpuSpec>& siblings = {}) const;
 
   /// Score one variant: a batch of one.
   [[nodiscard]] VariantScore evaluate(const arch::MachineVariant& variant) const;
+
+  /// True when `b` differs from `a` only in the last cache level: for
+  /// every kernel, `b`'s replay has the prefix key of `a`'s but a key of
+  /// its own, so a pass replaying `a` can fill `b` as a sibling.
+  [[nodiscard]] bool is_sibling(const arch::CpuSpec& a,
+                                const arch::CpuSpec& b) const;
 
   [[nodiscard]] const arch::CpuSpec& base() const { return base_; }
   [[nodiscard]] std::size_t kernel_count() const { return kernels_.size(); }
@@ -121,11 +138,22 @@ class VariantEvaluator {
     model::EvalResult perf;  ///< on the base machine
   };
   using ProfileSet = std::vector<model::MemoryProfile>;  // kernel order
+  /// The hierarchy replay profile_memory runs for kernel `k` on a cpu:
+  /// the per-core slice it replays and its SimCache key and prefix key.
+  struct Replay {
+    memsim::AccessPatternSpec slice;
+    std::string key;
+    std::string prefix;
+  };
+
+  [[nodiscard]] Replay replay_of(const arch::CpuSpec& cpu,
+                                 std::size_t k) const;
 
   /// The profile set of each variant, in input order, replaying what
-  /// the memo lacks.
+  /// the memo lacks (and filling `siblings` on the way).
   [[nodiscard]] std::vector<std::shared_ptr<const ProfileSet>> profiles_for(
-      const std::vector<arch::MachineVariant>& variants) const;
+      const std::vector<arch::MachineVariant>& variants,
+      const std::vector<arch::CpuSpec>& siblings) const;
   [[nodiscard]] VariantScore score_variant(const arch::MachineVariant& variant,
                                            const ProfileSet& profiles) const;
 

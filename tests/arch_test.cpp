@@ -8,6 +8,8 @@
 
 #include "arch/machines.hpp"
 #include "arch/variant.hpp"
+#include "memsim/hierarchy.hpp"
+#include "model/memprofile.hpp"
 
 namespace fpr::arch {
 namespace {
@@ -213,6 +215,27 @@ TEST(Variant, RejectsMalformedAndInconsistentSpecs) {
   // A composed machine must still validate: DDR faster than MCDRAM is
   // rejected by CpuSpec::validate, not silently accepted.
   EXPECT_THROW(derive_variant(knl(), "dram-bw=10"), std::invalid_argument);
+  // A result that does not fit its field is rejected before any cast:
+  // 64e12 cores overflow an int, as do 3e9 FP32 pipes and 2 x INT_MAX;
+  // a bandwidth of 90 x 1e308 GB/s is not finite.
+  for (const char* spec : {"cores=1e12", "widen-fp32=3e9",
+                           "widen-fp32=2147483647", "dram-bw=1e308"}) {
+    EXPECT_THROW(derive_variant(knl(), spec), std::invalid_argument) << spec;
+  }
+  // An MCDRAM too large to simulate is still a machine; the memory
+  // simulator refuses it, naming the machine and the level.
+  for (const char* spec : {"mcdram-cap=1e9", "mcdram-cap=1e12",
+                           "mcdram-cap=1e300"}) {
+    const auto v = derive_variant(knl(), spec);
+    try {
+      const memsim::Hierarchy h(v.cpu, model::kDefaultScaleShift);
+      ADD_FAILURE() << spec << " built a hierarchy";
+    } catch (const std::invalid_argument& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find(v.cpu.short_name), std::string::npos) << msg;
+      EXPECT_NE(msg.find("MCDRAM$"), std::string::npos) << msg;
+    }
+  }
 }
 
 TEST(Variant, CanonicalDigestIsSpellingInvariant) {

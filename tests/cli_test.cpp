@@ -449,8 +449,31 @@ TEST(Cli, ExploreGoldenUsesSnapshotConfig) {
 }
 
 TEST(Cli, ExploreRejectsBadOptions) {
-  EXPECT_EQ(run({"explore", "--base", "EPYC"}).code, 1);  // engine throws
-  EXPECT_EQ(run({"explore", "--variants", "no-such"}).code, 1);
+  // An unknown base or a spec derive_variant rejects is a usage error
+  // naming the option and the value, caught ahead of the engine.
+  for (const auto& bad : std::vector<std::vector<std::string>>{
+           {"--base", "EPYC"},
+           {"--variants", "no-such"},
+           {"--variants", "cores=1e12"},
+           {"--variants", "widen-fp32=3e9"}}) {
+    const auto r = run({"explore", "--kernel", "BABL2", "--threads", "1",
+                        bad[0], bad[1]});
+    EXPECT_EQ(r.code, 2) << bad[1];
+    EXPECT_NE(r.err.find(bad[0]), std::string::npos) << r.err;
+    EXPECT_NE(r.err.find(bad[1]), std::string::npos) << r.err;
+  }
+  // An MCDRAM too large to simulate derives a machine; the replay
+  // refuses it by machine and level instead of wrapping a cast or
+  // exhausting memory.
+  for (const std::string spec :
+       {"mcdram-cap=1e9", "mcdram-cap=1e12", "mcdram-cap=1e300"}) {
+    const auto r = run({"explore", "--kernel", "BABL2", "--threads", "1",
+                        "--scale", "0.15", "--trace-refs", "20000",
+                        "--variants", spec});
+    EXPECT_EQ(r.code, 1) << spec;
+    EXPECT_NE(r.err.find("KNL+" + spec), std::string::npos) << r.err;
+    EXPECT_NE(r.err.find("MCDRAM$"), std::string::npos) << r.err;
+  }
   EXPECT_EQ(run({"explore", "--variants", ","}).code, 2);
   EXPECT_EQ(run({"explore", "--base"}).code, 2);  // missing value
   EXPECT_EQ(run({"explore", "--kernel", "NOPE"}).code, 2);
@@ -543,7 +566,9 @@ TEST(Cli, ParetoStatsLineIsIdenticalForEveryJobCount) {
   const auto parallel = run_pareto({"--jobs", "4"});
   EXPECT_EQ(serial.code, 0) << serial.err;
   EXPECT_EQ(parallel.code, 0) << parallel.err;
-  EXPECT_NE(stats_line(serial).find(" replay(s)"), std::string::npos)
+  EXPECT_NE(stats_line(serial).find(" replay(s), "), std::string::npos)
+      << serial.err;
+  EXPECT_NE(stats_line(serial).find(" sibling fill(s)"), std::string::npos)
       << serial.err;
   EXPECT_EQ(stats_line(serial), stats_line(parallel));
 }
@@ -572,7 +597,9 @@ TEST(Cli, ParetoHonorsBudgetAndObjectiveOptions) {
 }
 
 TEST(Cli, ParetoRejectsBadOptions) {
-  EXPECT_EQ(run({"pareto", "--base", "EPYC"}).code, 1);  // engine throws
+  const auto epyc = run({"pareto", "--base", "EPYC"});
+  EXPECT_EQ(epyc.code, 2);
+  EXPECT_NE(epyc.err.find("--base"), std::string::npos) << epyc.err;
   EXPECT_EQ(run_pareto({"--objectives", "throughput"}).code, 2);
   EXPECT_EQ(run_pareto({"--objectives", ","}).code, 2);
   EXPECT_EQ(run_pareto({"--max-depth", "0"}).code, 2);

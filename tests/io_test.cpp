@@ -15,8 +15,10 @@
 #include "common/rng.hpp"
 #include "io/explore_json.hpp"
 #include "io/json.hpp"
+#include "io/pareto_json.hpp"
 #include "io/study_json.hpp"
 #include "study/explore.hpp"
+#include "study/pareto.hpp"
 #include "study/study_engine.hpp"
 
 namespace fpr::io {
@@ -362,6 +364,20 @@ TEST(GoldenExplore, MatchesCommittedSnapshot) {
   EXPECT_TRUE(mismatches.empty())
       << "explore snapshot drifted; if intentional, regenerate with "
          "`fpr explore --golden --out tests/golden/explore_snapshot.json`";
+}
+
+TEST(GoldenPareto, MatchesCommittedSnapshot) {
+  const Json want = load_file(FPR_PARETO_GOLDEN);
+  const Json got =
+      to_json(study::ParetoEngine(study::golden_pareto_config()).run());
+  std::vector<std::string> mismatches;
+  compare_json(got, want, "$", mismatches);
+  for (const auto& m : mismatches) ADD_FAILURE() << m;
+  EXPECT_TRUE(mismatches.empty())
+      << "pareto snapshot drifted; if intentional, regenerate with "
+         "`fpr pareto --base KNL --kernel AMG,HPL,XSBn,BABL2 --scale 0.2 "
+         "--trace-refs 120000 --rounds 2 --threads 1 --out "
+         "tests/golden/pareto_snapshot.json`";
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Unit tests for the cache/memory simulator.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 #include <stdexcept>
 #include <thread>
@@ -10,11 +11,13 @@
 #include "arch/variant.hpp"
 #include "common/magic_div.hpp"
 #include "common/rng.hpp"
+#include "common/units.hpp"
 #include "memsim/bandwidth.hpp"
 #include "memsim/cache.hpp"
 #include "memsim/hierarchy.hpp"
 #include "memsim/sim_cache.hpp"
 #include "memsim/trace_gen.hpp"
+#include "memsim/trace_source.hpp"
 
 namespace fpr::memsim {
 namespace {
@@ -506,6 +509,141 @@ INSTANTIATE_TEST_SUITE_P(AllPatterns, BatchedIdentity,
 TEST(BatchedIdentitySuite, CoversEverySpec) {
   // Guard the Range() above against spec-list growth.
   EXPECT_EQ(all_pattern_specs().size(), 8u);
+}
+
+// ---------------------------------------------------------------------
+// Shared passes: a sibling's last level sees exactly the stream its own
+// replay would feed it.
+
+/// One spec per pattern class, plus a mixture, each spanning about
+/// `bytes` of full-scale footprint.
+std::vector<AccessPatternSpec> specs_spanning(std::uint64_t bytes) {
+  std::vector<AccessPatternSpec> specs;
+  specs.push_back(AccessPatternSpec::single(StreamPattern{
+      .bytes_per_array = bytes / 3, .arrays = 3, .writes_per_iter = 1}));
+  specs.push_back(AccessPatternSpec::single(
+      StridedPattern{.footprint_bytes = bytes, .stride_bytes = 192}));
+  specs.push_back(AccessPatternSpec::single(
+      StencilPattern{.nx = 64, .ny = 64, .nz = bytes / (64 * 64 * 8),
+                     .elem_bytes = 8, .radius = 1, .full_box = false}));
+  specs.push_back(AccessPatternSpec::single(
+      GatherPattern{.table_bytes = bytes, .elem_bytes = 8,
+                    .sequential_fraction = 0.2}));
+  specs.push_back(AccessPatternSpec::single(
+      ChasePattern{.footprint_bytes = bytes, .node_bytes = 64}));
+  specs.push_back(AccessPatternSpec::single(
+      BlockedPattern{.matrix_bytes = bytes, .tile_bytes = 1u << 20,
+                     .tile_reuse = 4.0}));
+  AccessPatternSpec mix;
+  mix.components.push_back({StreamPattern{.bytes_per_array = bytes / 4}, 2.0});
+  mix.components.push_back(
+      {GatherPattern{.table_bytes = bytes / 2, .elem_bytes = 8}, 1.0});
+  mix.components.push_back(
+      {ChasePattern{.footprint_bytes = bytes / 4, .node_bytes = 64}, 0.5});
+  specs.push_back(mix);
+  return specs;
+}
+
+/// `cpu` with `factor` times its last-level capacity.
+arch::CpuSpec with_last_level(arch::CpuSpec cpu, int factor) {
+  cpu.short_name += "-x" + std::to_string(factor);
+  (cpu.has_mcdram() ? cpu.mcdram_gib : cpu.llc_mib) *= factor;
+  return cpu;
+}
+
+TEST(SharedPass, EachMemberMatchesItsOwnReplay) {
+  constexpr unsigned kShift = 8;  // the model's scale shift
+  constexpr std::uint64_t kRefs = 100'000;
+  // KNM's last level is the magic-division walker's (a 1,820-set
+  // MCDRAM), BDW's the 20-way LLC's.
+  EXPECT_EQ(Hierarchy(arch::knm(), kShift).level_config(2).num_sets(), 1820u);
+  EXPECT_EQ(Hierarchy(arch::bdw(), kShift).level_config(2).associativity,
+            20u);
+  for (const auto& cpu : {arch::knl(), arch::knm(), arch::bdw()}) {
+    const std::vector<arch::CpuSpec> group = {cpu, with_last_level(cpu, 2),
+                                              with_last_level(cpu, 4)};
+    // 1.5x the per-core last-level share: it thrashes the base's last
+    // level and fits the 4x sibling's.
+    const double share = cpu.has_mcdram()
+                             ? cpu.mcdram_gib * static_cast<double>(GiB)
+                             : cpu.llc_mib * static_cast<double>(MiB);
+    const auto bytes =
+        static_cast<std::uint64_t>(1.5 * share / cpu.cores);
+    int capacity_bound = 0;  // specs whose 4x sibling hits more
+    for (const auto& spec : specs_spanning(bytes)) {
+      const auto shared = simulate_siblings(group, spec, kRefs, 5, kShift);
+      ASSERT_EQ(shared.size(), group.size());
+      for (std::size_t m = 0; m < group.size(); ++m) {
+        const auto alone = simulate_pattern(group[m], spec, kRefs, 5, kShift);
+        const std::string where =
+            group[m].short_name + " " + pattern_name(spec.components[0].pattern);
+        EXPECT_EQ(shared[m].refs, alone.refs) << where;
+        ASSERT_EQ(shared[m].levels.size(), alone.levels.size()) << where;
+        for (std::size_t l = 0; l < alone.levels.size(); ++l) {
+          const auto& got = shared[m].levels[l];
+          const auto& want = alone.levels[l];
+          EXPECT_EQ(got.name, want.name) << where;
+          EXPECT_EQ(got.stats.hits, want.stats.hits) << where << " " << want.name;
+          EXPECT_EQ(got.stats.misses, want.stats.misses)
+              << where << " " << want.name;
+          EXPECT_EQ(got.stats.writebacks, want.stats.writebacks)
+              << where << " " << want.name;
+        }
+      }
+      // More last-level capacity never loses hits (LRU inclusion).
+      EXPECT_LE(shared[0].levels.back().stats.hits,
+                shared[2].levels.back().stats.hits)
+          << cpu.short_name;
+      capacity_bound += shared[0].levels.back().stats.hits <
+                        shared[2].levels.back().stats.hits;
+    }
+    // The siblings' last levels really see different capacity effects.
+    EXPECT_GE(capacity_bound, 3) << cpu.short_name;
+  }
+}
+
+TEST(SharedPass, RejectsASiblingWithDifferentUpperLevels) {
+  // BDW's L2 slice is half KNL's: the two cannot share a pass.
+  const auto spec = AccessPatternSpec::single(
+      GatherPattern{.table_bytes = 1u << 24, .elem_bytes = 8});
+  const std::vector<arch::CpuSpec> group = {arch::knl(), arch::bdw()};
+  try {
+    (void)simulate_siblings(group, spec, 1'000, 5, 8);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("KNL"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("BDW"), std::string::npos) << msg;
+  }
+  // So can two hierarchies at different scale shifts.
+  Hierarchy a(arch::knl(), 8);
+  std::vector<Hierarchy> b = {Hierarchy(arch::knl(), 6)};
+  SyntheticTraceSource src(spec, 5);
+  EXPECT_THROW((void)a.replay(src, 1'000, 0, b), std::invalid_argument);
+}
+
+TEST(Hierarchy, LevelLineLimitAdmitsTableIAndNamesTheLevel) {
+  // Every Table I machine builds at exact geometry (scale shift 0).
+  for (const auto& cpu : arch::all_machines()) {
+    const Hierarchy h(cpu, 0);
+    for (std::size_t i = 0; i < h.num_levels(); ++i) {
+      EXPECT_LE(h.level_config(i).num_lines(), Hierarchy::kMaxLevelLines)
+          << cpu.short_name << " " << h.level_name(i);
+    }
+  }
+  // A level of no finite size is refused by machine and level instead of
+  // reaching an out-of-range cast (Variant.RejectsMalformedAnd-
+  // InconsistentSpecs covers MCDRAMs over the line limit).
+  auto inf = arch::bdw();
+  inf.short_name = "BDW-inf";
+  inf.llc_mib = std::numeric_limits<double>::infinity();
+  try {
+    const Hierarchy h(inf, 8);
+    ADD_FAILURE() << "built " << h.level_config(2).num_lines() << " lines";
+  } catch (const std::invalid_argument& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("BDW-inf level LLC"), std::string::npos) << msg;
+  }
 }
 
 TEST(Cache, AccessManyMatchesScalarAccess) {

@@ -1,7 +1,7 @@
 // Tests for the incremental design-space machinery: dominance and the
 // non-dominated filter, the ParetoEngine's archive/budget/determinism
 // invariants, VariantEvaluator-vs-ExploreEngine equality, the batch
-// scorer's replay and memo counts, the geomean_ratio guard, and the
+// scorer's replay, sibling-fill and memo counts, the geomean_ratio guard, and the
 // pareto-results JSON round trip.
 #include <gtest/gtest.h>
 
@@ -155,14 +155,19 @@ TEST(ParetoEngine, StatsIdenticalAcrossJobCounts) {
     return engine.stats();
   };
   const ParetoStats serial = stats_at(1);
-  EXPECT_GT(serial.replays, 0u);  // cores moves bring new geometries
+  // cores moves bring new geometries, and their passes fill the
+  // mcdram-cap compositions.
+  EXPECT_GT(serial.evaluator.replays, 0u);
+  EXPECT_GT(serial.evaluator.sibling_fills, 0u);
   EXPECT_GT(serial.evaluator.memo_misses, 0u);
   for (const unsigned jobs : {2u, 8u}) {
     const ParetoStats st = stats_at(jobs);
     EXPECT_EQ(st.evaluator.memo_hits, serial.evaluator.memo_hits) << jobs;
     EXPECT_EQ(st.evaluator.memo_misses, serial.evaluator.memo_misses) << jobs;
     EXPECT_EQ(st.evaluator.evaluations, serial.evaluator.evaluations) << jobs;
-    EXPECT_EQ(st.replays, serial.replays) << jobs;
+    EXPECT_EQ(st.evaluator.replays, serial.evaluator.replays) << jobs;
+    EXPECT_EQ(st.evaluator.sibling_fills, serial.evaluator.sibling_fills)
+        << jobs;
   }
 }
 
@@ -265,6 +270,49 @@ TEST(VariantEvaluator, BatchReplaysEachGeometryOnce) {
               io::dump(io::to_json(single.evaluate(batch[i]))))
         << batch[i].spec;
   }
+}
+
+TEST(VariantEvaluator, BatchFillsSuppliedSiblings) {
+  const arch::CpuSpec base = arch::knl();
+  VariantEvaluator::Config ec;
+  ec.kernels = {"HPL", "BABL2"};
+  ec.scale = 0.15;
+  ec.threads = 1;
+  ec.trace_refs = 60'000;
+  ec.jobs = 4;
+  const VariantEvaluator evaluator(base, ec);
+  const std::uint64_t nk = evaluator.kernel_count();
+
+  // cores=0.9 is a new geometry. Doubling its MCDRAM changes only the
+  // last level, so the batch's passes fill that machine; the same move
+  // on cores=1.25 shares no pass of the batch and is dropped.
+  const auto scored = arch::derive_variant(base, "cores=0.9");
+  const auto sibling = arch::derive_variant(base, "cores=0.9+mcdram-cap=2");
+  const auto stranger = arch::derive_variant(base, "cores=1.25+mcdram-cap=2");
+  ASSERT_TRUE(evaluator.is_sibling(scored.cpu, sibling.cpu));
+  ASSERT_FALSE(evaluator.is_sibling(scored.cpu, stranger.cpu));
+  ASSERT_FALSE(evaluator.is_sibling(scored.cpu, scored.cpu));
+  (void)evaluator.evaluate(std::vector{scored}, {sibling.cpu, stranger.cpu});
+  const auto filled = evaluator.stats();
+  EXPECT_EQ(filled.replays, nk);  // one pass per kernel
+  EXPECT_EQ(filled.sibling_fills, nk);
+  EXPECT_EQ(filled.memo_misses, 1u);  // the sibling is not memoized
+
+  // Scoring the sibling later replays nothing; the stranger replays.
+  const auto sim_before = evaluator.sim_stats();
+  const VariantScore score = evaluator.evaluate(sibling);
+  EXPECT_EQ(evaluator.stats().replays, filled.replays);
+  EXPECT_EQ(evaluator.sim_stats().misses, sim_before.misses);
+  EXPECT_EQ(evaluator.sim_stats().hits, sim_before.hits + nk);
+  EXPECT_EQ(evaluator.stats().memo_misses, 2u);
+  (void)evaluator.evaluate(stranger);
+  EXPECT_EQ(evaluator.stats().replays, filled.replays + nk);
+
+  // The filled sibling scores as a one-at-a-time evaluate() does.
+  ec.jobs = 1;
+  const VariantEvaluator single(base, ec);
+  EXPECT_EQ(io::dump(io::to_json(score)),
+            io::dump(io::to_json(single.evaluate(sibling))));
 }
 
 TEST(ParetoJson, RoundTripIsLossless) {
