@@ -42,7 +42,6 @@
 #include "bench_util.hpp"
 #include "common/table.hpp"
 #include "common/timer.hpp"
-#include "io/trace_format.hpp"
 #include "io/trace_replay.hpp"
 #include "memsim/cache.hpp"
 #include "memsim/hierarchy.hpp"
@@ -318,19 +317,7 @@ bool replay_machine(const arch::CpuSpec& cpu, std::uint64_t refs,
     // fpr-trace file, then time FileTraceSource (decode + replay; the
     // recording itself stays outside the timer).
     const char* trace_path = "memsim_replay_bench.fpt";
-    {
-      io::TraceWriter writer(trace_path);
-      TraceGenerator gw(scaled, 0xfeed1234);
-      std::vector<MemRef> block(4096);
-      for (std::uint64_t done = 0; done < 2 * refs;) {
-        const std::size_t n = static_cast<std::size_t>(
-            std::min<std::uint64_t>(block.size(), 2 * refs - done));
-        gw.fill(block.data(), n);
-        writer.append(block.data(), n);
-        done += n;
-      }
-      writer.finish();
-    }
+    io::record_trace(trace_path, scaled, 0xfeed1234, 2 * refs);
     Hierarchy hf(cpu, scale_shift);
     WallTimer tf;
     HierarchyResult rf;

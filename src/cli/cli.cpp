@@ -45,7 +45,7 @@ struct UsageError : std::runtime_error {
 };
 
 /// An input file that is missing, unreadable or malformed: exits
-/// kExitBadInput with the message.
+/// kExitBadInput with the message, as every io::TraceFormatError does.
 struct BadInput : std::runtime_error {
   using std::runtime_error::runtime_error;
 };
@@ -64,10 +64,12 @@ struct RunOptions : study::MeasureConfig {
   // study
   bool no_sweep = false;
   bool timing = false;
-  // memsim, trace
+  // memsim, trace, trace-record
   unsigned scale_shift = model::kDefaultScaleShift;
-  std::vector<std::string> machines;  // trace; empty = all of Table I
-  std::uint64_t warmup = 0;           // trace
+  std::vector<std::string> machines;  // empty = all (trace-record: KNL)
+  std::uint64_t warmup = 0;           // trace-record: --refs unless given
+  // trace-dump
+  std::uint64_t limit = 0;  // 0 = all
   // explore, pareto
   std::string base = "KNL";
   std::vector<std::string> variants;  // explore; empty = built-in grid
@@ -80,7 +82,7 @@ struct RunOptions : study::MeasureConfig {
   std::uint64_t search_seed = 2019;
   // diff
   double tolerance = 0.0;
-  std::vector<std::string> positional;  // trace's, diff's, report's files
+  std::vector<std::string> positional;  // the command's files
   std::set<std::string_view> given;     // option spellings seen
 };
 
@@ -106,7 +108,7 @@ struct Option {
 constexpr Option kOptions[] = {
     {"--kernel", "A[,B,...]",
      "kernel abbreviations to run (default: all; repeatable, "
-     "comma-separated)",
+     "comma-separated; trace-record: exactly one)",
      &RunOptions::kernels},
     {"--scale", "S", "input scale multiplier, > 0 (default 0.3)",
      &RunOptions::scale, true},
@@ -126,7 +128,8 @@ constexpr Option kOptions[] = {
      &RunOptions::trace_refs, true},
     {"--refs", "N",
      "trace references per replay, > 0 (memsim: default 400000; trace: "
-     "default every record after the warmup prefix)",
+     "default every record after the warmup prefix; trace-record: measured "
+     "records to write, default 400000)",
      &RunOptions::trace_refs, true},
     {"--jobs", "N",
      "engine workers for the per-machine stages and variant scoring (0 = "
@@ -153,12 +156,16 @@ constexpr Option kOptions[] = {
      "2^S (default 8, max 30)",
      &RunOptions::scale_shift, false, 30},
     {"--machine", "M[,M...]",
-     "replay only on the named Table I machines (default: all)",
+     "replay only on the named Table I machines (default: all; "
+     "trace-record: the one machine to record for, default KNL)",
      &RunOptions::machines},
     {"--warmup", "N",
-     "records replayed uncounted before measuring starts (default 0; "
-     "traces recorded with 'fpr-trace record' carry their own prefix)",
+     "records replayed uncounted before measuring starts (trace: default 0; "
+     "files from trace-record carry their own prefix; trace-record: records "
+     "written ahead of the measured ones, default --refs)",
      &RunOptions::warmup},
+    {"--limit", "N", "print at most N records (default 0 = all)",
+     &RunOptions::limit},
     {"--base", "M", "base machine short name: KNL, KNM, or BDW (default KNL)",
      &RunOptions::base},
     {"--variants", "S[,S...]",
@@ -438,12 +445,15 @@ study::MeasureConfig measure_config(const RunOptions& opt) {
   return m;
 }
 
-/// The --base machine; an unknown name is a usage error.
-arch::CpuSpec base_machine(const std::string& name) {
+/// The Table I machine `name`, given in `option`; an unknown name is a
+/// usage error.
+arch::CpuSpec table1_machine(const std::string& name,
+                             std::string_view option) {
   auto cpu = arch::find_machine(name);
   if (!cpu) {
-    throw UsageError("unknown machine '" + name +
-                     "' for --base (expected a Table I short name)");
+    throw UsageError("unknown machine '" + name + "' for " +
+                     std::string(option) +
+                     " (expected a Table I short name)");
   }
   return std::move(*cpu);
 }
@@ -570,7 +580,7 @@ int cmd_explore(const RunOptions& opt, std::ostream& out, std::ostream& err) {
     cfg = study::golden_explore_config();
   } else {
     static_cast<study::MeasureConfig&>(cfg) = measure_config(opt);
-    const arch::CpuSpec base = base_machine(opt.base);
+    const arch::CpuSpec base = table1_machine(opt.base, "--base");
     for (const auto& spec : opt.variants) {
       try {
         (void)arch::derive_variant(base, spec);
@@ -654,7 +664,7 @@ int cmd_explore(const RunOptions& opt, std::ostream& out, std::ostream& err) {
 int cmd_pareto(const RunOptions& opt, std::ostream& out, std::ostream& err) {
   study::ParetoConfig cfg;
   static_cast<study::MeasureConfig&>(cfg) = measure_config(opt);
-  (void)base_machine(opt.base);
+  (void)table1_machine(opt.base, "--base");
   cfg.base = opt.base;
   cfg.search_seed = opt.search_seed;
   cfg.rounds = opt.rounds;
@@ -822,28 +832,17 @@ int cmd_trace(const RunOptions& opt, std::ostream& out, std::ostream& err) {
   // should win over input errors.
   std::vector<arch::CpuSpec> machines;
   for (const auto& name : opt.machines) {
-    auto cpu = arch::find_machine(name);
-    if (!cpu) {
-      throw UsageError("unknown machine '" + name +
-                       "' (expected a Table I short name)");
-    }
     for (const auto& m : machines) {
       if (m.short_name == name) {
         throw UsageError("machine '" + name +
                          "' given more than once in --machine");
       }
     }
-    machines.push_back(std::move(*cpu));
+    machines.push_back(table1_machine(name, "--machine"));
   }
   if (machines.empty()) machines = arch::all_machines();
 
-  io::TraceInfo info;
-  try {
-    info = io::read_trace_info(path);
-  } catch (const io::TraceFormatError& e) {
-    err << "fpr trace: " << e.what() << "\n";
-    return kExitBadInput;
-  }
+  const io::TraceInfo info = io::read_trace_info(path);
   if (info.records <= opt.warmup) {
     throw UsageError("--warmup " + std::to_string(opt.warmup) +
                      " leaves no measurable records ('" + path + "' holds " +
@@ -865,15 +864,10 @@ int cmd_trace(const RunOptions& opt, std::ostream& out, std::ostream& err) {
   // One replay per machine, fanned out over the pool into per-machine
   // slots; the machines are distinct, so every slot has its own memo key.
   std::vector<memsim::HierarchyResult> results(machines.size());
-  try {
-    ctx.for_each(machines.size(), [&](std::size_t i) {
-      results[i] = io::replay_trace_cached(&cache, machines[i], path, refs,
-                                           opt.warmup, opt.scale_shift);
-    });
-  } catch (const io::TraceFormatError& e) {
-    err << "fpr trace: " << e.what() << "\n";
-    return kExitBadInput;
-  }
+  ctx.for_each(machines.size(), [&](std::size_t i) {
+    results[i] = io::replay_trace_cached(&cache, machines[i], path, refs,
+                                         opt.warmup, opt.scale_shift);
+  });
 
   const std::string stem = trace_stem(path);
   const bool json_to_stdout = opt.out == "-";
@@ -928,6 +922,93 @@ int cmd_trace(const RunOptions& opt, std::ostream& out, std::ostream& err) {
   const auto cs = cache.stats();
   err << "[fpr] trace cache: " << cs.hits << " hit(s), " << cs.misses
       << " replay(s)\n";
+  return kExitOk;
+}
+
+/// `fpr trace-record FILE`: the reference stream `fpr memsim` replays
+/// for one kernel on one machine (the kernel's measured access spec,
+/// sliced per core and capacity-scaled, through the synthetic generator
+/// at the profiling seed) behind a warmup prefix of the same stream, so
+/// `fpr trace FILE --machine M --warmup W` reproduces the memsim row bit
+/// for bit.
+int cmd_trace_record(const RunOptions& opt, std::ostream&,
+                     std::ostream& err) {
+  const std::string& path = opt.positional.front();
+  if (opt.kernels.size() != 1) {
+    throw UsageError("trace-record needs exactly one kernel in --kernel");
+  }
+  const std::string kernel = resolve_kernels(opt.kernels).front();
+  if (opt.machines.size() > 1) {
+    throw UsageError("trace-record takes at most one machine in --machine");
+  }
+  const auto cpu = table1_machine(
+      opt.machines.empty() ? "KNL" : opt.machines.front(), "--machine");
+  const std::uint64_t refs = opt.trace_refs;
+  const std::uint64_t warmup =
+      opt.given.count("--warmup") != 0 ? opt.warmup : refs;
+  if (warmup > std::numeric_limits<std::uint64_t>::max() - refs) {
+    throw UsageError("--warmup plus --refs exceeds 2^64 records");
+  }
+
+  const auto meas = kernels::make(kernel)->run(opt.run_config());
+  const auto scaled = memsim::scale_spec(
+      model::per_core_slice(meas.access, cpu.cores), opt.scale_shift);
+  io::record_trace(path, scaled, model::kProfileSeed, warmup + refs);
+  err << "[fpr] wrote '" << path << "': " << warmup + refs << " record(s) ("
+      << warmup << " warmup + " << refs << " measured), kernel " << kernel
+      << " on " << cpu.short_name << ", scale-shift " << opt.scale_shift
+      << "\n[fpr] replay with: fpr trace " << path << " --machine "
+      << cpu.short_name << " --warmup " << warmup << " --scale-shift "
+      << opt.scale_shift << "\n";
+  return kExitOk;
+}
+
+/// `fpr trace-convert IN.txt OUT.fpt`: a text trace to an fpr-trace file
+/// (io::convert_text_trace). A malformed line leaves no OUT.fpt.
+int cmd_trace_convert(const RunOptions& opt, std::ostream&,
+                      std::ostream& err) {
+  const std::string& in = opt.positional[0];
+  const std::string& path = opt.positional[1];
+  std::ifstream text(in);
+  if (!text) {
+    throw BadInput("cannot read input file '" + in +
+                   "': missing or unreadable");
+  }
+  std::uint64_t records = 0;
+  const std::uint64_t digest = io::write_trace(
+      path, [&](io::TraceWriter& w) {
+        records = io::convert_text_trace(text, w);
+      });
+  err << "[fpr] wrote '" << path << "': " << records << " record(s), digest "
+      << fmt_hex64(digest) << "\n";
+  return kExitOk;
+}
+
+/// `fpr trace-dump FILE`: the records of an fpr-trace file as the text
+/// form trace-convert reads, so dump | convert round-trips the file.
+int cmd_trace_dump(const RunOptions& opt, std::ostream& out,
+                   std::ostream& err) {
+  io::TraceReader reader(opt.positional.front());
+  const std::uint64_t dumped = io::dump_trace_text(reader, out, opt.limit);
+  const std::uint64_t records = reader.info().records;
+  if (opt.limit > 0 && dumped == opt.limit && records > opt.limit) {
+    err << "[fpr] ... " << records - opt.limit << " more record(s)\n";
+  }
+  return kExitOk;
+}
+
+/// `fpr trace-info FILE`: the header of an fpr-trace file.
+int cmd_trace_info(const RunOptions& opt, std::ostream& out, std::ostream&) {
+  const std::string& path = opt.positional.front();
+  const auto info = io::read_trace_info(path);
+  out << "file:           " << path << "\n"
+      << "records:        " << info.records << "\n"
+      << "digest:         " << fmt_hex64(info.digest) << "\n"
+      << "chunk_records:  " << info.chunk_records << "\n"
+      << "addr_range:     [0x" << std::hex << info.min_addr << ", 0x"
+      << info.max_addr << std::dec << "]\n"
+      << "touched_lines:  " << info.touched_lines << "\n"
+      << "working_set:    " << info.working_set_bytes() << " bytes\n";
   return kExitOk;
 }
 
@@ -1320,9 +1401,25 @@ constexpr Command kCommands[] = {
     {"trace", "FILE",
      "replay a recorded fpr-trace binary address trace through the same "
      "hierarchy simulation and print the per-machine hit-rate table "
-     "(record/convert files with the fpr-trace tool)",
+     "(write the file with trace-record or trace-convert)",
      "--machine --refs --warmup --scale-shift --threads --out --csv",
      cmd_trace},
+    {"trace-record", "FILE",
+     "record the reference stream 'fpr memsim' replays for one kernel on "
+     "one machine, behind a warmup prefix, as an fpr-trace file",
+     "--kernel --machine --refs --warmup --scale --scale-shift --seed "
+     "--threads",
+     cmd_trace_record},
+    {"trace-convert", "IN.txt OUT.fpt",
+     "convert a text trace ('R <addr>' / 'W <addr>' lines, decimal or "
+     "0x-hex, #-comments) to an fpr-trace file",
+     "", cmd_trace_convert},
+    {"trace-dump", "FILE", "print an fpr-trace file as that text form",
+     "--limit", cmd_trace_dump},
+    {"trace-info", "FILE",
+     "print an fpr-trace file's header: records, digest, chunk size, "
+     "address range, touched lines",
+     "", cmd_trace_info},
     {"explore", "",
      "what-if machine exploration: sweep the kernels across derived "
      "variants of a base machine and score each variant against it "
@@ -1348,13 +1445,18 @@ constexpr Command kCommands[] = {
      "--csv", cmd_report},
 };
 
-/// "  HEAD  text": the text starts in a fixed column and word-wraps.
+/// "  HEAD  text": the text starts in a fixed column, on the next line
+/// when HEAD reaches it, and word-wraps.
 void help_line(std::ostream& os, std::string_view head,
                std::string_view text) {
   constexpr std::size_t kColumn = 23;
   constexpr std::size_t kWidth = 78;
   std::string line = "  ";
   line += head;
+  if (line.size() >= kColumn) {
+    os << line << "\n";
+    line.clear();
+  }
   for (const auto word : words(text)) {
     if (line.size() > kColumn && line.size() + 1 + word.size() > kWidth) {
       os << line << "\n";
@@ -1385,8 +1487,9 @@ void print_usage(std::ostream& os) {
   os << "\n'fpr <command> --help' lists the options a command takes; any\n"
         "other option is a usage error.\n\n"
         "exit codes: 0 ok; 1 runtime error or diff over tolerance;\n"
-        "2 usage error; 3 diff/report/trace input file missing, unreadable,\n"
-        "or malformed\n";
+        "2 usage error; 3 an input file of diff, report, trace,\n"
+        "trace-convert, trace-dump or trace-info missing, unreadable or\n"
+        "malformed, or a trace file that cannot be written\n";
 }
 
 void print_command_usage(std::ostream& os, const Command& c) {
@@ -1470,6 +1573,9 @@ int run_cli(const std::vector<std::string>& args, std::ostream& out,
   } catch (const UsageError& e) {
     return usage_error(err, e.what(), cmd);
   } catch (const BadInput& e) {
+    err << "fpr " << name << ": " << e.what() << "\n";
+    return kExitBadInput;
+  } catch (const io::TraceFormatError& e) {
     err << "fpr " << name << ": " << e.what() << "\n";
     return kExitBadInput;
   } catch (const std::exception& e) {

@@ -1,6 +1,7 @@
 // The `fpr` suite-runner: one driveable entry point over the whole
-// reproduction (list, tables, run, study, memsim, trace, explore, pareto,
-// diff, report). Each command is one entry of the command table in
+// reproduction (list, tables, run, study, memsim, trace, the trace-record,
+// trace-convert, trace-dump and trace-info trace-file tools, explore,
+// pareto, diff, report). Each command is one entry of the command table in
 // cli.cpp: its positional arguments, the options it takes (each with its
 // value placeholder, help line and checks), and its handler. Parsing,
 // `fpr help` and `fpr <command> --help` are all generated from that
@@ -17,8 +18,8 @@
 
 namespace fpr::cli {
 
-/// Process exit codes, shared by every fpr subcommand (and mirrored by
-/// the standalone tools). Named so exit-path meaning stays greppable —
+/// Process exit codes, shared by every fpr subcommand. Named so
+/// exit-path meaning stays greppable —
 /// the bare-exit-code lint rule rejects integer literals in `return`
 /// statements of command handlers.
 inline constexpr int kExitOk = 0;        ///< command succeeded

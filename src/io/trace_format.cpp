@@ -121,7 +121,10 @@ TraceInfo decode_header(const std::string& path, std::istream& in) {
   info.min_addr = get_le64(h + 32);
   info.max_addr = get_le64(h + 40);
   info.touched_lines = get_le64(h + 48);
-  if (info.chunk_records == 0) bad(path, "zero chunk size in header");
+  if (info.chunk_records == 0 || info.chunk_records > kTraceMaxChunkRecords) {
+    bad(path, "chunk size " + std::to_string(info.chunk_records) +
+                  " in header is outside [1, 2^20]");
+  }
   return info;
 }
 
@@ -132,13 +135,16 @@ TraceInfo decode_header(const std::string& path, std::istream& in) {
 // ---------------------------------------------------------------------------
 
 TraceWriter::TraceWriter(const std::string& path, std::uint32_t chunk_records)
-    : path_(path), out_(path, std::ios::binary | std::ios::trunc) {
+    : path_(path) {
+  if (chunk_records == 0 || chunk_records > kTraceMaxChunkRecords) {
+    throw TraceFormatError("trace chunk size " +
+                           std::to_string(chunk_records) +
+                           " is outside [1, 2^20]");
+  }
+  out_.open(path, std::ios::binary | std::ios::trunc);
   if (!out_) {
     throw TraceFormatError("cannot write trace file '" + path +
                            "': unwritable path");
-  }
-  if (chunk_records == 0) {
-    throw TraceFormatError("trace chunk size must be > 0");
   }
   info_.chunk_records = chunk_records;
   info_.digest = kFnvOffset;
@@ -221,6 +227,25 @@ void TraceWriter::finish() {
   finished_ = true;
 }
 
+void TraceWriter::discard() {
+  finished_ = true;
+  out_.close();
+  std::remove(path_.c_str());
+}
+
+std::uint64_t write_trace(const std::string& path,
+                          const std::function<void(TraceWriter&)>& append) {
+  TraceWriter w(path);
+  try {
+    append(w);
+    w.finish();
+  } catch (...) {
+    w.discard();
+    throw;
+  }
+  return w.digest();
+}
+
 // ---------------------------------------------------------------------------
 // TraceReader
 // ---------------------------------------------------------------------------
@@ -269,6 +294,13 @@ bool TraceReader::next_chunk() {
   }
   const std::uint32_t count = get_le32(h + 4);
   const std::uint64_t payload_bytes = get_le64(h + 8);
+  // Only the last chunk may be short, so no chunk is longer than the
+  // header's chunk size: that bound, not the count field, sizes chunk_.
+  if (count > info_.chunk_records) {
+    bad(path_, "chunk of " + std::to_string(count) +
+                   " record(s) exceeds the header's chunk size " +
+                   std::to_string(info_.chunk_records));
+  }
   if (count == 0 || payload_bytes == 0 ||
       payload_bytes > static_cast<std::uint64_t>(count) * kMaxVarintBytes) {
     bad(path_, "corrupt chunk header (" + std::to_string(count) +

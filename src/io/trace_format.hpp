@@ -16,6 +16,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <fstream>
+#include <functional>
 #include <iosfwd>
 #include <stdexcept>
 #include <string>
@@ -40,6 +41,10 @@ inline constexpr std::uint32_t kTraceVersion = 1;
 /// Default records per chunk: large enough to amortize the 16-byte chunk
 /// header to noise, small enough that a decode buffer stays L2-resident.
 inline constexpr std::uint32_t kTraceChunkRecords = 4096;
+/// The largest `chunk_records` a writer stamps or a reader accepts. With
+/// no chunk longer than the header's `chunk_records`, it caps the decode
+/// buffer at 10 MiB (10 bytes a record) whatever the file claims.
+inline constexpr std::uint32_t kTraceMaxChunkRecords = 1u << 20;
 inline constexpr std::size_t kTraceHeaderBytes = 56;
 
 /// The header fields of a trace file (validated magic/version implied).
@@ -60,7 +65,8 @@ struct TraceInfo {
 /// Streaming writer: append references, then finish() (or destruct) to
 /// flush the last chunk and patch the header counts/digest/footprint.
 /// Addresses must fit 63 bits (the write flag shares the transformed
-/// word); larger ones raise TraceFormatError.
+/// word); larger ones raise TraceFormatError, and so does a chunk size
+/// outside [1, kTraceMaxChunkRecords].
 class TraceWriter {
  public:
   explicit TraceWriter(const std::string& path,
@@ -74,6 +80,9 @@ class TraceWriter {
   /// Flush pending records and patch the header. Idempotent; the
   /// destructor calls it, but calling explicitly surfaces I/O errors.
   void finish();
+  /// Close the file without finishing it and delete it. The writer is
+  /// finished afterwards.
+  void discard();
 
   [[nodiscard]] std::uint64_t records() const { return info_.records; }
   [[nodiscard]] std::uint64_t digest() const { return info_.digest; }
@@ -88,6 +97,13 @@ class TraceWriter {
   std::unordered_set<std::uint64_t> lines_;
   bool finished_ = false;
 };
+
+/// Writes the trace file `path`: opens a TraceWriter on it, lets
+/// `append` fill it, finishes it and returns its digest. If anything
+/// throws once the file is open, the partial file is removed before the
+/// exception propagates, so a failed write leaves no trace to replay.
+std::uint64_t write_trace(const std::string& path,
+                          const std::function<void(TraceWriter&)>& append);
 
 /// Read and validate just the header of a trace file.
 TraceInfo read_trace_info(const std::string& path);

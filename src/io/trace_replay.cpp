@@ -1,8 +1,25 @@
 #include "io/trace_replay.hpp"
 
 #include <algorithm>
+#include <vector>
 
 namespace fpr::io {
+
+void record_trace(const std::string& path,
+                  const memsim::AccessPatternSpec& scaled, std::uint64_t seed,
+                  std::uint64_t records) {
+  memsim::TraceGenerator gen(scaled, seed);
+  write_trace(path, [&](TraceWriter& w) {
+    std::vector<memsim::MemRef> block(kTraceChunkRecords);
+    for (std::uint64_t done = 0; done < records;) {
+      const auto n = static_cast<std::size_t>(
+          std::min<std::uint64_t>(block.size(), records - done));
+      gen.fill(block.data(), n);
+      w.append(block.data(), n);
+      done += n;
+    }
+  });
+}
 
 memsim::HierarchyResult replay_trace_cached(
     memsim::SimCache* cache, const arch::CpuSpec& cpu,

@@ -1,8 +1,9 @@
-// Trace-file replay: the io-layer glue that feeds recorded fpr-trace
-// files into the memsim replay pipeline. FileTraceSource adapts an
-// io::TraceReader to the memsim::TraceSource pull interface;
-// replay_trace_cached adds SimCache memoization keyed by trace content
-// digest. These lived in memsim::trace_source until the layering gate
+// Trace-file replay: the io-layer glue between recorded fpr-trace files
+// and the memsim replay pipeline. record_trace writes a synthetic
+// reference stream to a file; FileTraceSource adapts an io::TraceReader
+// to the memsim::TraceSource pull interface; replay_trace_cached adds
+// SimCache memoization keyed by trace content digest. The last two lived
+// in memsim::trace_source until the layering gate
 // (fpr-lint layer-violation) made the dependency direction explicit:
 // memsim defines the TraceSource abstraction and must not know about
 // file formats; io sits above memsim and may implement sources over
@@ -18,6 +19,17 @@
 #include "memsim/trace_source.hpp"
 
 namespace fpr::io {
+
+/// Records the first `records` references of the synthetic stream for
+/// `scaled` (a spec already capacity-scaled by memsim::scale_spec) at
+/// generator seed `seed` to the trace file `path`: the stream
+/// Hierarchy::replay walks for that spec, so replaying the file
+/// reproduces the synthetic replay bit for bit. Throws
+/// io::TraceFormatError when the file cannot be written, and a failed
+/// recording leaves no file behind.
+void record_trace(const std::string& path,
+                  const memsim::AccessPatternSpec& scaled, std::uint64_t seed,
+                  std::uint64_t records);
 
 /// Streaming decode of an on-disk fpr-trace file (io::TraceReader).
 /// Finite: fill() returns short once the file's records are consumed.

@@ -6,6 +6,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -17,16 +18,12 @@
 #include <string>
 #include <vector>
 
-#include "arch/machines.hpp"
 #include "cli/cli.hpp"
 #include "io/explore_json.hpp"
 #include "io/pareto_json.hpp"
 #include "io/study_json.hpp"
 #include "io/trace_format.hpp"
 #include "kernels/kernel.hpp"
-#include "memsim/hierarchy.hpp"
-#include "memsim/trace_gen.hpp"
-#include "model/memprofile.hpp"
 
 namespace fpr::cli {
 namespace {
@@ -90,6 +87,12 @@ command_options() {
           {{"trace", "t.fpt"},
            {"--machine", "--refs", "--warmup", "--scale-shift", "--threads",
             "--out", "--csv"}},
+          {{"trace-record", "t.fpt"},
+           {"--kernel", "--machine", "--refs", "--warmup", "--scale",
+            "--scale-shift", "--seed", "--threads"}},
+          {{"trace-convert", "t.txt", "t.fpt"}, {}},
+          {{"trace-dump", "t.fpt"}, {"--limit"}},
+          {{"trace-info", "t.fpt"}, {}},
           {{"explore"},
            {"--base", "--variants", "--golden", "--kernel", "--scale",
             "--threads", "--seed", "--trace-refs", "--jobs", "--kernel-jobs",
@@ -113,7 +116,8 @@ const std::map<std::string, std::string> kSampleValue = {
     {"--csv", ""},           {"--explorers", "2"},
     {"--golden", ""},        {"--jobs", "1"},
     {"--kernel", "BABL2"},   {"--kernel-jobs", "1"},
-    {"--machine", "KNL"},    {"--max-depth", "2"},
+    {"--limit", "5"},        {"--machine", "KNL"},
+    {"--max-depth", "2"},
     {"--no-sweep", ""},      {"--objectives", "time"},
     {"--out", "o.json"},     {"--refs", "1000"},
     {"--repeats", "1"},      {"--rounds", "1"},
@@ -677,47 +681,35 @@ TEST(Cli, MemsimRejectsBadOptions) {
 // ---------------------------------------------------------------------
 // fpr trace
 
-/// Record the exact reference stream `fpr memsim` simulates for
-/// (kernel, machine) to `path`: warmup-refs prefix plus refs measured
-/// records, as `fpr-trace record` does.
+/// Record the exact reference stream `fpr memsim --scale 0.15` simulates
+/// for (kernel, machine) to `path` with `fpr trace-record`: a warmup
+/// prefix of `refs` records plus `refs` measured ones.
 void record_kernel_trace(const std::string& path, const std::string& kernel,
-                         const arch::CpuSpec& cpu, std::uint64_t refs,
+                         const std::string& machine, std::uint64_t refs,
                          unsigned scale_shift) {
-  kernels::RunConfig rc;
-  rc.scale = 0.15;
-  const auto meas = kernels::make(kernel)->run(rc);
-  const auto sliced = model::per_core_slice(meas.access, cpu.cores);
-  const auto scaled = memsim::scale_spec(sliced, scale_shift);
-  memsim::TraceGenerator gen(scaled, model::kProfileSeed);
-  io::TraceWriter w(path);
-  std::vector<memsim::MemRef> block(1024);
-  for (std::uint64_t done = 0; done < 2 * refs;) {
-    const std::size_t n = static_cast<std::size_t>(
-        std::min<std::uint64_t>(block.size(), 2 * refs - done));
-    gen.fill(block.data(), n);
-    w.append(block.data(), n);
-    done += n;
-  }
-  w.finish();
+  const auto r = run({"trace-record", path, "--kernel", kernel, "--machine",
+                      machine, "--refs", std::to_string(refs), "--scale",
+                      "0.15", "--scale-shift", std::to_string(scale_shift)});
+  ASSERT_EQ(r.code, 0) << r.err;
 }
 
-/// Strip the first CSV column (Kernel/Trace label) off every row.
-std::string drop_first_column(const std::string& csv) {
-  std::string out;
+/// The `machine` row of a memsim or trace CSV table without its leading
+/// Kernel/Trace label; "" when there is none.
+std::string csv_row(const std::string& csv, const std::string& machine) {
   std::istringstream in(csv);
-  std::string line;
-  while (std::getline(in, line)) {
+  for (std::string line; std::getline(in, line);) {
     const auto comma = line.find(',');
     if (comma == std::string::npos) continue;
-    out += line.substr(comma + 1);
-    out += '\n';
+    if (line.compare(comma + 1, machine.size() + 1, machine + ",") == 0) {
+      return line.substr(comma + 1);
+    }
   }
-  return out;
+  return "";
 }
 
 TEST(Cli, TraceReplayMatchesMemsimRowBitForBit) {
   TempFile tmp("trace");
-  record_kernel_trace(tmp.path(), "BABL2", arch::knl(), 20000, 8);
+  record_kernel_trace(tmp.path(), "BABL2", "KNL", 20000, 8);
   // --threads sizes the pool the per-machine replays fan out over; the
   // rows are byte-identical whatever the count.
   const auto trace = run({"trace", tmp.path(), "--machine", "KNL",
@@ -728,21 +720,16 @@ TEST(Cli, TraceReplayMatchesMemsimRowBitForBit) {
   ASSERT_EQ(memsim.code, 0) << memsim.err;
   // Same columns after the leading label, so the KNL rows must be
   // byte-identical: the file replay IS the synthetic replay.
-  std::string memsim_knl;
-  std::istringstream in(drop_first_column(memsim.out));
-  for (std::string line; std::getline(in, line);) {
-    if (line.rfind("KNL,", 0) == 0) memsim_knl = line + "\n";
-  }
+  const std::string memsim_knl = csv_row(memsim.out, "KNL");
   ASSERT_FALSE(memsim_knl.empty());
-  const auto trace_rows = drop_first_column(trace.out);
-  EXPECT_NE(trace_rows.find(memsim_knl), std::string::npos)
-      << "trace: " << trace_rows << "memsim: " << memsim_knl;
+  EXPECT_EQ(csv_row(trace.out, "KNL"), memsim_knl)
+      << "trace: " << trace.out << "memsim: " << memsim.out;
 }
 
 TEST(Cli, TraceWritesProfileJson) {
   TempFile tmp("trace_json");
   TempFile out("trace_profile");
-  record_kernel_trace(tmp.path(), "BABL2", arch::knl(), 10000, 8);
+  record_kernel_trace(tmp.path(), "BABL2", "KNL", 10000, 8);
   const auto r = run({"trace", tmp.path(), "--warmup", "10000", "--out",
                       out.path()});
   ASSERT_EQ(r.code, 0) << r.err;
@@ -760,7 +747,7 @@ TEST(Cli, TraceWritesProfileJson) {
 
 TEST(Cli, TraceRejectsBadUsage) {
   TempFile tmp("trace_usage");
-  record_kernel_trace(tmp.path(), "BABL2", arch::knl(), 1000, 8);
+  record_kernel_trace(tmp.path(), "BABL2", "KNL", 1000, 8);
   EXPECT_EQ(run({"trace"}).code, 2);  // missing file
   EXPECT_EQ(run({"trace", tmp.path(), "extra.fpt"}).code, 2);
   EXPECT_EQ(run({"trace", tmp.path(), "--refs", "0"}).code, 2);
@@ -797,7 +784,7 @@ TEST(Cli, TraceBadInputExitsThree) {
   // raised inside the per-machine replays on the pool's workers and
   // must still reach the command's handler.
   TempFile cut("trace_cut");
-  record_kernel_trace(cut.path(), "BABL2", arch::knl(), 20000, 8);
+  record_kernel_trace(cut.path(), "BABL2", "KNL", 20000, 8);
   const auto half = std::filesystem::file_size(cut.path()) / 2;
   std::filesystem::resize_file(cut.path(), half);
   const auto truncated = run({"trace", cut.path(), "--threads", "4"});
@@ -808,7 +795,7 @@ TEST(Cli, TraceBadInputExitsThree) {
 
 TEST(Cli, TraceOutputIsIdenticalForEveryThreadCount) {
   TempFile tmp("trace_threads");
-  record_kernel_trace(tmp.path(), "XSBn", arch::bdw(), 20000, 8);
+  record_kernel_trace(tmp.path(), "XSBn", "BDW", 20000, 8);
   auto with_threads = [&](const char* threads) {
     return run({"trace", tmp.path(), "--warmup", "20000", "--threads", threads,
                 "--out", "-"});
@@ -825,6 +812,183 @@ TEST(Cli, TraceOutputIsIdenticalForEveryThreadCount) {
     EXPECT_EQ(r.out, serial.out) << "--threads " << threads;
     EXPECT_EQ(r.err, serial.err) << "--threads " << threads;
   }
+}
+
+// ---------------------------------------------------------------------
+// fpr trace-record, trace-convert, trace-dump, trace-info
+
+std::string file_bytes(const std::string& path) {
+  std::ifstream f(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(f), std::istreambuf_iterator<char>()};
+}
+
+// The trace tools end to end: trace-record writes the stream memsim
+// replays, trace-info prints its header, trace-dump | trace-convert gives
+// the recording back byte for byte, and `fpr trace` of the recording is
+// memsim's KNL row.
+TEST(Cli, TraceToolRoundTrip) {
+  TempFile rec("tool_rec");
+  TempFile text("tool_text");
+  TempFile back("tool_back");
+  const auto recorded = run({"trace-record", rec.path(), "--kernel", "BABL2",
+                             "--machine", "KNL", "--refs", "40000"});
+  ASSERT_EQ(recorded.code, 0) << recorded.err;
+  EXPECT_TRUE(recorded.out.empty()) << recorded.out;
+  EXPECT_NE(recorded.err.find(
+                "80000 record(s) (40000 warmup + 40000 measured), kernel "
+                "BABL2 on KNL, scale-shift 8"),
+            std::string::npos)
+      << recorded.err;
+
+  const auto info = run({"trace-info", rec.path()});
+  ASSERT_EQ(info.code, 0) << info.err;
+  const auto header = io::read_trace_info(rec.path());
+  char digest[20];
+  std::snprintf(digest, sizeof(digest), "%016llx",
+                static_cast<unsigned long long>(header.digest));
+  EXPECT_EQ(info.out.rfind("file:           " + rec.path() + "\n", 0), 0u)
+      << info.out;
+  for (const std::string& line :
+       {std::string("records:        80000\n"),
+        "digest:         " + std::string(digest) + "\n",
+        std::string("chunk_records:  4096\n"),
+        "touched_lines:  " + std::to_string(header.touched_lines) + "\n"}) {
+    EXPECT_NE(info.out.find(line), std::string::npos) << info.out;
+  }
+
+  const auto dump = run({"trace-dump", rec.path()});
+  ASSERT_EQ(dump.code, 0) << dump.err;
+  EXPECT_EQ(std::count(dump.out.begin(), dump.out.end(), '\n'), 80000);
+  std::ofstream(text.path(), std::ios::binary) << dump.out;
+  const auto convert = run({"trace-convert", text.path(), back.path()});
+  ASSERT_EQ(convert.code, 0) << convert.err;
+  EXPECT_TRUE(file_bytes(back.path()) == file_bytes(rec.path()));
+
+  // --limit prints the first rows and counts the rest on stderr.
+  const auto head = run({"trace-dump", rec.path(), "--limit", "16"});
+  ASSERT_EQ(head.code, 0) << head.err;
+  std::size_t end = 0;
+  for (int i = 0; i < 16; ++i) end = dump.out.find('\n', end) + 1;
+  EXPECT_EQ(head.out, dump.out.substr(0, end));
+  EXPECT_NE(head.err.find("79984 more record(s)"), std::string::npos)
+      << head.err;
+
+  const auto trace = run({"trace", rec.path(), "--machine", "KNL",
+                          "--warmup", "40000", "--csv"});
+  ASSERT_EQ(trace.code, 0) << trace.err;
+  const auto memsim =
+      run({"memsim", "--kernel", "BABL2", "--refs", "40000", "--csv"});
+  ASSERT_EQ(memsim.code, 0) << memsim.err;
+  const std::string memsim_knl = csv_row(memsim.out, "KNL");
+  ASSERT_FALSE(memsim_knl.empty());
+  EXPECT_EQ(csv_row(trace.out, "KNL"), memsim_knl);
+}
+
+TEST(Cli, TraceToolRejectsBadInput) {
+  TempFile rec("tool_bad");
+  const std::string& f = rec.path();
+  auto record = [&](const std::vector<std::string>& extra) {
+    std::vector<std::string> args = {"trace-record", f, "--kernel", "BABL2",
+                                     "--scale", "0.15"};
+    args.insert(args.end(), extra.begin(), extra.end());
+    return run(args);
+  };
+  // Every value is checked whole, a second kernel or machine is refused,
+  // and none of these records anything.
+  for (const auto& extra : std::vector<std::vector<std::string>>{
+           {"--refs", "1000x"},
+           {"--scale", "0.3x"},
+           {"--seed", "5e3"},
+           {"--refs", "0"},
+           {"--warmup", "-1"},
+           {"--kernel", "XSBn"},
+           {"--machine", "KNL,BDW"},
+           {"--machine", "KNL", "--machine", "KNM"},
+           {"--machine", "VAX"},
+           {"--scale", "nan"},
+           {"--scale-shift", "4294967296"},
+           {"--limit", "2"},
+           {"--out", "o.fpt"},
+           {"extra.fpt"}}) {
+    const auto r = record(extra);
+    EXPECT_EQ(r.code, 2) << extra[0] << ": " << r.err;
+    EXPECT_NE(r.err.find("\nusage: fpr trace-record FILE"), std::string::npos)
+        << r.err;
+  }
+  EXPECT_EQ(run({"trace-record", f}).code, 2);  // no kernel
+  EXPECT_EQ(run({"trace-record", f, "--kernel", "BABL2,XSBn"}).code, 2);
+  EXPECT_EQ(run({"trace-record", "--kernel", "BABL2"}).code, 2);  // no file
+  EXPECT_FALSE(std::filesystem::exists(f));
+  EXPECT_NE(record({"--scale", "nan"})
+                .err.find("--scale must be finite and > 0\n"
+                          "usage: fpr trace-record"),
+            std::string::npos);
+  EXPECT_NE(record({"--scale-shift", "4294967296"})
+                .err.find("--scale-shift must be <= 30\n"
+                          "usage: fpr trace-record"),
+            std::string::npos);
+
+  // The inspection commands take their own options and file count only.
+  EXPECT_EQ(run({"trace-info", f, "--kernel", "X"}).code, 2);
+  EXPECT_EQ(run({"trace-dump", f, "--limit", "2", "--machine", "BDW"}).code,
+            2);
+  EXPECT_EQ(run({"trace-dump", f, "--limit", "2x"}).code, 2);
+  EXPECT_EQ(run({"trace-info"}).code, 2);
+  EXPECT_EQ(run({"trace-info", f, f}).code, 2);
+  EXPECT_EQ(run({"trace-dump"}).code, 2);
+  EXPECT_EQ(run({"trace-convert", f}).code, 2);
+  EXPECT_EQ(run({"trace-convert", f, f, f}).code, 2);
+
+  // A missing, truncated or malformed file is bad input naming the file.
+  auto expect_bad_input = [](const CliOutcome& r, const std::string& path,
+                             const std::string& cause) {
+    EXPECT_EQ(r.code, 3) << r.err;
+    EXPECT_NE(r.err.find("'" + path + "'"), std::string::npos) << r.err;
+    EXPECT_NE(r.err.find(cause), std::string::npos) << r.err;
+  };
+  const std::string missing = "/nonexistent/t.fpt";
+  expect_bad_input(run({"trace-info", missing}), missing, "missing");
+  expect_bad_input(run({"trace-dump", missing}), missing, "missing");
+  expect_bad_input(run({"trace-convert", missing, f}), missing, "missing");
+  EXPECT_FALSE(std::filesystem::exists(f));
+
+  ASSERT_EQ(record({"--refs", "5000"}).code, 0);
+  const std::string bytes = file_bytes(f);
+  std::filesystem::resize_file(f, bytes.size() / 2);
+  expect_bad_input(run({"trace-dump", f}), f, "truncated");
+  std::filesystem::resize_file(f, 20);
+  expect_bad_input(run({"trace-info", f}), f, "truncated header");
+  // A header chunk size above 2^20 (offset 12, little-endian 2^21).
+  std::string big = bytes;
+  big.replace(12, 4, std::string("\0\0\x20\0", 4));
+  std::ofstream(f, std::ios::binary | std::ios::trunc) << big;
+  expect_bad_input(run({"trace-info", f}), f, "chunk size 2097152");
+  expect_bad_input(run({"trace-dump", f}), f, "chunk size 2097152");
+
+  // An output that cannot be written is exit 3 too.
+  expect_bad_input(run({"trace-record", "/nonexistent/t.fpt", "--kernel",
+                        "BABL2", "--scale", "0.15", "--refs", "1000"}),
+                   missing, "cannot write");
+}
+
+// A malformed line fails the conversion and removes the partial output,
+// so nothing is left for `fpr trace` to replay.
+TEST(Cli, TraceConvertRejectsMalformedTextAndLeavesNoFile) {
+  TempFile text("convert_text");
+  TempFile out("convert_out");
+  std::ofstream(text.path()) << "R 0x1000\nW 0x1040\nR 4096\nR 0x10zz\n"
+                                "R 0x2000\n";
+  const auto r = run({"trace-convert", text.path(), out.path()});
+  EXPECT_EQ(r.code, 3);
+  EXPECT_NE(r.err.find("text trace line 4"), std::string::npos) << r.err;
+  EXPECT_FALSE(std::filesystem::exists(out.path()));
+  EXPECT_EQ(run({"trace", out.path()}).code, 3);
+
+  // The same lines without the bad one convert.
+  std::ofstream(text.path(), std::ios::trunc)
+      << "R 0x1000\nW 0x1040\nR 4096\nR 0x2000\n";
+  ASSERT_EQ(run({"trace-convert", text.path(), out.path()}).code, 0);
+  EXPECT_EQ(io::read_trace_info(out.path()).records, 4u);
 }
 
 TEST(Cli, MemsimOutputIsIdenticalForEveryThreadCount) {

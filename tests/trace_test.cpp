@@ -60,20 +60,10 @@ bool identical(const HierarchyResult& a, const HierarchyResult& b) {
 }
 
 /// Record `total` references of the scaled spec to `path`, exactly as
-/// `fpr-trace record` does.
+/// `fpr trace-record` does.
 void record_spec(const std::string& path, const AccessPatternSpec& scaled,
                  std::uint64_t seed, std::uint64_t total) {
-  TraceGenerator gen(scaled, seed);
-  io::TraceWriter w(path);
-  std::vector<MemRef> block(1024);
-  for (std::uint64_t done = 0; done < total;) {
-    const std::size_t n = static_cast<std::size_t>(
-        std::min<std::uint64_t>(block.size(), total - done));
-    gen.fill(block.data(), n);
-    w.append(block.data(), n);
-    done += n;
-  }
-  w.finish();
+  io::record_trace(path, scaled, seed, total);
 }
 
 /// Small-footprint specs covering every pattern class plus a mixture.
@@ -268,6 +258,89 @@ TEST(TraceFormat, RejectsRecordCountMismatch) {
   }
   EXPECT_THROW(read_all(path), io::TraceFormatError);
   std::remove(path.c_str());
+}
+
+/// Overwrites the header's chunk_records field (offset 12) of `path`.
+void patch_chunk_records(const std::string& path, std::uint32_t v) {
+  std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+  f.seekp(12);
+  const char le[4] = {static_cast<char>(v & 0xff),
+                      static_cast<char>((v >> 8) & 0xff),
+                      static_cast<char>((v >> 16) & 0xff),
+                      static_cast<char>((v >> 24) & 0xff)};
+  f.write(le, 4);
+}
+
+/// Decodes the whole file; the TraceFormatError message if it throws.
+std::string decode_error(const std::string& path) {
+  try {
+    read_all(path);
+  } catch (const io::TraceFormatError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// Only the last chunk may be short, so a chunk longer than the header's
+// chunk size is corrupt: its count must never size the decode buffer.
+TEST(TraceFormat, RejectsChunkLongerThanHeaderChunkSize) {
+  const std::string path = tmp_path("long_chunk.fpt");
+  std::vector<MemRef> refs;
+  for (std::uint64_t i = 0; i < 8; ++i) refs.push_back({i * 64, i == 3});
+  write_refs(path, refs, 8);
+  patch_chunk_records(path, 4);
+  EXPECT_EQ(io::read_trace_info(path).chunk_records, 4u);
+  const std::string err = decode_error(path);
+  EXPECT_NE(err.find("'" + path + "'"), std::string::npos) << err;
+  EXPECT_NE(err.find("chunk of 8 record(s) exceeds the header's chunk "
+                     "size 4"),
+            std::string::npos)
+      << err;
+  std::remove(path.c_str());
+}
+
+// A header chunk size above 2^20 is refused before any chunk is read,
+// even when every chunk is well formed; the writer refuses it too.
+TEST(TraceFormat, RejectsHeaderChunkSizeAboveLimit) {
+  const std::string path = tmp_path("big_chunk_size.fpt");
+  std::vector<MemRef> refs;
+  for (std::uint64_t i = 0; i < 100; ++i) refs.push_back({i * 64, false});
+  write_refs(path, refs, 16);
+  patch_chunk_records(path, io::kTraceMaxChunkRecords + 1);
+  EXPECT_THROW(io::read_trace_info(path), io::TraceFormatError);
+  const std::string err = decode_error(path);
+  EXPECT_NE(err.find("'" + path + "'"), std::string::npos) << err;
+  EXPECT_NE(err.find("chunk size 1048577 in header is outside [1, 2^20]"),
+            std::string::npos)
+      << err;
+  // The largest legal chunk size still decodes.
+  patch_chunk_records(path, io::kTraceMaxChunkRecords);
+  EXPECT_EQ(read_all(path).size(), refs.size());
+
+  const std::string unwritten = tmp_path("never_written.fpt");
+  EXPECT_THROW(io::TraceWriter(unwritten, io::kTraceMaxChunkRecords + 1),
+               io::TraceFormatError);
+  EXPECT_THROW(io::TraceWriter(unwritten, 0), io::TraceFormatError);
+  EXPECT_FALSE(std::ifstream(unwritten).good());
+  std::remove(path.c_str());
+}
+
+// write_trace removes the file when the writing callback throws, and
+// leaves a finished file otherwise.
+TEST(TraceFormat, WriteTraceRemovesTheFileOnFailure) {
+  const std::string path = tmp_path("write_trace.fpt");
+  const std::uint64_t digest = io::write_trace(
+      path, [](io::TraceWriter& w) { w.append({0x40, true}); });
+  EXPECT_EQ(io::read_trace_info(path).digest, digest);
+  EXPECT_EQ(read_all(path).size(), 1u);
+
+  std::istringstream text("R 0x40\nW 0x80\nR 0xc0\nbogus\n");
+  EXPECT_THROW(io::write_trace(path,
+                               [&](io::TraceWriter& w) {
+                                 io::convert_text_trace(text, w);
+                               }),
+               io::TraceFormatError);
+  EXPECT_FALSE(std::ifstream(path).good());
 }
 
 TEST(TraceFormat, WriterRejectsOversizedAddresses) {
