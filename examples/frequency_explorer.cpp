@@ -6,6 +6,8 @@
 //   $ ./frequency_explorer [kernel-abbrev]   (default: MxIO)
 #include <cmath>
 #include <iostream>
+#include <memory>
+#include <stdexcept>
 #include <string>
 
 #include "arch/machines.hpp"
@@ -18,7 +20,15 @@ int main(int argc, char** argv) {
   using namespace fpr;
   const std::string abbrev = argc > 1 ? argv[1] : "MxIO";
 
-  auto kernel = kernels::make(abbrev);
+  // An unknown abbreviation is a usage error (exit 2), not an abort.
+  std::unique_ptr<kernels::ProxyKernel> kernel;
+  try {
+    kernel = kernels::make(abbrev);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "frequency_explorer: " << e.what() << "\n"
+              << "usage: frequency_explorer [kernel-abbrev]\n";
+    return 2;
+  }
   std::cout << "Frequency-throttling study for " << kernel->info().name
             << " (cf. paper Fig. 6)\n\n";
   kernels::RunConfig cfg;

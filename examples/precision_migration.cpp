@@ -6,6 +6,8 @@
 //
 //   $ ./precision_migration [kernel-abbrev]   (default: CNDL)
 #include <iostream>
+#include <memory>
+#include <stdexcept>
 #include <string>
 
 #include "arch/machines.hpp"
@@ -18,7 +20,15 @@ int main(int argc, char** argv) {
   using namespace fpr;
   const std::string abbrev = argc > 1 ? argv[1] : "CNDL";
 
-  auto kernel = kernels::make(abbrev);
+  // An unknown abbreviation is a usage error (exit 2), not an abort.
+  std::unique_ptr<kernels::ProxyKernel> kernel;
+  try {
+    kernel = kernels::make(abbrev);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "precision_migration: " << e.what() << "\n"
+              << "usage: precision_migration [kernel-abbrev]\n";
+    return 2;
+  }
   std::cout << "Characterizing " << kernel->info().name << "...\n";
   kernels::RunConfig cfg;
   cfg.scale = 0.35;

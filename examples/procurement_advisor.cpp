@@ -8,10 +8,13 @@
 // advice names the silicon shift that would serve this mix best.
 //
 //   $ ./procurement_advisor [geo chm phy qcd mat eng mcs bio]
-//     (shares; default: a weather-center-like mix)
-#include <cstdlib>
+//     (no shares, or exactly eight finite numbers >= 0 with a sum > 0;
+//     default: a weather-center-like mix)
+#include <cmath>
 #include <iostream>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "arch/variant.hpp"
@@ -20,20 +23,61 @@
 #include "study/figures.hpp"
 #include "study/study.hpp"
 
+namespace {
+
+constexpr const char* kUsage =
+    "usage: procurement_advisor [geo chm phy qcd mat eng mcs bio]\n";
+
+/// Exit 2 with `message` and the usage line: a bad argument is a usage
+/// error, never a run on shares nobody asked for.
+int usage_error(const std::string& message) {
+  std::cerr << "procurement_advisor: " << message << "\n" << kUsage;
+  return 2;
+}
+
+/// One share: the whole token must parse as a finite number >= 0.
+bool parse_share(const std::string& text, double& share) {
+  std::size_t used = 0;
+  try {
+    share = std::stod(text, &used);
+  } catch (const std::logic_error&) {  // what std::stod throws
+    used = 0;
+  }
+  return used != 0 && used == text.size() && std::isfinite(share) &&
+         share >= 0.0;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
   using namespace fpr;
 
   study::SiteUtilization site;
   site.site = "your-site";
-  if (argc >= 9) {
-    site.geo = std::atof(argv[1]);
-    site.chm = std::atof(argv[2]);
-    site.phy = std::atof(argv[3]);
-    site.qcd = std::atof(argv[4]);
-    site.mat = std::atof(argv[5]);
-    site.eng = std::atof(argv[6]);
-    site.mcs = std::atof(argv[7]);
-    site.bio = std::atof(argv[8]);
+  if (argc != 1 && argc != 9) {
+    return usage_error("expected no shares or exactly 8, got " +
+                       std::to_string(argc - 1));
+  }
+  if (argc == 9) {
+    const std::pair<const char*, double*> shares[] = {
+        {"geo", &site.geo}, {"chm", &site.chm}, {"phy", &site.phy},
+        {"qcd", &site.qcd}, {"mat", &site.mat}, {"eng", &site.eng},
+        {"mcs", &site.mcs}, {"bio", &site.bio}};
+    for (int i = 0; i < 8; ++i) {
+      const std::string text = argv[i + 1];
+      if (!parse_share(text, *shares[i].second)) {
+        std::string message = "share ";
+        message += shares[i].first;
+        message += " must be a finite number >= 0, got '";
+        message += text;
+        message += "'";
+        return usage_error(message);
+      }
+    }
+    const double total = site.total();
+    if (!(total > 0.0 && std::isfinite(total))) {
+      return usage_error("shares must sum to a finite number > 0");
+    }
   } else {
     // Weather-forecasting-heavy center (the paper's JMA example:
     // memory-bound stencils dominate).

@@ -4,6 +4,8 @@
 //
 //   $ ./quickstart [kernel-abbrev]   (default: AMG)
 #include <iostream>
+#include <memory>
+#include <stdexcept>
 #include <string>
 
 #include "common/table.hpp"
@@ -18,7 +20,15 @@ int main(int argc, char** argv) {
   const std::string abbrev = argc > 1 ? argv[1] : "AMG";
 
   // 1. Run the kernel with instrumentation (the SDE step).
-  auto kernel = kernels::make(abbrev);
+  // An unknown abbreviation is a usage error (exit 2), not an abort.
+  std::unique_ptr<kernels::ProxyKernel> kernel;
+  try {
+    kernel = kernels::make(abbrev);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "quickstart: " << e.what() << "\n"
+              << "usage: quickstart [kernel-abbrev]\n";
+    return 2;
+  }
   std::cout << "Running " << kernel->info().name << " ("
             << kernel->info().paper_input << ")...\n";
   kernels::RunConfig cfg;

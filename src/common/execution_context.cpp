@@ -22,22 +22,12 @@ class RegionGuard {
 }  // namespace
 
 ExecutionContext::ExecutionContext(unsigned threads)
-    : pool_(std::make_shared<ThreadPool>(threads)),
-      sink_(pool_->size() + 1) {}
-
-ExecutionContext::ExecutionContext(std::shared_ptr<ThreadPool> pool)
-    : pool_(std::move(pool)), sink_(pool_->size() + 1) {}
+    : pool_(threads), sink_(pool_.size() + 1) {}
 
 void ExecutionContext::parallel_for(std::size_t n, const Body& body) {
-  parallel_for_n(concurrency(), n, body);
-}
-
-void ExecutionContext::parallel_for_n(unsigned max_workers, std::size_t n,
-                                      const Body& body) {
   RegionGuard region(sink_);
-  pool_->parallel_for_n(
-      max_workers, n,
-      [this, &body](std::size_t begin, std::size_t end, unsigned worker) {
+  pool_.parallel_for(
+      n, [this, &body](std::size_t begin, std::size_t end, unsigned worker) {
         counters::ScopedCounting bind(sink_, worker);
         body(begin, end, worker);
       });

@@ -7,23 +7,19 @@
 // deltas (the paper's SDE/PCM instrumentation is likewise scoped to one
 // workload process per run, Sec. III-A).
 //
-// A context either owns its pool (the common case: one private pool per
-// kernel run) or leases a caller-provided one via shared_ptr. Leases
-// must be exclusive in time: a ThreadPool executes one parallel region
-// at a time, so two contexts may share a pool only if they never run
-// regions concurrently.
+// A context owns its pool; a kernel run in it parallelizes over every
+// worker of that pool, so the context's size is the run's worker count.
 #pragma once
 
 #include <cstddef>
 #include <functional>
-#include <memory>
 
 #include "common/thread_pool.hpp"
 // ExecutionContext is the composition root: the one place that bundles
 // a pool with a counter sink so every higher layer can take "the run's
 // context" instead of wiring the two by hand. That makes this edge into
 // counters/ deliberate — the alternative (a context type per layer)
-// would duplicate the lease/region machinery everywhere.
+// would duplicate the region machinery everywhere.
 // fpr-lint: allow(layer-violation)
 #include "counters/sink.hpp"
 
@@ -36,16 +32,11 @@ class ExecutionContext {
   /// Own a fresh pool with `threads` workers (0 = hardware concurrency).
   explicit ExecutionContext(unsigned threads = 0);
 
-  /// Lease an existing pool (see the exclusivity note above).
-  explicit ExecutionContext(std::shared_ptr<ThreadPool> pool);
-
   ExecutionContext(const ExecutionContext&) = delete;
   ExecutionContext& operator=(const ExecutionContext&) = delete;
 
-  /// Workers a region can field, caller included (pool size + 1).
-  [[nodiscard]] unsigned concurrency() const { return pool_->size() + 1; }
-
-  [[nodiscard]] ThreadPool& pool() { return *pool_; }
+  /// Workers a region fields, caller included (pool size + 1).
+  [[nodiscard]] unsigned concurrency() const { return pool_.size() + 1; }
 
   /// The context's counter sink: where every count made inside this
   /// context's parallel regions (and under a Scope) accumulates.
@@ -55,14 +46,11 @@ class ExecutionContext {
   }
 
   /// Run `body(begin, end, worker_id)` over [0, n) split into contiguous
-  /// static chunks (deterministic op counts), every participating worker
-  /// counting into its own sink slot. Blocks until all chunks complete;
-  /// the first exception thrown by any chunk is rethrown on the caller.
+  /// static chunks, one per worker (deterministic op counts), every
+  /// worker counting into its own sink slot. Blocks until all chunks
+  /// complete; the first exception thrown by any chunk is rethrown on
+  /// the caller.
   void parallel_for(std::size_t n, const Body& body);
-
-  /// Same, limited to at most `max_workers` participants (mirrors running
-  /// a benchmark with a smaller #threads configuration).
-  void parallel_for_n(unsigned max_workers, std::size_t n, const Body& body);
 
   /// Convenience element-wise form: body(i) per index.
   template <typename F>
@@ -74,9 +62,9 @@ class ExecutionContext {
 
   /// Thread-scoped binding: while a Scope is alive, the calling thread's
   /// counting (counters::add_* / counted<T>) lands in this context's
-  /// sink slot 0 — the orchestrator slot — instead of the process-wide
-  /// fallback. Parallel regions bind their workers automatically; a
-  /// Scope covers the serial sections in between.
+  /// sink slot 0 — the orchestrator slot. Parallel regions bind their
+  /// workers automatically; a Scope covers the serial sections in
+  /// between. Counting with neither throws std::logic_error.
   class Scope {
    public:
     explicit Scope(ExecutionContext& ctx) : bind_(ctx.sink_, 0) {}
@@ -86,7 +74,7 @@ class ExecutionContext {
   };
 
  private:
-  std::shared_ptr<ThreadPool> pool_;
+  ThreadPool pool_;
   counters::CounterSink sink_;
 };
 

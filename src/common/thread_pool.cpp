@@ -23,9 +23,9 @@ ThreadPool::~ThreadPool() {
   for (auto& t : workers_) t.join();
 }
 
-void ThreadPool::run_chunk(Job& job, unsigned worker_index) {
+void ThreadPool::run_chunk(Job& job, unsigned worker_index) const {
   const std::size_t n = job.n;
-  const unsigned p = job.participants;
+  const unsigned p = size() + 1;
   const std::size_t chunk = (n + p - 1) / p;
   const std::size_t begin = std::min(n, worker_index * chunk);
   const std::size_t end = std::min(n, begin + chunk);
@@ -50,10 +50,8 @@ void ThreadPool::worker_loop(unsigned id) {
       seen_epoch = job_epoch_;
       job = job_;
     }
-    if (job != nullptr && id < job->participants) {
-      run_chunk(*job, id);
-    }
     if (job != nullptr) {
+      run_chunk(*job, id);
       if (job->done.fetch_add(1, std::memory_order_acq_rel) + 1 ==
           static_cast<unsigned>(workers_.size())) {
         // Take the mutex before notifying: the counter is updated outside
@@ -69,22 +67,13 @@ void ThreadPool::worker_loop(unsigned id) {
 void ThreadPool::parallel_for(
     std::size_t n,
     const std::function<void(std::size_t, std::size_t, unsigned)>& body) {
-  parallel_for_n(size() + 1, n, body);
-}
-
-void ThreadPool::parallel_for_n(
-    unsigned max_workers, std::size_t n,
-    const std::function<void(std::size_t, std::size_t, unsigned)>& body) {
   if (n == 0) return;
-  const unsigned participants =
-      std::max(1u, std::min<unsigned>(max_workers, size() + 1));
-  if (participants == 1 || workers_.empty()) {
+  if (workers_.empty()) {
     body(0, n, 0);
     return;
   }
   Job job;
   job.n = n;
-  job.participants = participants;
   job.body = &body;
   {
     std::lock_guard lock(mu_);

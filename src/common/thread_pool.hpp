@@ -29,23 +29,17 @@ class ThreadPool {
   }
 
   /// Run `body(begin, end, worker_id)` over [0, n) split into contiguous
-  /// static chunks, one per participating worker (the calling thread also
-  /// participates as worker 0). Blocks until all chunks complete; the
-  /// first exception thrown by any chunk is rethrown on the caller.
+  /// static chunks, one per worker (the calling thread takes part as
+  /// worker 0, so worker ids run from 0 to size()). Blocks until all
+  /// chunks complete; the first exception thrown by any chunk is
+  /// rethrown on the caller.
   void parallel_for(std::size_t n,
                     const std::function<void(std::size_t, std::size_t,
                                              unsigned)>& body);
 
-  /// Same, limited to at most `max_workers` participants (mirrors running
-  /// a benchmark with a smaller #threads configuration).
-  void parallel_for_n(unsigned max_workers, std::size_t n,
-                      const std::function<void(std::size_t, std::size_t,
-                                               unsigned)>& body);
-
  private:
   struct Job {
     std::size_t n = 0;
-    unsigned participants = 0;
     const std::function<void(std::size_t, std::size_t, unsigned)>* body =
         nullptr;
     std::atomic<unsigned> done{0};
@@ -54,7 +48,7 @@ class ThreadPool {
   };
 
   void worker_loop(unsigned id);
-  static void run_chunk(Job& job, unsigned worker_index);
+  void run_chunk(Job& job, unsigned worker_index) const;
 
   std::vector<std::thread> workers_;
   std::mutex mu_;

@@ -10,11 +10,9 @@
 // operation tally. Multiple start/stop intervals accumulate (solver
 // loops).
 //
-// A recorder is bound to one CounterSink — normally the ExecutionContext
-// the kernel runs in — and snapshots that sink, not any process-global
-// sum, so concurrent runs in other contexts never leak into the delta.
-// A recorder constructed outside any context falls back to the
-// process-wide registry snapshot.
+// A recorder is bound to one CounterSink — the ExecutionContext the
+// kernel runs in — and snapshots only that sink, so concurrent runs in
+// other contexts never leak into the delta.
 #pragma once
 
 #include <stdexcept>
@@ -22,19 +20,14 @@
 
 #include "common/timer.hpp"
 #include "counters/op_tally.hpp"
-#include "counters/registry.hpp"
 #include "counters/sink.hpp"
 
 namespace fpr::counters {
 
 class AssayRecorder {
  public:
-  /// Bind to the calling thread's active sink (null outside a context:
-  /// snapshots then fall back to the process-wide registry).
-  AssayRecorder() : sink_(active_sink()) {}
-
-  /// Bind to an explicit sink (the context the kernel executes in).
-  explicit AssayRecorder(const CounterSink* sink) : sink_(sink) {}
+  /// Bind to the sink of the context the kernel executes in.
+  explicit AssayRecorder(const CounterSink& sink) : sink_(&sink) {}
 
   /// Begin a measured interval. Must not already be measuring, and the
   /// sink must be quiescent: starting while the context has an in-flight
@@ -44,7 +37,7 @@ class AssayRecorder {
     if (running_) throw std::logic_error("assay already started");
     require_quiescent("start");
     running_ = true;
-    begin_ops_ = snapshot_now();
+    begin_ops_ = sink_->snapshot();
     timer_.reset();
   }
 
@@ -53,7 +46,7 @@ class AssayRecorder {
     if (!running_) throw std::logic_error("assay not started");
     require_quiescent("stop");
     seconds_ += timer_.seconds();
-    ops_ += snapshot_now() - begin_ops_;
+    ops_ += sink_->snapshot() - begin_ops_;
     running_ = false;
     ++intervals_;
   }
@@ -63,17 +56,9 @@ class AssayRecorder {
   [[nodiscard]] const OpTally& ops() const { return ops_; }
   [[nodiscard]] unsigned intervals() const { return intervals_; }
 
-  /// Forget everything and return to the initial state (rebinding to the
-  /// calling thread's active sink, as the default constructor does).
-  void reset() { *this = AssayRecorder{}; }
-
  private:
-  [[nodiscard]] OpTally snapshot_now() const {
-    return sink_ != nullptr ? sink_->snapshot() : global_snapshot();
-  }
-
   void require_quiescent(const char* what) const {
-    if (sink_ != nullptr && !sink_->quiescent()) {
+    if (!sink_->quiescent()) {
       throw std::logic_error(
           std::string("assay ") + what +
           "() inside an in-flight parallel region: worker threads are "
@@ -81,7 +66,7 @@ class AssayRecorder {
     }
   }
 
-  const CounterSink* sink_ = nullptr;
+  const CounterSink* sink_;
   bool running_ = false;
   double seconds_ = 0.0;
   unsigned intervals_ = 0;

@@ -1,9 +1,10 @@
 // counted<T>: an instrumented arithmetic wrapper. Every arithmetic
 // operation on a counted<double>/counted<float>/counted integer bumps the
-// calling thread's OpTally — the same observable SDE provides by counting
-// executed operations.
+// calling thread's slot in its bound context's sink — the same observable
+// SDE provides by counting executed operations. Like the add_* helpers,
+// it throws std::logic_error on a thread no context has bound.
 //
-// Kernels in this repo count via the explicit registry helpers at loop
+// Kernels in this repo count via the explicit add_* helpers at loop
 // granularity (cheap, vectorizable); counted<T> exists as the *oracle*:
 // property tests run reduced-size kernels templated on counted<T> and
 // assert the two mechanisms agree, which validates the analytic counts.
@@ -12,7 +13,7 @@
 #include <cmath>
 #include <type_traits>
 
-#include "counters/registry.hpp"
+#include "counters/sink.hpp"
 
 namespace fpr::counters {
 

@@ -1,6 +1,7 @@
 #include "counters/sink.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 namespace fpr::counters {
 
@@ -12,8 +13,11 @@ OpTally CounterSink::snapshot() const {
   return sum;
 }
 
-void CounterSink::reset() {
-  for (Slot& s : slots_) s.tally = OpTally{};
+void detail::throw_unbound_counting() {
+  throw std::logic_error(
+      "counting outside an ExecutionContext: no counter sink is bound to "
+      "this thread (run inside a parallel region or an "
+      "ExecutionContext::Scope)");
 }
 
 }  // namespace fpr::counters

@@ -67,10 +67,9 @@ Csr build_27pt(std::uint64_t d, double scale) {
 // y = A x, with hypre-like counting: 2 FP per nnz plus the CSR integer
 // indexing work (column load, pointer arithmetic, vector mask handling)
 // that dominates SDE's integer tally for hypre (Table IV: INT ~3x FP64).
-void spmv(ExecutionContext& ctx, const Csr& m, const double* x, double* y,
-          unsigned workers) {
-  ctx.parallel_for_n(
-      workers, m.n, [&](std::size_t lo, std::size_t hi, unsigned) {
+void spmv(ExecutionContext& ctx, const Csr& m, const double* x, double* y) {
+  ctx.parallel_for(
+      m.n, [&](std::size_t lo, std::size_t hi, unsigned) {
         std::uint64_t fp = 0;
         for (std::size_t r = lo; r < hi; ++r) {
           double sum = 0.0;
@@ -105,8 +104,6 @@ Amg::Amg()
 WorkloadMeasurement Amg::run(ExecutionContext& ctx,
                                     const RunConfig& cfg) const {
   const std::uint64_t d0 = scaled_dim(kRunDim, cfg.scale);
-  const unsigned workers =
-      cfg.threads == 0 ? ctx.concurrency() : cfg.threads;
 
   // Level hierarchy: full coarsening by 2 per dimension, operator
   // rescaled by 1/h^2 per level.
@@ -138,19 +135,18 @@ WorkloadMeasurement Amg::run(ExecutionContext& ctx,
                     int sweeps) {
     const Csr& m = levels[lvl];
     for (int s = 0; s < sweeps; ++s) {
-      spmv(ctx, m, sol, ct[lvl].data(), workers);
+      spmv(ctx, m, sol, ct[lvl].data());
       const double wj = 0.85 / m.diag;
       double* tmp = ct[lvl].data();
-      ctx.parallel_for_n(workers, m.n,
-                          [&](std::size_t lo, std::size_t hi, unsigned) {
-                            for (std::size_t i = lo; i < hi; ++i) {
-                              sol[i] += wj * (rhs[i] - tmp[i]);
-                            }
-                            counters::add_fp64(3 * (hi - lo));
-                            counters::add_int(hi - lo);
-                            counters::add_read_bytes(24 * (hi - lo));
-                            counters::add_write_bytes(8 * (hi - lo));
-                          });
+      ctx.parallel_for(m.n, [&](std::size_t lo, std::size_t hi, unsigned) {
+        for (std::size_t i = lo; i < hi; ++i) {
+          sol[i] += wj * (rhs[i] - tmp[i]);
+        }
+        counters::add_fp64(3 * (hi - lo));
+        counters::add_int(hi - lo);
+        counters::add_read_bytes(24 * (hi - lo));
+        counters::add_write_bytes(8 * (hi - lo));
+      });
     }
   };
 
@@ -243,7 +239,7 @@ WorkloadMeasurement Amg::run(ExecutionContext& ctx,
         smooth(l, rhs, sol, 2);
         if (l + 1 < levels.size()) {
           // coarse-grid correction
-          spmv(ctx, levels[l], sol, ct[l].data(), workers);
+          spmv(ctx, levels[l], sol, ct[l].data());
           AlignedBuffer<double>& res = cr[l];
           for (std::uint64_t i = 0; i < levels[l].n; ++i) {
             res[i] = rhs[i] - ct[l][i];
@@ -274,7 +270,7 @@ WorkloadMeasurement Amg::run(ExecutionContext& ctx,
     for (int it = 0; it < kRunIters; ++it) {
       vcycle(0, b.data(), x.data());
     }
-    spmv(ctx, levels[0], x.data(), r.data(), workers);
+    spmv(ctx, levels[0], x.data(), r.data());
     for (std::uint64_t i = 0; i < n; ++i) r[i] = b[i] - r[i];
     counters::add_fp64(n);
     res = std::sqrt(dot(r.data(), r.data()));

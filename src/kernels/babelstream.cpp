@@ -30,23 +30,19 @@ WorkloadMeasurement BabelStream::run(ExecutionContext& ctx,
                                             const RunConfig& cfg) const {
   const std::size_t n = scaled_n(kRunN, cfg.scale);
   AlignedBuffer<double> a(n, 0.1), b(n, 0.2), c(n, 0.0);
-  const unsigned workers =
-      cfg.threads == 0 ? ctx.concurrency() : cfg.threads;
 
   double dot_result = 0.0;
   const auto rec = assayed(ctx, [&] {
     for (int rep = 0; rep < kReps; ++rep) {
       // Copy: c = a
-      ctx.parallel_for_n(workers, n, [&](std::size_t lo, std::size_t hi,
-                                          unsigned) {
+      ctx.parallel_for(n, [&](std::size_t lo, std::size_t hi, unsigned) {
         for (std::size_t i = lo; i < hi; ++i) c[i] = a[i];
         counters::add_read_bytes((hi - lo) * 8);
         counters::add_write_bytes((hi - lo) * 8);
         counters::add_int(hi - lo);  // index increments
       });
       // Mul: b = s * c
-      ctx.parallel_for_n(workers, n, [&](std::size_t lo, std::size_t hi,
-                                          unsigned) {
+      ctx.parallel_for(n, [&](std::size_t lo, std::size_t hi, unsigned) {
         for (std::size_t i = lo; i < hi; ++i) b[i] = kScalar * c[i];
         counters::add_fp64(hi - lo);
         counters::add_read_bytes((hi - lo) * 8);
@@ -54,8 +50,7 @@ WorkloadMeasurement BabelStream::run(ExecutionContext& ctx,
         counters::add_int(hi - lo);
       });
       // Add: c = a + b
-      ctx.parallel_for_n(workers, n, [&](std::size_t lo, std::size_t hi,
-                                          unsigned) {
+      ctx.parallel_for(n, [&](std::size_t lo, std::size_t hi, unsigned) {
         for (std::size_t i = lo; i < hi; ++i) c[i] = a[i] + b[i];
         counters::add_fp64(hi - lo);
         counters::add_read_bytes((hi - lo) * 16);
@@ -63,8 +58,7 @@ WorkloadMeasurement BabelStream::run(ExecutionContext& ctx,
         counters::add_int(hi - lo);
       });
       // Triad: a = b + s * c
-      ctx.parallel_for_n(workers, n, [&](std::size_t lo, std::size_t hi,
-                                          unsigned) {
+      ctx.parallel_for(n, [&](std::size_t lo, std::size_t hi, unsigned) {
         for (std::size_t i = lo; i < hi; ++i) a[i] = b[i] + kScalar * c[i];
         counters::add_fp64(2 * (hi - lo));
         counters::add_read_bytes((hi - lo) * 16);
@@ -72,9 +66,8 @@ WorkloadMeasurement BabelStream::run(ExecutionContext& ctx,
         counters::add_int(hi - lo);
       });
       // Dot: sum += a * b  (deterministic slot reduction)
-      SlotReduce dot(workers);
-      ctx.parallel_for_n(workers, n, [&](std::size_t lo, std::size_t hi,
-                                          unsigned tid) {
+      SlotReduce dot(ctx.concurrency());
+      ctx.parallel_for(n, [&](std::size_t lo, std::size_t hi, unsigned tid) {
         double local = 0.0;
         for (std::size_t i = lo; i < hi; ++i) local += a[i] * b[i];
         counters::add_fp64(2 * (hi - lo));

@@ -31,9 +31,9 @@ constexpr double kPaperSteps = 70;
 // C[m x n] += A[m x k] * B[k x n], FP32, with counting.
 void gemm_acc(ExecutionContext& ctx, const float* a, const float* b,
               float* c, std::uint64_t m, std::uint64_t k, std::uint64_t n,
-              unsigned workers, bool zero_first) {
-  ctx.parallel_for_n(
-      workers, m, [&](std::size_t lo, std::size_t hi, unsigned) {
+              bool zero_first) {
+  ctx.parallel_for(
+      m, [&](std::size_t lo, std::size_t hi, unsigned) {
         for (std::size_t i = lo; i < hi; ++i) {
           float* row = c + i * n;
           if (zero_first) std::fill(row, row + n, 0.0f);
@@ -55,10 +55,9 @@ void gemm_acc(ExecutionContext& ctx, const float* a, const float* b,
 // C[m x n] = A[m x k] * B^T where B is [n x k], FP32, with counting.
 // Used for the backward data gradients (G * W^T).
 void gemm_bt(ExecutionContext& ctx, const float* a, const float* b,
-             float* c, std::uint64_t m, std::uint64_t k, std::uint64_t n,
-             unsigned workers) {
-  ctx.parallel_for_n(
-      workers, m, [&](std::size_t lo, std::size_t hi, unsigned) {
+             float* c, std::uint64_t m, std::uint64_t k, std::uint64_t n) {
+  ctx.parallel_for(
+      m, [&](std::size_t lo, std::size_t hi, unsigned) {
         for (std::size_t i = lo; i < hi; ++i) {
           for (std::uint64_t j = 0; j < n; ++j) {
             float acc = 0.0f;
@@ -97,8 +96,6 @@ WorkloadMeasurement Candle::run(ExecutionContext& ctx,
   const std::uint64_t hid = scaled_n(kHidden, std::sqrt(cfg.scale));
   const std::uint64_t lat = kLatent;
   const std::uint64_t batch = kBatch;
-  const unsigned workers =
-      cfg.threads == 0 ? ctx.concurrency() : cfg.threads;
 
   // Synthetic expression data in [0, 1] and Glorot-ish weights.
   Xoshiro256 rng(cfg.seed);
@@ -137,40 +134,34 @@ WorkloadMeasurement Candle::run(ExecutionContext& ctx,
   auto weight_update = [&](const float* xact, const float* grad, float* w,
                            std::uint64_t rows, std::uint64_t cols) {
     const float lr = 0.01f / static_cast<float>(batch);
-    ctx.parallel_for_n(workers, rows,
-                        [&](std::size_t lo, std::size_t hi, unsigned) {
-                          for (std::size_t r = lo; r < hi; ++r) {
-                            for (std::uint64_t c = 0; c < cols; ++c) {
-                              float acc = 0.0f;
-                              for (std::uint64_t s = 0; s < batch; ++s) {
-                                acc += xact[s * rows + r] * grad[s * cols + c];
-                              }
-                              w[r * cols + c] -= lr * acc;
-                            }
-                          }
-                          const std::uint64_t fl =
-                              (hi - lo) * cols * (2 * batch + 2);
-                          counters::add_fp32(fl);
-                          counters::add_int(fl / 16);
-                          counters::add_read_bytes(fl * 4);
-                        });
+    ctx.parallel_for(rows, [&](std::size_t lo, std::size_t hi, unsigned) {
+      for (std::size_t r = lo; r < hi; ++r) {
+        for (std::uint64_t c = 0; c < cols; ++c) {
+          float acc = 0.0f;
+          for (std::uint64_t s = 0; s < batch; ++s) {
+            acc += xact[s * rows + r] * grad[s * cols + c];
+          }
+          w[r * cols + c] -= lr * acc;
+        }
+      }
+      const std::uint64_t fl = (hi - lo) * cols * (2 * batch + 2);
+      counters::add_fp32(fl);
+      counters::add_int(fl / 16);
+      counters::add_read_bytes(fl * 4);
+    });
   };
 
   double loss0 = 0.0, loss = 0.0;
   const auto rec = assayed(ctx, [&] {
     for (int step = 0; step < kSteps; ++step) {
       // Forward.
-      gemm_acc(ctx, data.data(), w1.data(), h1.data(), batch, in, hid, workers,
-               true);
+      gemm_acc(ctx, data.data(), w1.data(), h1.data(), batch, in, hid, true);
       relu(h1.data(), batch * hid);
-      gemm_acc(ctx, h1.data(), w2.data(), h2.data(), batch, hid, lat, workers,
-               true);
+      gemm_acc(ctx, h1.data(), w2.data(), h2.data(), batch, hid, lat, true);
       relu(h2.data(), batch * lat);
-      gemm_acc(ctx, h2.data(), w3.data(), h3.data(), batch, lat, hid, workers,
-               true);
+      gemm_acc(ctx, h2.data(), w3.data(), h3.data(), batch, lat, hid, true);
       relu(h3.data(), batch * hid);
-      gemm_acc(ctx, h3.data(), w4.data(), out.data(), batch, hid, in, workers,
-               true);
+      gemm_acc(ctx, h3.data(), w4.data(), out.data(), batch, hid, in, true);
       // MSE loss and output gradient.
       double l = 0.0;
       for (std::uint64_t i = 0; i < batch * in; ++i) {
@@ -184,13 +175,13 @@ WorkloadMeasurement Candle::run(ExecutionContext& ctx,
       loss = l;
       // Backward: grad through decoder and encoder (weight grads + data
       // grads via GEMMs with transposes; counted identically).
-      gemm_bt(ctx, g_out.data(), w4.data(), g_h3.data(), batch, in, hid, workers);
+      gemm_bt(ctx, g_out.data(), w4.data(), g_h3.data(), batch, in, hid);
       weight_update(h3.data(), g_out.data(), w4.data(), hid, in);
       relu_grad(h3.data(), g_h3.data(), batch * hid);
-      gemm_bt(ctx, g_h3.data(), w3.data(), g_h2.data(), batch, hid, lat, workers);
+      gemm_bt(ctx, g_h3.data(), w3.data(), g_h2.data(), batch, hid, lat);
       weight_update(h2.data(), g_h3.data(), w3.data(), lat, hid);
       relu_grad(h2.data(), g_h2.data(), batch * lat);
-      gemm_bt(ctx, g_h2.data(), w2.data(), g_h1.data(), batch, lat, hid, workers);
+      gemm_bt(ctx, g_h2.data(), w2.data(), g_h1.data(), batch, lat, hid);
       weight_update(h1.data(), g_h2.data(), w2.data(), hid, lat);
       relu_grad(h1.data(), g_h1.data(), batch * hid);
       weight_update(data.data(), g_h1.data(), w1.data(), in, hid);

@@ -43,8 +43,6 @@ WorkloadMeasurement CoMd::run(ExecutionContext& ctx,
   const std::uint64_t ncells = nc * nc * nc;
   const std::uint64_t natoms = ncells * kAtomsPerCell;
   const double box = static_cast<double>(nc) * kCellSize;
-  const unsigned workers =
-      cfg.threads == 0 ? ctx.concurrency() : cfg.threads;
 
   Atoms a;
   a.x.resize(natoms);
@@ -112,9 +110,9 @@ WorkloadMeasurement CoMd::run(ExecutionContext& ctx,
     std::fill(a.fx.begin(), a.fx.end(), 0.0);
     std::fill(a.fy.begin(), a.fy.end(), 0.0);
     std::fill(a.fz.begin(), a.fz.end(), 0.0);
-    SlotReduce pot(workers);
-    ctx.parallel_for_n(
-        workers, ncells, [&](std::size_t lo, std::size_t hi, unsigned tid) {
+    SlotReduce pot(ctx.concurrency());
+    ctx.parallel_for(
+        ncells, [&](std::size_t lo, std::size_t hi, unsigned tid) {
           std::uint64_t fp = 0, sp = 0, iops = 0, pairs = 0;
           double local_pot = 0.0;
           for (std::size_t c = lo; c < hi; ++c) {

@@ -33,8 +33,6 @@ WorkloadMeasurement Ffb::run(ExecutionContext& ctx,
                                     const RunConfig& cfg) const {
   const std::uint64_t d = scaled_dim(kRunDim, cfg.scale);
   const std::uint64_t n = d * d * d;
-  const unsigned workers =
-      cfg.threads == 0 ? ctx.concurrency() : cfg.threads;
 
   // Collocated fractional-step scheme in FP32 (as FFB computes), with
   // FP64 only for global reductions — matching the Fig. 1 mix.
@@ -62,8 +60,8 @@ WorkloadMeasurement Ffb::run(ExecutionContext& ctx,
   const auto rec = assayed(ctx, [&] {
     for (int step = 0; step < kRunSteps; ++step) {
       // --- Advection-diffusion (explicit upwind + central diffusion).
-      ctx.parallel_for_n(
-          workers, d - 2, [&](std::size_t lo, std::size_t hi, unsigned) {
+      ctx.parallel_for(
+          d - 2, [&](std::size_t lo, std::size_t hi, unsigned) {
             std::uint64_t sp = 0, iops = 0;
             for (std::size_t zz = lo; zz < hi; ++zz) {
               const std::uint64_t z = zz + 1;
@@ -115,8 +113,8 @@ WorkloadMeasurement Ffb::run(ExecutionContext& ctx,
       apply_bc();
 
       // --- Divergence.
-      ctx.parallel_for_n(
-          workers, d - 2, [&](std::size_t lo, std::size_t hi, unsigned) {
+      ctx.parallel_for(
+          d - 2, [&](std::size_t lo, std::size_t hi, unsigned) {
             std::uint64_t sp = 0;
             for (std::size_t zz = lo; zz < hi; ++zz) {
               const std::uint64_t z = zz + 1;
@@ -139,8 +137,8 @@ WorkloadMeasurement Ffb::run(ExecutionContext& ctx,
 
       // --- Pressure Poisson (Jacobi, FP32).
       for (int pit = 0; pit < kPressureIters; ++pit) {
-        ctx.parallel_for_n(
-            workers, d - 2, [&](std::size_t lo, std::size_t hi, unsigned) {
+        ctx.parallel_for(
+            d - 2, [&](std::size_t lo, std::size_t hi, unsigned) {
               std::uint64_t sp = 0, iops = 0;
               for (std::size_t zz = lo; zz < hi; ++zz) {
                 const std::uint64_t z = zz + 1;
@@ -166,8 +164,8 @@ WorkloadMeasurement Ffb::run(ExecutionContext& ctx,
       }
 
       // --- Projection.
-      ctx.parallel_for_n(
-          workers, d - 2, [&](std::size_t lo, std::size_t hi, unsigned) {
+      ctx.parallel_for(
+          d - 2, [&](std::size_t lo, std::size_t hi, unsigned) {
             std::uint64_t sp = 0;
             for (std::size_t zz = lo; zz < hi; ++zz) {
               const std::uint64_t z = zz + 1;

@@ -33,8 +33,6 @@ WorkloadMeasurement Ffvc::run(ExecutionContext& ctx,
                                      const RunConfig& cfg) const {
   const std::uint64_t d = scaled_dim(kRunDim, cfg.scale);
   const std::uint64_t n = d * d * d;
-  const unsigned workers =
-      cfg.threads == 0 ? ctx.concurrency() : cfg.threads;
 
   // Cell-centered FVM with face fluxes. FFVC encodes boundary/medium
   // state in a per-cell integer mask (bcd[] in the original) — consulted
@@ -72,8 +70,8 @@ WorkloadMeasurement Ffvc::run(ExecutionContext& ctx,
   const auto rec = assayed(ctx, [&] {
     for (int step = 0; step < kRunSteps; ++step) {
       // --- Face-flux convection-diffusion with MUSCL-style face states.
-      ctx.parallel_for_n(
-          workers, d - 2, [&](std::size_t lo, std::size_t hi, unsigned) {
+      ctx.parallel_for(
+          d - 2, [&](std::size_t lo, std::size_t hi, unsigned) {
             std::uint64_t sp = 0, iops = 0, branches = 0;
             for (std::size_t zz = lo; zz < hi; ++zz) {
               const std::uint64_t z = zz + 1;
@@ -132,8 +130,8 @@ WorkloadMeasurement Ffvc::run(ExecutionContext& ctx,
       apply_bc();
 
       // --- Divergence + red/black SOR pressure solve.
-      ctx.parallel_for_n(
-          workers, d - 2, [&](std::size_t lo, std::size_t hi, unsigned) {
+      ctx.parallel_for(
+          d - 2, [&](std::size_t lo, std::size_t hi, unsigned) {
             std::uint64_t sp = 0;
             for (std::size_t zz = lo; zz < hi; ++zz) {
               const std::uint64_t z = zz + 1;
@@ -155,8 +153,8 @@ WorkloadMeasurement Ffvc::run(ExecutionContext& ctx,
       const float omega = 1.5f;
       for (int sor = 0; sor < kSorIters; ++sor) {
         for (int color = 0; color < 2; ++color) {
-          ctx.parallel_for_n(
-              workers, d - 2,
+          ctx.parallel_for(
+              d - 2,
               [&](std::size_t lo, std::size_t hi, unsigned) {
                 std::uint64_t sp = 0, iops = 0;
                 for (std::size_t zz = lo; zz < hi; ++zz) {
@@ -186,8 +184,8 @@ WorkloadMeasurement Ffvc::run(ExecutionContext& ctx,
       }
 
       // --- Projection.
-      ctx.parallel_for_n(
-          workers, d - 2, [&](std::size_t lo, std::size_t hi, unsigned) {
+      ctx.parallel_for(
+          d - 2, [&](std::size_t lo, std::size_t hi, unsigned) {
             std::uint64_t sp = 0;
             for (std::size_t zz = lo; zz < hi; ++zz) {
               const std::uint64_t z = zz + 1;

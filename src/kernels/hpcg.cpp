@@ -117,8 +117,6 @@ WorkloadMeasurement Hpcg::run(ExecutionContext& ctx,
   const std::uint64_t d = scaled_dim(kRunDim, cfg.scale);
   const Grid g{d, d, d};
   const std::uint64_t n = g.rows();
-  const unsigned workers =
-      cfg.threads == 0 ? ctx.concurrency() : cfg.threads;
 
   AlignedBuffer<double> b(n, 1.0), x(n, 0.0), rvec(n), z(n), p(n), ap(n);
 
@@ -130,14 +128,13 @@ WorkloadMeasurement Hpcg::run(ExecutionContext& ctx,
     return s;
   };
   auto par_spmv = [&](const double* in, double* out) {
-    ctx.parallel_for_n(workers, n,
-                        [&](std::size_t lo, std::size_t hi, unsigned) {
-                          const std::uint64_t fp = spmv_range(g, in, out, lo, hi);
-                          counters::add_fp64(fp);
-                          counters::add_int(8 * (hi - lo));
-                          counters::add_read_bytes(27 * 8 * (hi - lo));
-                          counters::add_write_bytes(8 * (hi - lo));
-                        });
+    ctx.parallel_for(n, [&](std::size_t lo, std::size_t hi, unsigned) {
+      const std::uint64_t fp = spmv_range(g, in, out, lo, hi);
+      counters::add_fp64(fp);
+      counters::add_int(8 * (hi - lo));
+      counters::add_read_bytes(27 * 8 * (hi - lo));
+      counters::add_write_bytes(8 * (hi - lo));
+    });
   };
 
   double res0 = 0.0, res = 0.0;

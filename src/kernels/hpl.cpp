@@ -40,8 +40,6 @@ WorkloadMeasurement Hpl::run(ExecutionContext& ctx,
                                     const RunConfig& cfg) const {
   const std::uint64_t n =
       std::max<std::uint64_t>(2 * kBlock, scaled_dim(kRunN, cfg.scale));
-  const unsigned workers =
-      cfg.threads == 0 ? ctx.concurrency() : cfg.threads;
 
   // Random diagonally-dominant-ish system (HPL uses uniform [-0.5, 0.5]).
   AlignedBuffer<double> storage(n * n);
@@ -119,8 +117,8 @@ WorkloadMeasurement Hpl::run(ExecutionContext& ctx,
 
       // --- Trailing update: A22 -= L21 * U12 (the GEMM; bulk of flops).
       const std::uint64_t jcols = n - (k0 + kb);
-      ctx.parallel_for_n(
-          workers, jcols,
+      ctx.parallel_for(
+          jcols,
           [&](std::size_t lo, std::size_t hi, unsigned) {
             std::uint64_t fp = 0, iops = 0;
             for (std::size_t jj = lo; jj < hi; ++jj) {

@@ -72,7 +72,8 @@ struct KernelInfo {
 
 /// Execution configuration for a kernel run.
 struct RunConfig {
-  /// Worker threads to use (0 = all available).
+  /// Worker threads (0 = all available). Sizes the context that
+  /// run(cfg) builds; run(ctx, cfg) uses every worker of `ctx` instead.
   unsigned threads = 0;
   /// Input scale multiplier relative to the kernel's standard reduced
   /// input; tests use < 1, the microbenches may use > 1. Must be > 0.
@@ -88,9 +89,10 @@ class ProxyKernel {
   [[nodiscard]] virtual const KernelInfo& info() const = 0;
 
   /// Execute the kernel (init -> assayed solver -> verify) inside `ctx`
-  /// and report. The run parallelizes on the context's pool and counts
-  /// into the context's sink, so concurrent runs in separate contexts
-  /// are fully isolated. Throws std::runtime_error if self-verification
+  /// and report. The run parallelizes over every worker of the context's
+  /// pool and counts into the context's sink, so concurrent runs in
+  /// separate contexts are fully isolated; of `cfg` it reads only
+  /// `scale` and `seed`. Throws std::runtime_error if self-verification
   /// fails.
   [[nodiscard]] virtual WorkloadMeasurement run(
       ExecutionContext& ctx, const RunConfig& cfg) const = 0;

@@ -9,7 +9,7 @@
 
 #include "common/execution_context.hpp"
 #include "counters/assay.hpp"
-#include "counters/registry.hpp"
+#include "counters/sink.hpp"
 #include "kernels/kernel.hpp"
 
 namespace fpr::kernels {
@@ -49,7 +49,7 @@ class KernelBase : public ProxyKernel {
   static counters::AssayRecorder assayed(ExecutionContext& ctx,
                                          Solver&& solver) {
     ExecutionContext::Scope bind(ctx);
-    counters::AssayRecorder rec(&ctx.counters());
+    counters::AssayRecorder rec(ctx.counters());
     {
       counters::ScopedAssay scope(rec);
       solver();

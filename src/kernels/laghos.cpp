@@ -38,8 +38,6 @@ WorkloadMeasurement Laghos::run(ExecutionContext& ctx,
   const std::uint64_t nn = nz + 1;  // node grid
   const std::uint64_t zones = nz * nz;
   const std::uint64_t nodes = nn * nn;
-  const unsigned workers =
-      cfg.threads == 0 ? ctx.concurrency() : cfg.threads;
 
   // Staggered scheme: thermodynamics on zones, kinematics on nodes.
   std::vector<double> rho(zones, 1.0), e(zones, 1e-6), zvol(zones);
@@ -95,8 +93,8 @@ WorkloadMeasurement Laghos::run(ExecutionContext& ctx,
       // Zones are processed in stripes so force scatter does not race.
       const std::uint64_t stripes = 2;
       for (std::uint64_t par = 0; par < stripes; ++par) {
-        ctx.parallel_for_n(
-            workers, nz / stripes + 1,
+        ctx.parallel_for(
+            nz / stripes + 1,
             [&](std::size_t lo, std::size_t hi, unsigned) {
               std::uint64_t fp = 0, iops = 0;
               for (std::size_t jj = lo; jj < hi; ++jj) {

@@ -46,8 +46,6 @@ MiniAmr::MiniAmr()
 WorkloadMeasurement MiniAmr::run(ExecutionContext& ctx,
                                         const RunConfig& cfg) const {
   const std::uint64_t root = scaled_dim(kRunRoot, cfg.scale);
-  const unsigned workers =
-      cfg.threads == 0 ? ctx.concurrency() : cfg.threads;
 
   std::vector<Block> blocks;
   const double rh = 1.0 / static_cast<double>(root);
@@ -114,8 +112,8 @@ WorkloadMeasurement MiniAmr::run(ExecutionContext& ctx,
       blocks.swap(next);
 
       // --- 7-point stencil sweep over all active blocks.
-      ctx.parallel_for_n(
-          workers, blocks.size(),
+      ctx.parallel_for(
+          blocks.size(),
           [&](std::size_t lo, std::size_t hi, unsigned) {
             std::uint64_t fp = 0, ii = 0;
             constexpr std::uint64_t d = kBlockDim;

@@ -39,8 +39,6 @@ WorkloadMeasurement MiniFe::run(ExecutionContext& ctx,
   const std::uint64_t ne = scaled_dim(kRunDim, cfg.scale);  // elements/dim
   const std::uint64_t nn = ne + 1;                          // nodes/dim
   const std::uint64_t nodes = nn * nn * nn;
-  const unsigned workers =
-      cfg.threads == 0 ? ctx.concurrency() : cfg.threads;
 
   auto node_id = [&](std::uint64_t x, std::uint64_t y, std::uint64_t z) {
     return x + nn * (y + nn * z);
@@ -109,8 +107,8 @@ WorkloadMeasurement MiniFe::run(ExecutionContext& ctx,
     AlignedBuffer<double> xref(nodes, 1.0), b(nodes), x(nodes, 0.0),
         r(nodes), p(nodes), ap(nodes);
     auto spmv = [&](const double* in, double* out) {
-      ctx.parallel_for_n(
-          workers, nodes, [&](std::size_t lo, std::size_t hi, unsigned) {
+      ctx.parallel_for(
+          nodes, [&](std::size_t lo, std::size_t hi, unsigned) {
             std::uint64_t f2 = 0;
             for (std::size_t row = lo; row < hi; ++row) {
               double s = 0.0;

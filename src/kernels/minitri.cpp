@@ -71,8 +71,6 @@ WorkloadMeasurement MiniTri::run(ExecutionContext& ctx,
                                         const RunConfig& cfg) const {
   const std::uint64_t n = scaled_n(kRunVerts, cfg.scale);
   const Graph g = build_banded(n, kBand);
-  const unsigned workers =
-      cfg.threads == 0 ? ctx.concurrency() : cfg.threads;
 
   std::atomic<std::uint64_t> triangles{0};
   std::atomic<std::uint64_t> max_tri_per_edge{0};
@@ -80,8 +78,8 @@ WorkloadMeasurement MiniTri::run(ExecutionContext& ctx,
   const auto rec = assayed(ctx, [&] {
     // Edge-iterator triangle counting with sorted-list intersection;
     // each triangle is found once via the u < v < w ordering.
-    ctx.parallel_for_n(
-        workers, g.n, [&](std::size_t lo, std::size_t hi, unsigned) {
+    ctx.parallel_for(
+        g.n, [&](std::size_t lo, std::size_t hi, unsigned) {
           std::uint64_t local = 0, iops = 0, branches = 0, best_edge = 0;
           for (std::size_t u = lo; u < hi; ++u) {
             const auto* ubeg = &g.adj[g.offsets[u]];

@@ -41,8 +41,6 @@ WorkloadMeasurement Modylas::run(ExecutionContext& ctx,
   const std::uint64_t ncells = nc * nc * nc;
   const std::uint64_t natoms = ncells * kAtomsPerCell;
   const double box = static_cast<double>(nc) * kCell;
-  const unsigned workers =
-      cfg.threads == 0 ? ctx.concurrency() : cfg.threads;
 
   std::vector<double> x(natoms), y(natoms), z(natoms), q(natoms);
   std::vector<double> fx(natoms), fy(natoms), fz(natoms);
@@ -97,8 +95,8 @@ WorkloadMeasurement Modylas::run(ExecutionContext& ctx,
       counters::add_write_bytes(ncells * 56);
 
       // --- Forces: P2P for the 27-cell neighbourhood, M2P beyond.
-      ctx.parallel_for_n(
-          workers, ncells, [&](std::size_t lo, std::size_t hi, unsigned) {
+      ctx.parallel_for(
+          ncells, [&](std::size_t lo, std::size_t hi, unsigned) {
             std::uint64_t lfp = 0, lio = 0, lbr = 0;
             for (std::size_t c = lo; c < hi; ++c) {
               const std::uint64_t ccx = c % nc;

@@ -14,8 +14,15 @@ namespace {
 constexpr std::uint64_t kRunN = 72;
 constexpr std::uint64_t kRunSweeps = 40;
 
-// log|det| via LU with partial pivoting (also counts the ops).
-double logdet_lu(std::vector<double> a, std::uint64_t n) {
+// log|det| via LU with partial pivoting, plus the FP64 operations it
+// performed. It counts nothing itself: the assayed call adds `fp64`, and
+// the verification call after the assay runs outside any context.
+struct LogDet {
+  double value = 0.0;
+  std::uint64_t fp64 = 0;
+};
+
+LogDet logdet_lu(std::vector<double> a, std::uint64_t n) {
   double ld = 0.0;
   std::uint64_t fp = 0;
   for (std::uint64_t k = 0; k < n; ++k) {
@@ -36,8 +43,7 @@ double logdet_lu(std::vector<double> a, std::uint64_t n) {
       fp += 2 * (n - k);
     }
   }
-  counters::add_fp64(fp + 3 * n);
-  return ld;
+  return {ld, fp + 3 * n};
 }
 
 }  // namespace
@@ -56,8 +62,6 @@ MVmc::MVmc()
 WorkloadMeasurement MVmc::run(ExecutionContext& ctx,
                                      const RunConfig& cfg) const {
   const std::uint64_t n = scaled_n(kRunN, std::sqrt(cfg.scale));
-  const unsigned workers =
-      cfg.threads == 0 ? ctx.concurrency() : cfg.threads;
 
   // Slater-like matrix: orbital amplitudes, diagonally enhanced so it is
   // comfortably non-singular.
@@ -110,7 +114,9 @@ WorkloadMeasurement MVmc::run(ExecutionContext& ctx,
       counters::add_read_bytes(fp * 8);
       counters::add_write_bytes(fp * 4);
     }
-    logdet_running = logdet_lu(phi, n);
+    const LogDet initial = logdet_lu(phi, n);
+    counters::add_fp64(initial.fp64);
+    logdet_running = initial.value;
 
     // Metropolis sweeps: replace one row of phi with a proposed orbital
     // configuration; ratio = v . w[:,k]; accept per |ratio|.
@@ -138,8 +144,8 @@ WorkloadMeasurement MVmc::run(ExecutionContext& ctx,
           for (std::uint64_t j = 0; j < n; ++j) wk[j] = w[j * n + k];
           // u = v - old row; W'_{jl} = W_jl - wk_j * (v.W_l - delta)/ratio
           std::vector<double> vw(n, 0.0);
-          ctx.parallel_for_n(
-              workers, n, [&](std::size_t lo, std::size_t hi, unsigned) {
+          ctx.parallel_for(
+              n, [&](std::size_t lo, std::size_t hi, unsigned) {
                 std::uint64_t fp = 0;
                 for (std::size_t l = lo; l < hi; ++l) {
                   double s = 0.0;
@@ -152,8 +158,8 @@ WorkloadMeasurement MVmc::run(ExecutionContext& ctx,
                 counters::add_fp64(fp);
                 counters::add_read_bytes(fp * 8);
               });
-          ctx.parallel_for_n(
-              workers, n, [&](std::size_t lo, std::size_t hi, unsigned) {
+          ctx.parallel_for(
+              n, [&](std::size_t lo, std::size_t hi, unsigned) {
                 std::uint64_t fp = 0;
                 for (std::size_t j = lo; j < hi; ++j) {
                   const double c = wk[j] / ratio;
@@ -178,7 +184,7 @@ WorkloadMeasurement MVmc::run(ExecutionContext& ctx,
   require(accepted > 0 && accepted < proposed, "MC explored configurations");
   // Verification: the incrementally tracked log|det| must match a fresh
   // LU factorization of the final matrix.
-  const double logdet_fresh = logdet_lu(phi, n);
+  const double logdet_fresh = logdet_lu(phi, n).value;
   require_close(logdet_running, logdet_fresh,
                 1e-6 * std::max(1.0, std::abs(logdet_fresh)) * 100,
                 "incremental log-det consistency");

@@ -61,8 +61,6 @@ WorkloadMeasurement Nekbone::run(ExecutionContext& ctx,
                                         const RunConfig& cfg) const {
   const std::uint64_t ne = scaled_n(kRunElems, cfg.scale);
   const std::uint64_t npts = ne * kP * kP * kP;
-  const unsigned workers =
-      cfg.threads == 0 ? ctx.concurrency() : cfg.threads;
 
   // SPD 1-D operator: diag dominant symmetric.
   AlignedBuffer<double> d(kP * kP, 0.0);
@@ -85,8 +83,8 @@ WorkloadMeasurement Nekbone::run(ExecutionContext& ctx,
   }
 
   auto apply_A = [&](const double* in, double* out) {
-    ctx.parallel_for_n(
-        workers, ne, [&](std::size_t lo, std::size_t hi, unsigned) {
+    ctx.parallel_for(
+        ne, [&](std::size_t lo, std::size_t hi, unsigned) {
           for (std::size_t e = lo; e < hi; ++e) {
             element_op(d.data(), in + e * kP * kP * kP,
                        out + e * kP * kP * kP);

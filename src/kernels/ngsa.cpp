@@ -47,8 +47,6 @@ WorkloadMeasurement Ngsa::run(ExecutionContext& ctx,
                                      const RunConfig& cfg) const {
   const std::uint64_t glen = scaled_n(kRunGenome, cfg.scale);
   const std::uint64_t nreads = scaled_n(kRunReads, cfg.scale);
-  const unsigned workers =
-      cfg.threads == 0 ? ctx.concurrency() : cfg.threads;
 
   // Pseudo-genome (2-bit bases) and planted reads with point mutations.
   Xoshiro256 rng(cfg.seed);
@@ -91,8 +89,8 @@ WorkloadMeasurement Ngsa::run(ExecutionContext& ctx,
     counters::add_write_bytes(index.size() * 12);
 
     // --- Alignment: seed lookup + banded edit-distance extension.
-    ctx.parallel_for_n(
-        workers, nreads, [&](std::size_t lo, std::size_t hi, unsigned) {
+    ctx.parallel_for(
+        nreads, [&](std::size_t lo, std::size_t hi, unsigned) {
           std::uint64_t iops = 0, branches = 0, bytes = 0;
           std::uint64_t correct = 0, total = 0;
           for (std::size_t ridx = lo; ridx < hi; ++ridx) {

@@ -34,8 +34,6 @@ WorkloadMeasurement Nicam::run(ExecutionContext& ctx,
                                       const RunConfig& cfg) const {
   const std::uint64_t cols_req = scaled_n(kRunCols, cfg.scale);
   const std::uint64_t lev = kRunLevels;
-  const unsigned workers =
-      cfg.threads == 0 ? ctx.concurrency() : cfg.threads;
 
   // Icosahedral-like mesh: columns on a quasi-uniform torus lattice,
   // each with 6 horizontal neighbours. The grid is exactly ring x rows
@@ -83,8 +81,8 @@ WorkloadMeasurement Nicam::run(ExecutionContext& ctx,
 
   const auto rec = assayed(ctx, [&] {
     for (int step = 0; step < kRunSteps; ++step) {
-      ctx.parallel_for_n(
-          workers, cols, [&](std::size_t lo, std::size_t hi, unsigned) {
+      ctx.parallel_for(
+          cols, [&](std::size_t lo, std::size_t hi, unsigned) {
             std::uint64_t fp = 0, iops = 0;
             for (std::size_t c = lo; c < hi; ++c) {
               const std::uint32_t* nb = &neigh[c * kNeigh];

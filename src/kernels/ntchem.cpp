@@ -32,8 +32,6 @@ WorkloadMeasurement NtChem::run(ExecutionContext& ctx,
   const std::uint64_t nbf = scaled_n(kRunBasis, std::cbrt(cfg.scale));
   const std::uint64_t nocc = kOcc;
   const std::uint64_t nvir = nbf - nocc;
-  const unsigned workers =
-      cfg.threads == 0 ? ctx.concurrency() : cfg.threads;
 
   // Synthetic AO integrals with 8-fold-symmetric structure via a
   // low-rank Cholesky-like factorization: (uv|ls) = sum_p B[p,uv] B[p,ls].
@@ -86,8 +84,8 @@ WorkloadMeasurement NtChem::run(ExecutionContext& ctx,
   double emp2 = 0.0;
 
   const auto rec = assayed(ctx, [&] {
-    ctx.parallel_for_n(
-        workers, rank, [&](std::size_t lo, std::size_t hi, unsigned) {
+    ctx.parallel_for(
+        rank, [&](std::size_t lo, std::size_t hi, unsigned) {
           std::vector<double> half(nocc * nbf);
           std::uint64_t fp = 0, iops = 0;
           for (std::size_t p = lo; p < hi; ++p) {
@@ -127,9 +125,9 @@ WorkloadMeasurement NtChem::run(ExecutionContext& ctx,
     // MP2 pair energy: E = sum_{ijab} (ia|jb) [2(ia|jb) - (ib|ja)] /
     // (eps_i + eps_j - eps_a - eps_b), with (ia|jb) = sum_p Bmo[p,i,a]
     // Bmo[p,j,b].
-    SlotReduce energy(workers);
-    ctx.parallel_for_n(
-        workers, nocc * nocc,
+    SlotReduce energy(ctx.concurrency());
+    ctx.parallel_for(
+        nocc * nocc,
         [&](std::size_t lo, std::size_t hi, unsigned tid) {
           std::uint64_t fp = 0;
           double local = 0.0;

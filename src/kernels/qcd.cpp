@@ -70,8 +70,6 @@ WorkloadMeasurement Qcd::run(ExecutionContext& ctx,
                                     const RunConfig& cfg) const {
   Lattice lat{std::max<std::uint64_t>(4, scaled_dim(kRunL, cfg.scale))};
   const std::uint64_t ns = lat.sites();
-  const unsigned workers =
-      cfg.threads == 0 ? ctx.concurrency() : cfg.threads;
 
   // Gauge links: SU(3)-like unitary matrices built from random unitary
   // rotations close to identity (cold-start configuration with noise).
@@ -111,8 +109,8 @@ WorkloadMeasurement Qcd::run(ExecutionContext& ctx,
   // spin structure (diagonal projectors) that preserves the stencil and
   // arithmetic shape.
   auto dslash = [&](const std::vector<cplx>& in, std::vector<cplx>& out) {
-    ctx.parallel_for_n(
-        workers, ns, [&](std::size_t lo, std::size_t hi, unsigned) {
+    ctx.parallel_for(
+        ns, [&](std::size_t lo, std::size_t hi, unsigned) {
           std::uint64_t fp = 0, iops = 0;
           cplx tmp[3], res[3];
           for (std::size_t s = lo; s < hi; ++s) {

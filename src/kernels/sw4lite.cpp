@@ -35,8 +35,6 @@ WorkloadMeasurement Sw4Lite::run(ExecutionContext& ctx,
                                         const RunConfig& cfg) const {
   const std::uint64_t d = scaled_dim(kRunDim, cfg.scale);
   const std::uint64_t n = d * d * d;
-  const unsigned workers =
-      cfg.threads == 0 ? ctx.concurrency() : cfg.threads;
 
   // Two time levels + velocity-like scratch (leapfrog).
   AlignedBuffer<double> u(n, 0.0), u_prev(n, 0.0), u_next(n, 0.0);
@@ -64,8 +62,8 @@ WorkloadMeasurement Sw4Lite::run(ExecutionContext& ctx,
       // Interior radius-2 sweep (free-surface at z=0 handled by skipping
       // the boundary shell, as sw4lite's pointsource test effectively
       // does for this proxy's purposes).
-      ctx.parallel_for_n(
-          workers, d - 4, [&](std::size_t lo, std::size_t hi, unsigned) {
+      ctx.parallel_for(
+          d - 4, [&](std::size_t lo, std::size_t hi, unsigned) {
             std::uint64_t fp = 0;
             for (std::size_t zz = lo; zz < hi; ++zz) {
               const std::uint64_t z = zz + 2;

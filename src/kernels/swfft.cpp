@@ -81,8 +81,6 @@ WorkloadMeasurement SwFft::run(ExecutionContext& ctx,
   const std::uint64_t want = scaled_dim(kRunDim, cfg.scale);
   d = std::bit_floor(std::max<std::uint64_t>(want, 8));
   const std::uint64_t n = d * d * d;
-  const unsigned workers =
-      cfg.threads == 0 ? ctx.concurrency() : cfg.threads;
 
   AlignedBuffer<cplx> grid(n);
   Xoshiro256 rng(cfg.seed);
@@ -95,8 +93,8 @@ WorkloadMeasurement SwFft::run(ExecutionContext& ctx,
 
   auto pass = [&](int dim, bool inverse) {
     // Apply 1-D FFTs along `dim` for all pencils, in parallel.
-    ctx.parallel_for_n(
-        workers, d * d, [&](std::size_t lo, std::size_t hi, unsigned) {
+    ctx.parallel_for(
+        d * d, [&](std::size_t lo, std::size_t hi, unsigned) {
           std::vector<cplx> pencil(d);
           std::uint64_t fp = 0, iops = 0;
           for (std::size_t p = lo; p < hi; ++p) {

@@ -36,8 +36,6 @@ WorkloadMeasurement XsBench::run(ExecutionContext& ctx,
   const std::uint64_t lookups = scaled_n(kRunLookups, cfg.scale);
   const std::uint64_t grid = kRunGrid;
   const std::uint64_t nuc = kRunNuclides;
-  const unsigned workers =
-      cfg.threads == 0 ? ctx.concurrency() : cfg.threads;
 
   // Unionized energy grid (sorted) and per-nuclide xs tables.
   AlignedBuffer<double> egrid(grid);
@@ -66,10 +64,10 @@ WorkloadMeasurement XsBench::run(ExecutionContext& ctx,
     }
   }
 
-  SlotReduce checksum(workers);
+  SlotReduce checksum(ctx.concurrency());
   const auto rec = assayed(ctx, [&] {
-    ctx.parallel_for_n(
-        workers, lookups, [&](std::size_t lo, std::size_t hi, unsigned tid) {
+    ctx.parallel_for(
+        lookups, [&](std::size_t lo, std::size_t hi, unsigned tid) {
           Xoshiro256 rng(thread_seed(cfg.seed, tid) ^ lo);
           std::uint64_t fp = 0, iops = 0, branches = 0, bytes = 0;
           double local_sum = 0.0;

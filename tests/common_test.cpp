@@ -163,15 +163,18 @@ TEST(ThreadPool, CoversFullRange) {
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
+// Every worker takes part, and worker ids stay below size() + 1, the
+// count that per-worker slots (sink slots, SlotReduce) are sized by.
 TEST(ThreadPool, RespectsWorkerLimit) {
   ThreadPool pool(8);
   std::set<unsigned> ids;
   std::mutex mu;
-  pool.parallel_for_n(2, 100, [&](std::size_t, std::size_t, unsigned id) {
+  pool.parallel_for(100, [&](std::size_t, std::size_t, unsigned id) {
     std::lock_guard lock(mu);
     ids.insert(id);
   });
-  EXPECT_LE(ids.size(), 2u);
+  EXPECT_EQ(ids.size(), pool.size() + 1);
+  EXPECT_EQ(*ids.rbegin(), pool.size());
 }
 
 TEST(ThreadPool, PropagatesExceptions) {

@@ -1,19 +1,18 @@
 // ExecutionContext tests: counter isolation between concurrent contexts,
-// exception propagation under contention, pool ownership/leasing, and
-// the thread-scope binding rules. This is the concurrency gate for the
+// exception propagation under contention, pool sizing, and the
+// thread-scope binding rules. This is the concurrency gate for the
 // de-globalized execution layer (run under ThreadSanitizer in CI).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstddef>
-#include <memory>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "common/execution_context.hpp"
 #include "counters/assay.hpp"
-#include "counters/registry.hpp"
+#include "counters/sink.hpp"
 
 namespace fpr {
 namespace {
@@ -27,8 +26,7 @@ TEST(ExecutionContext, CoversFullRangeAndCountsIntoOwnSink) {
   });
   EXPECT_EQ(visited.load(), 1000u);
   EXPECT_EQ(ctx.counters().snapshot().fp64, 1000u);
-  // Nothing leaked into the process-wide fallback registry... which
-  // other tests may have touched; assert via a second, disjoint context.
+  // Nothing leaked into a second, disjoint context.
   ExecutionContext other(2);
   EXPECT_EQ(other.counters().snapshot(), counters::OpTally{});
 }
@@ -47,18 +45,6 @@ TEST(ExecutionContext, ConcurrencyReflectsPoolSize) {
   EXPECT_EQ(four.concurrency(), 4u);
 }
 
-TEST(ExecutionContext, LeasedPoolIsSharedNotOwned) {
-  auto pool = std::make_shared<ThreadPool>(3u);
-  ExecutionContext ctx(pool);
-  EXPECT_EQ(&ctx.pool(), pool.get());
-  EXPECT_EQ(ctx.concurrency(), 3u);
-  ctx.parallel_for(10, [](std::size_t lo, std::size_t hi, unsigned) {
-    counters::add_int(hi - lo);
-  });
-  EXPECT_EQ(ctx.counters().snapshot().int_ops, 10u);
-  // The pool outlives the context that leased it.
-}
-
 TEST(ExecutionContext, ScopeBindsSerialCountingToSlotZero) {
   ExecutionContext ctx(2);
   {
@@ -66,7 +52,8 @@ TEST(ExecutionContext, ScopeBindsSerialCountingToSlotZero) {
     counters::add_fp32(9);
   }
   EXPECT_EQ(ctx.counters().slot(0).fp32, 9u);
-  counters::add_fp32(1);  // after: back to the fallback registry
+  // After: nothing is bound, and counting throws.
+  EXPECT_THROW(counters::add_fp32(1), std::logic_error);
   EXPECT_EQ(ctx.counters().snapshot().fp32, 9u);
 }
 
@@ -127,7 +114,7 @@ TEST(ExecutionContext, ConcurrentAssaysMeasureExactDeltas) {
       ExecutionContext ctx(3);
       ExecutionContext::Scope scope(ctx);
       counters::add_fp64(999);  // pre-assay noise in the same sink
-      counters::AssayRecorder rec(&ctx.counters());
+      counters::AssayRecorder rec(ctx.counters());
       rec.start();
       ctx.parallel_for(64, [](std::size_t lo, std::size_t hi, unsigned) {
         counters::add_fp64(hi - lo);
@@ -170,7 +157,7 @@ TEST(ExecutionContext, ExceptionPropagationUnderContention) {
       EXPECT_STREQ(e.what(), "chunk failed");
     }
     // The region bookkeeping unwound: assays work again immediately.
-    counters::AssayRecorder rec(&ctx.counters());
+    counters::AssayRecorder rec(ctx.counters());
     rec.start();
     rec.stop();
   }

@@ -1,25 +1,21 @@
-// Unit tests for the SDE-substitute: tallies, context sinks, the
-// fallback registry, counted<T>, assay regions.
+// Unit tests for the SDE-substitute: tallies, context sinks, the single
+// counting path (no fallback outside a context), counted<T>, assay
+// regions.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "common/execution_context.hpp"
 #include "counters/assay.hpp"
 #include "counters/counted.hpp"
-#include "counters/registry.hpp"
 #include "counters/sink.hpp"
 
 namespace fpr::counters {
 namespace {
 
-class CountersTest : public ::testing::Test {
- protected:
-  void SetUp() override { reset_all(); }
-};
-
-TEST_F(CountersTest, TallyArithmetic) {
+TEST(CountersTest, TallyArithmetic) {
   OpTally a{.fp64 = 10, .fp32 = 5, .int_ops = 3};
   OpTally b{.fp64 = 1, .fp32 = 2, .int_ops = 3};
   const OpTally sum = a + b;
@@ -35,14 +31,14 @@ TEST_F(CountersTest, TallyArithmetic) {
 // would otherwise silently report absurd totals). Release builds keep
 // the wrapping (the statement executes unchecked), which
 // EXPECT_DEBUG_DEATH also accepts.
-TEST_F(CountersTest, TallyDifferenceUnderflowDeath) {
+TEST(CountersTest, TallyDifferenceUnderflowDeath) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   const OpTally small{.fp64 = 1};
   const OpTally big{.fp64 = 2};
   EXPECT_DEBUG_DEATH((void)(small - big), "underflow");
 }
 
-TEST_F(CountersTest, Shares) {
+TEST(CountersTest, Shares) {
   OpTally t{.fp64 = 50, .fp32 = 25, .int_ops = 25};
   EXPECT_DOUBLE_EQ(t.fp64_share(), 0.5);
   EXPECT_DOUBLE_EQ(t.fp32_share(), 0.25);
@@ -52,109 +48,145 @@ TEST_F(CountersTest, Shares) {
   EXPECT_EQ(empty.fp64_share(), 0.0);
 }
 
-TEST_F(CountersTest, LocalTallyAccumulates) {
+// The single counting path: with no context bound, a count has nowhere
+// to land, so it throws instead of falling back to a process-wide tally
+// — on the test thread and on a thread no context ever bound.
+TEST(Counters, CountingOutsideAContextThrows) {
+  const auto count_unbound = [] {
+    EXPECT_THROW(add_fp64(1), std::logic_error);
+    const counted<double> a = 1.0, b = 2.0;
+    EXPECT_THROW((void)(a + b), std::logic_error);
+  };
+  count_unbound();
+  std::thread fresh(count_unbound);
+  fresh.join();
+  try {
+    add_int(1);
+    FAIL() << "expected std::logic_error";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("outside an ExecutionContext"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+// Each add_* helper lands in its own field of the calling thread's
+// bound slot.
+TEST(CountersTest, LocalTallyAccumulates) {
+  ExecutionContext ctx(1);
+  ExecutionContext::Scope scope(ctx);
   add_fp64(5);
   add_fp32(3);
   add_int(2);
   add_branch(1);
   add_read_bytes(100);
   add_write_bytes(50);
-  const OpTally snap = global_snapshot();
-  EXPECT_GE(snap.fp64, 5u);
-  EXPECT_GE(snap.fp32, 3u);
-  EXPECT_GE(snap.int_ops, 2u);
-  EXPECT_GE(snap.branches, 1u);
-  EXPECT_GE(snap.bytes_read, 100u);
-  EXPECT_GE(snap.bytes_written, 50u);
+  const OpTally snap = ctx.counters().snapshot();
+  EXPECT_EQ(snap.fp64, 5u);
+  EXPECT_EQ(snap.fp32, 3u);
+  EXPECT_EQ(snap.int_ops, 2u);
+  EXPECT_EQ(snap.branches, 1u);
+  EXPECT_EQ(snap.bytes_read, 100u);
+  EXPECT_EQ(snap.bytes_written, 50u);
 }
 
-TEST_F(CountersTest, SnapshotSumsAcrossThreads) {
-  reset_all();
-  const OpTally before = global_snapshot();
-  std::thread t1([] { add_fp64(100); });
-  std::thread t2([] { add_fp64(200); });
+TEST(CountersTest, SnapshotSumsAcrossThreads) {
+  CounterSink sink(2);
+  std::thread t1([&] {
+    ScopedCounting bind(sink, 0);
+    add_fp64(100);
+  });
+  std::thread t2([&] {
+    ScopedCounting bind(sink, 1);
+    add_fp64(200);
+  });
   t1.join();
   t2.join();
-  const OpTally after = global_snapshot();
-  EXPECT_EQ(after.fp64 - before.fp64, 300u);
+  EXPECT_EQ(sink.snapshot().fp64, 300u);
 }
 
-TEST_F(CountersTest, RetiredThreadCountsPreserved) {
-  reset_all();
-  std::thread t([] { add_int(77); });
-  t.join();  // tally retired on thread exit
-  EXPECT_GE(global_snapshot().int_ops, 77u);
+// Counts live in the sink, not in the thread: they outlive it.
+TEST(CountersTest, RetiredThreadCountsPreserved) {
+  CounterSink sink(1);
+  std::thread t([&] {
+    ScopedCounting bind(sink, 0);
+    add_int(77);
+  });
+  t.join();
+  EXPECT_EQ(sink.snapshot().int_ops, 77u);
 }
 
-TEST_F(CountersTest, CountedDoubleCountsFp64) {
-  reset_all();
-  const OpTally before = global_snapshot();
+TEST(CountersTest, CountedDoubleCountsFp64) {
+  ExecutionContext ctx(1);
+  ExecutionContext::Scope scope(ctx);
   counted<double> a = 2.0, b = 3.0;
   const counted<double> c = a * b + a - b / a;
   EXPECT_DOUBLE_EQ(c.value(), 2.0 * 3.0 + 2.0 - 3.0 / 2.0);
-  const OpTally d = global_snapshot() - before;
+  const OpTally d = ctx.counters().snapshot();
   EXPECT_EQ(d.fp64, 4u);  // *, +, -, /
   EXPECT_EQ(d.fp32, 0u);
 }
 
-TEST_F(CountersTest, CountedFloatCountsFp32) {
-  reset_all();
-  const OpTally before = global_snapshot();
+TEST(CountersTest, CountedFloatCountsFp32) {
+  ExecutionContext ctx(1);
+  ExecutionContext::Scope scope(ctx);
   counted<float> a = 1.5f, b = 2.0f;
   (void)(a + b);
-  const OpTally d = global_snapshot() - before;
+  const OpTally d = ctx.counters().snapshot();
   EXPECT_EQ(d.fp32, 1u);
   EXPECT_EQ(d.fp64, 0u);
 }
 
-TEST_F(CountersTest, CountedIntCountsInt) {
-  reset_all();
-  const OpTally before = global_snapshot();
+TEST(CountersTest, CountedIntCountsInt) {
+  ExecutionContext ctx(1);
+  ExecutionContext::Scope scope(ctx);
   counted<int> a = 6, b = 7;
   (void)(a * b);
-  const OpTally d = global_snapshot() - before;
+  const OpTally d = ctx.counters().snapshot();
   EXPECT_EQ(d.int_ops, 1u);
 }
 
-TEST_F(CountersTest, CountedFmaCountsTwo) {
-  reset_all();
-  const OpTally before = global_snapshot();
+TEST(CountersTest, CountedFmaCountsTwo) {
+  ExecutionContext ctx(1);
+  ExecutionContext::Scope scope(ctx);
   const auto r = fma(counted<double>(2), counted<double>(3),
                      counted<double>(4));
   EXPECT_DOUBLE_EQ(r.value(), 10.0);
-  EXPECT_EQ((global_snapshot() - before).fp64, 2u);
+  EXPECT_EQ(ctx.counters().snapshot().fp64, 2u);
 }
 
-TEST_F(CountersTest, CountedComparisonCountsBranch) {
-  reset_all();
-  const OpTally before = global_snapshot();
+TEST(CountersTest, CountedComparisonCountsBranch) {
+  ExecutionContext ctx(1);
+  ExecutionContext::Scope scope(ctx);
   counted<double> a = 1.0, b = 2.0;
   EXPECT_TRUE(a < b);
   EXPECT_FALSE(a > b);
   EXPECT_TRUE(a <= b);
   EXPECT_FALSE(a >= b);
   EXPECT_FALSE(a == b);
-  EXPECT_EQ((global_snapshot() - before).branches, 5u);
+  EXPECT_EQ(ctx.counters().snapshot().branches, 5u);
 }
 
-TEST_F(CountersTest, CountedSqrtAbsNegate) {
-  reset_all();
-  const OpTally before = global_snapshot();
+TEST(CountersTest, CountedSqrtAbsNegate) {
+  ExecutionContext ctx(1);
+  ExecutionContext::Scope scope(ctx);
   EXPECT_DOUBLE_EQ(sqrt(counted<double>(9.0)).value(), 3.0);
   EXPECT_DOUBLE_EQ(abs(counted<double>(-2.0)).value(), 2.0);
   EXPECT_DOUBLE_EQ((-counted<double>(5.0)).value(), -5.0);
-  EXPECT_EQ((global_snapshot() - before).fp64, 3u);
+  EXPECT_EQ(ctx.counters().snapshot().fp64, 3u);
 }
 
-TEST_F(CountersTest, RawExtraction) {
+TEST(CountersTest, RawExtraction) {
   EXPECT_DOUBLE_EQ(raw(counted<double>(1.5)), 1.5);
   EXPECT_DOUBLE_EQ(raw(1.5), 1.5);
   static_assert(std::is_same_v<scalar_t<counted<float>>, float>);
   static_assert(std::is_same_v<scalar_t<double>, double>);
 }
 
-TEST_F(CountersTest, AssayMeasuresDelta) {
-  AssayRecorder rec;
+TEST(CountersTest, AssayMeasuresDelta) {
+  ExecutionContext ctx(1);
+  ExecutionContext::Scope scope(ctx);
+  AssayRecorder rec(ctx.counters());
   add_fp64(50);  // outside the region: must not count
   rec.start();
   add_fp64(7);
@@ -165,8 +197,10 @@ TEST_F(CountersTest, AssayMeasuresDelta) {
   EXPECT_EQ(rec.intervals(), 1u);
 }
 
-TEST_F(CountersTest, AssayAccumulatesIntervals) {
-  AssayRecorder rec;
+TEST(CountersTest, AssayAccumulatesIntervals) {
+  ExecutionContext ctx(1);
+  ExecutionContext::Scope scope(ctx);
+  AssayRecorder rec(ctx.counters());
   rec.start();
   add_int(3);
   rec.stop();
@@ -177,16 +211,20 @@ TEST_F(CountersTest, AssayAccumulatesIntervals) {
   EXPECT_EQ(rec.intervals(), 2u);
 }
 
-TEST_F(CountersTest, AssayDoubleStartThrows) {
-  AssayRecorder rec;
+TEST(CountersTest, AssayDoubleStartThrows) {
+  ExecutionContext ctx(1);
+  ExecutionContext::Scope scope(ctx);
+  AssayRecorder rec(ctx.counters());
   rec.start();
   EXPECT_THROW(rec.start(), std::logic_error);
   rec.stop();
   EXPECT_THROW(rec.stop(), std::logic_error);
 }
 
-TEST_F(CountersTest, ScopedAssayStopsOnException) {
-  AssayRecorder rec;
+TEST(CountersTest, ScopedAssayStopsOnException) {
+  ExecutionContext ctx(1);
+  ExecutionContext::Scope bind(ctx);
+  AssayRecorder rec(ctx.counters());
   try {
     ScopedAssay scope(rec);
     add_fp64(11);
@@ -197,9 +235,9 @@ TEST_F(CountersTest, ScopedAssayStopsOnException) {
   EXPECT_EQ(rec.ops().fp64, 11u);
 }
 
-TEST_F(CountersTest, AssayCapturesContextWorkerThreads) {
+TEST(CountersTest, AssayCapturesContextWorkerThreads) {
   ExecutionContext ctx(4);
-  AssayRecorder rec(&ctx.counters());
+  AssayRecorder rec(ctx.counters());
   rec.start();
   ctx.parallel_for(64, [](std::size_t lo, std::size_t hi, unsigned) {
     add_fp64(hi - lo);
@@ -212,9 +250,9 @@ TEST_F(CountersTest, AssayCapturesContextWorkerThreads) {
 // parallel region used to be only a comment ("call ... while worker
 // threads are quiescent") — now it throws instead of tearing the
 // snapshot.
-TEST_F(CountersTest, AssayInsideParallelRegionThrows) {
+TEST(CountersTest, AssayInsideParallelRegionThrows) {
   ExecutionContext ctx(2);
-  AssayRecorder rec(&ctx.counters());
+  AssayRecorder rec(ctx.counters());
   unsigned throws = 0;
   ctx.parallel_for(8, [&](std::size_t lo, std::size_t, unsigned) {
     if (lo != 0) return;  // probe once, from one worker
@@ -235,24 +273,26 @@ TEST_F(CountersTest, AssayInsideParallelRegionThrows) {
   EXPECT_EQ(rec.ops().int_ops, 3u);
 }
 
-TEST_F(CountersTest, ScopedCountingRoutesIntoSinkAndRestores) {
+TEST(CountersTest, ScopedCountingRoutesIntoSinkAndRestores) {
   CounterSink sink(2);
-  reset_all();
-  add_fp64(5);  // outside: fallback registry
+  ExecutionContext ctx(1);
   {
-    ScopedCounting bind(sink, 1);
-    add_fp64(7);  // inside: sink slot 1
+    ExecutionContext::Scope scope(ctx);
+    add_fp64(5);  // outside: the outer binding (the context's slot 0)
+    {
+      ScopedCounting bind(sink, 1);
+      add_fp64(7);  // inside: sink slot 1
+    }
+    add_fp64(11);  // restored: the outer binding again
   }
-  add_fp64(11);  // restored: fallback again
+  EXPECT_THROW(add_fp64(13), std::logic_error);  // restored: none bound
   EXPECT_EQ(sink.slot(1).fp64, 7u);
   EXPECT_EQ(sink.slot(0).fp64, 0u);
   EXPECT_EQ(sink.snapshot().fp64, 7u);
-  EXPECT_EQ(global_snapshot().fp64, 16u);
-  sink.reset();
-  EXPECT_EQ(sink.snapshot(), OpTally{});
+  EXPECT_EQ(ctx.counters().snapshot().fp64, 16u);
 }
 
-TEST_F(CountersTest, ConcurrentSinksDoNotCrossContaminate) {
+TEST(CountersTest, ConcurrentSinksDoNotCrossContaminate) {
   CounterSink a(1), b(1);
   std::thread ta([&] {
     ScopedCounting bind(a, 0);
@@ -268,14 +308,6 @@ TEST_F(CountersTest, ConcurrentSinksDoNotCrossContaminate) {
   EXPECT_EQ(a.snapshot().int_ops, 0u);
   EXPECT_EQ(b.snapshot().int_ops, 10'000u);
   EXPECT_EQ(b.snapshot().fp64, 0u);
-}
-
-TEST_F(CountersTest, ResetClearsEverything) {
-  add_fp64(5);
-  reset_all();
-  const OpTally t = global_snapshot();
-  EXPECT_EQ(t.fp64, 0u);
-  EXPECT_EQ(t.int_ops, 0u);
 }
 
 }  // namespace

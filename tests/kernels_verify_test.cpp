@@ -5,7 +5,6 @@
 
 #include <cmath>
 
-#include "counters/registry.hpp"
 #include "kernels/kernel.hpp"
 
 namespace fpr::kernels {

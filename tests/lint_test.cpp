@@ -35,12 +35,11 @@ bool fired(const std::vector<Finding>& findings, const std::string& rule) {
 TEST(LintRules, CatalogueIsStableAndDescribed) {
   const auto names = fpr::lint::rule_names();
   const std::vector<std::string> expected = {
-      "nondeterministic-call",  "counters-without-context",
-      "non-const-global",       "naked-new",
-      "pragma-once",            "layer-violation",
-      "include-cycle",          "odr-header-def",
-      "shared-mutable-capture", "bare-exit-code",
-      "stale-suppression"};
+      "nondeterministic-call",  "non-const-global",
+      "naked-new",              "pragma-once",
+      "layer-violation",        "include-cycle",
+      "odr-header-def",         "shared-mutable-capture",
+      "bare-exit-code",         "stale-suppression"};
   EXPECT_EQ(names, expected);
   for (const auto& n : names) {
     EXPECT_FALSE(fpr::lint::rule_description(n).empty()) << n;
@@ -103,35 +102,6 @@ TEST(NondeterministicCall, SeededHelpersAndTimeLikeNamesAreFine) {
       "double solve_time(int n);\n"
       "void f() { Xoshiro256 rng(seed); double t = solve_time(3); }\n");
   EXPECT_FALSE(fired(f, "nondeterministic-call"));
-}
-
-// -- counters-without-context ----------------------------------------------
-
-TEST(CountersWithoutContext, FiresOnLegacyRegistryAccess) {
-  const char* bad[] = {
-      "void f() { auto s = counters::global_snapshot(); }\n",
-      "void f() { counters::reset_all(); }\n",
-      "void f() { counters::local_tally().fp64 += 1; }\n",
-  };
-  for (const char* text : bad) {
-    EXPECT_TRUE(fired(lint_source("src/model/exec.cpp", text),
-                      "counters-without-context"))
-        << text;
-  }
-}
-
-TEST(CountersWithoutContext, CountersDirItselfIsExempt) {
-  EXPECT_FALSE(fired(
-      lint_source("src/counters/registry.cpp",
-                  "void reset_all() { } void f() { reset_all(); }\n"),
-      "counters-without-context"));
-}
-
-TEST(CountersWithoutContext, ContextScopedHelpersAreFine) {
-  const auto f = lint_source(
-      "src/kernels/hpl.cpp",
-      "void f() { counters::add_fp64(8); counters::add_read_bytes(64); }\n");
-  EXPECT_FALSE(fired(f, "counters-without-context"));
 }
 
 // -- non-const-global ------------------------------------------------------
@@ -239,17 +209,17 @@ TEST(Suppression, SameLineCommentSilencesOnlyThatRule) {
 TEST(Suppression, PreviousLineCommentSilencesNextLine) {
   const auto f = lint_source(
       "src/model/exec.cpp",
-      "// fpr-lint: allow(counters-without-context)\n"
-      "void f() { counters::reset_all(); }\n");
+      "// fpr-lint: allow(nondeterministic-call)\n"
+      "int f() { return rand(); }\n");
   EXPECT_TRUE(f.empty());
 }
 
 TEST(Suppression, DoesNotLeakPastTheNextLine) {
   const auto f = lint_source(
       "src/model/exec.cpp",
-      "// fpr-lint: allow(counters-without-context)\n"
-      "void ok() { counters::reset_all(); }\n"
-      "void bad() { counters::reset_all(); }\n");
+      "// fpr-lint: allow(nondeterministic-call)\n"
+      "int ok() { return rand(); }\n"
+      "int bad() { return rand(); }\n");
   ASSERT_EQ(f.size(), 1u);
   EXPECT_EQ(f[0].line, 3);
 }
@@ -266,14 +236,14 @@ TEST(Suppression, WrongRuleNameDoesNotSilence) {
 TEST(RuleFilter, EnabledSubsetRestrictsChecking) {
   const std::string text =
       "int mutable_state = 0;\n"
-      "void f() { counters::reset_all(); }\n";
+      "int f() { return rand(); }\n";
   const auto all = lint_source("src/model/x.cpp", text);
   EXPECT_TRUE(fired(all, "non-const-global"));
-  EXPECT_TRUE(fired(all, "counters-without-context"));
+  EXPECT_TRUE(fired(all, "nondeterministic-call"));
   const auto only =
-      lint_source("src/model/x.cpp", text, {"counters-without-context"});
+      lint_source("src/model/x.cpp", text, {"nondeterministic-call"});
   EXPECT_FALSE(fired(only, "non-const-global"));
-  EXPECT_TRUE(fired(only, "counters-without-context"));
+  EXPECT_TRUE(fired(only, "nondeterministic-call"));
 }
 
 // -- layer-violation ---------------------------------------------------------

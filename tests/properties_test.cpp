@@ -9,9 +9,9 @@
 #include <vector>
 
 #include "arch/machines.hpp"
+#include "common/execution_context.hpp"
 #include "common/rng.hpp"
 #include "counters/counted.hpp"
-#include "counters/registry.hpp"
 #include "kernels/kernel.hpp"
 #include "memsim/cache.hpp"
 #include "memsim/hierarchy.hpp"
@@ -22,9 +22,7 @@ namespace fpr {
 namespace {
 
 using counters::counted;
-using counters::global_snapshot;
 using counters::OpTally;
-using counters::reset_all;
 
 // ---------------------------------------------------------------------
 // counted<T> oracle: run small templated kernels with counted types and
@@ -47,10 +45,10 @@ class TriadOracle : public ::testing::TestWithParam<std::size_t> {};
 TEST_P(TriadOracle, CountMatchesAnalyticFormula) {
   const std::size_t n = GetParam();
   std::vector<counted<double>> a(n, 0.0), b(n, 1.0), c(n, 2.0);
-  reset_all();
-  const OpTally before = global_snapshot();
+  ExecutionContext ctx(1);
+  ExecutionContext::Scope scope(ctx);
   triad(a, b, c, counted<double>(0.4));
-  const OpTally delta = global_snapshot() - before;
+  const OpTally delta = ctx.counters().snapshot();
   // Analytic: 2 flops per element (triad) + 1 per element (sum).
   EXPECT_EQ(delta.fp64, 3 * n);
 }
@@ -70,10 +68,10 @@ class DotOracle : public ::testing::TestWithParam<std::size_t> {};
 TEST_P(DotOracle, TwoFlopsPerElement) {
   const std::size_t n = GetParam();
   std::vector<counted<float>> u(n, 1.5f), v(n, 2.0f);
-  reset_all();
-  const OpTally before = global_snapshot();
+  ExecutionContext ctx(1);
+  ExecutionContext::Scope scope(ctx);
   const auto s = dot_oracle(u, v);
-  const OpTally delta = global_snapshot() - before;
+  const OpTally delta = ctx.counters().snapshot();
   EXPECT_EQ(delta.fp32, 2 * n);
   EXPECT_FLOAT_EQ(s.value(), 3.0f * static_cast<float>(n));
 }
@@ -108,10 +106,10 @@ TEST_P(GemmOracle, TwoMnkFlops) {
   const auto nn = static_cast<std::size_t>(n);
   std::vector<counted<double>> a(mm * kk, 1.0), b(kk * nn, 2.0),
       c(mm * nn);
-  reset_all();
-  const OpTally before = global_snapshot();
+  ExecutionContext ctx(1);
+  ExecutionContext::Scope scope(ctx);
   mini_gemm(a, b, c, mm, kk, nn);
-  const OpTally delta = global_snapshot() - before;
+  const OpTally delta = ctx.counters().snapshot();
   EXPECT_EQ(delta.fp64, 2u * mm * kk * nn);
 }
 

@@ -29,10 +29,6 @@ constexpr RuleInfo kRules[] = {
      "wall-clock/system-entropy call in a determinism-sensitive path "
      "(src/{memsim,model,study,arch,io}); take seeds and timestamps as "
      "parameters (common/rng.hpp) so results replay bit-identically"},
-    {"counters-without-context",
-     "legacy process-wide counter registry access outside src/counters; "
-     "count through an ExecutionContext sink (counters::add_* inside a "
-     "bound region) so tallies stay run-scoped"},
     {"non-const-global",
      "mutable namespace-scope state in src/; scope it to a run "
      "(ExecutionContext) or make it const/constexpr"},
@@ -1071,13 +1067,6 @@ void file_passes(Analysis& a, std::vector<Finding>& out) {
         R"(|\bWallTimer\b)");
     scan_pattern(p, re, path, "nondeterministic-call",
                  rule_description("nondeterministic-call").c_str(), out);
-  }
-
-  if (starts_with(rel, "src/") && !starts_with(rel, "src/counters/")) {
-    static const std::regex re(
-        R"(\b(?:global_snapshot|reset_all|local_tally)\s*\()");
-    scan_pattern(p, re, path, "counters-without-context",
-                 rule_description("counters-without-context").c_str(), out);
   }
 
   if (starts_with(rel, "src/kernels/") || starts_with(rel, "src/memsim/") ||

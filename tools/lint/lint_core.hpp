@@ -1,9 +1,9 @@
 // fpr-lint: the project's invariant checker. PRs 3-5 established the
 // properties the evaluation rests on — byte-identical results for any
-// (--kernel-jobs, --jobs), pure-geometry SimCache keys, context-scoped
-// counters — and this tool enforces them mechanically instead of by
-// code review. Each invariant is a named rule; findings carry the rule
-// name so a violation can be suppressed at a single site with
+// (--kernel-jobs, --jobs) and pure-geometry SimCache keys — and this
+// tool enforces them mechanically instead of by code review. Each
+// invariant is a named rule; findings carry the rule name so a
+// violation can be suppressed at a single site with
 //   // fpr-lint: allow(rule-name)
 // on the offending line or the line directly above it. The rule
 // catalogue and the rationale for each invariant live in
