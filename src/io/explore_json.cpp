@@ -1,5 +1,8 @@
 #include "io/explore_json.hpp"
 
+#include <set>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "arch/machines.hpp"
@@ -44,7 +47,11 @@ Json to_json(const study::VariantScore& v) {
 study::VariantScore variant_score_from_json(const Json& j,
                                             const arch::CpuSpec& base) {
   study::VariantScore v;
-  v.variant = arch::derive_variant(base, j.at("spec").as_string());
+  try {
+    v.variant = arch::derive_variant(base, j.at("spec").as_string());
+  } catch (const std::invalid_argument& e) {
+    throw JsonError(e.what());
+  }
   const std::string& name = j.at("name").as_string();
   if (v.variant.cpu.short_name != name) {
     throw JsonError("variant spec '" + v.variant.spec + "' derives to '" +
@@ -54,8 +61,11 @@ study::VariantScore variant_score_from_json(const Json& j,
   v.geomean_energy_ratio = j.at("geomean_energy_ratio").as_number();
   v.mean_fp64_pct_peak = j.at("mean_fp64_pct_peak").as_number();
   v.site_pct_peak = j.at("site_pct_peak").as_number();
+  const std::string what = "variant '" + name + "': kernel";
+  std::set<std::string> abbrevs;
   for (const auto& k : j.at("kernels").as_array()) {
     v.kernels.push_back(kernel_projection_from_json(k));
+    claim_identity(abbrevs, v.kernels.back().abbrev, what);
   }
   return v;
 }
@@ -72,32 +82,18 @@ Json to_json(const study::ExploreResults& r) {
 }
 
 study::ExploreResults explore_from_json(const Json& j) {
-  const std::string& format = j.at("format").as_string();
-  if (format != kExploreFormat) {
-    throw JsonError("not an explore results file (format '" + format + "')");
-  }
-  const auto version = static_cast<std::int64_t>(j.at("version").as_number());
-  if (version > kExploreVersion) {
-    throw JsonError("explore file version " + std::to_string(version) +
-                    " is newer than supported version " +
-                    std::to_string(kExploreVersion));
-  }
+  check_results_header(j, kExploreFormat, kExploreVersion);
   study::ExploreResults r;
   r.base = j.at("base").as_string();
   const auto base = arch::find_machine(r.base);
   if (!base) throw JsonError("unknown base machine '" + r.base + "'");
   r.baseline = variant_score_from_json(j.at("baseline"), *base);
+  std::set<std::string> names{r.baseline.name()};
   for (const auto& v : j.at("variants").as_array()) {
     r.variants.push_back(variant_score_from_json(v, *base));
+    claim_identity(names, r.variants.back().name(), "variant");
   }
   return r;
-}
-
-bool is_explore_document(const Json& j) {
-  if (!j.is_object()) return false;
-  const Json* format = j.find("format");
-  return format != nullptr && format->is_string() &&
-         format->as_string() == kExploreFormat;
 }
 
 }  // namespace fpr::io

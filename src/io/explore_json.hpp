@@ -33,8 +33,4 @@ study::VariantScore variant_score_from_json(const Json& j,
 /// re-derive to the recorded name.
 study::ExploreResults explore_from_json(const Json& j);
 
-/// True when `j` carries the explore format tag (used by `fpr diff` to
-/// dispatch between study and explore comparisons).
-bool is_explore_document(const Json& j);
-
 }  // namespace fpr::io

@@ -1,9 +1,12 @@
 #include "io/pareto_json.hpp"
 
+#include <set>
+#include <string>
 #include <utility>
 
 #include "arch/machines.hpp"
 #include "io/explore_json.hpp"
+#include "io/study_json.hpp"
 
 namespace fpr::io {
 
@@ -48,16 +51,7 @@ Json to_json(const study::ParetoResults& r) {
 }
 
 study::ParetoResults pareto_from_json(const Json& j) {
-  const std::string& format = j.at("format").as_string();
-  if (format != kParetoFormat) {
-    throw JsonError("not a pareto results file (format '" + format + "')");
-  }
-  const auto version = static_cast<std::int64_t>(j.at("version").as_number());
-  if (version > kParetoVersion) {
-    throw JsonError("pareto file version " + std::to_string(version) +
-                    " is newer than supported version " +
-                    std::to_string(kParetoVersion));
-  }
+  check_results_header(j, kParetoFormat, kParetoVersion);
   study::ParetoResults r;
   r.base = j.at("base").as_string();
   const auto base = arch::find_machine(r.base);
@@ -72,6 +66,7 @@ study::ParetoResults pareto_from_json(const Json& j) {
       throw JsonError(e.what());
     }
   }
+  std::set<std::string> names;
   for (const auto& p : j.at("frontier").as_array()) {
     auto point = pareto_point_from_json(p, *base);
     if (point.objectives.size() != r.objectives.size()) {
@@ -80,16 +75,10 @@ study::ParetoResults pareto_from_json(const Json& j) {
                       " objective values, document declares " +
                       std::to_string(r.objectives.size()));
     }
+    claim_identity(names, point.name(), "frontier point");
     r.frontier.push_back(std::move(point));
   }
   return r;
-}
-
-bool is_pareto_document(const Json& j) {
-  if (!j.is_object()) return false;
-  const Json* format = j.find("format");
-  return format != nullptr && format->is_string() &&
-         format->as_string() == kParetoFormat;
 }
 
 }  // namespace fpr::io

@@ -31,8 +31,4 @@ study::ParetoPoint pareto_point_from_json(const Json& j,
 /// that fail to re-derive to the recorded name.
 study::ParetoResults pareto_from_json(const Json& j);
 
-/// True when `j` carries the pareto format tag (used by `fpr diff` to
-/// dispatch between study, explore, and pareto comparisons).
-bool is_pareto_document(const Json& j);
-
 }  // namespace fpr::io

@@ -88,8 +88,8 @@ memsim::Pattern pattern_from_json(const Json& j) {
   if (type == "stream") {
     StreamPattern p;
     p.bytes_per_array = j.at("bytes_per_array").as_u64();
-    p.arrays = static_cast<int>(j.at("arrays").as_number());
-    p.writes_per_iter = static_cast<int>(j.at("writes_per_iter").as_number());
+    p.arrays = static_cast<int>(j.at("arrays").as_u64());
+    p.writes_per_iter = static_cast<int>(j.at("writes_per_iter").as_u64());
     return p;
   }
   if (type == "strided") {
@@ -104,7 +104,7 @@ memsim::Pattern pattern_from_json(const Json& j) {
     p.ny = j.at("ny").as_u64();
     p.nz = j.at("nz").as_u64();
     p.elem_bytes = static_cast<std::uint32_t>(j.at("elem_bytes").as_u64());
-    p.radius = static_cast<int>(j.at("radius").as_number());
+    p.radius = static_cast<int>(j.at("radius").as_u64());
     p.full_box = j.at("full_box").as_bool();
     return p;
   }
@@ -133,6 +133,36 @@ memsim::Pattern pattern_from_json(const Json& j) {
 }
 
 }  // namespace
+
+void check_results_header(const Json& doc, std::string_view format,
+                          std::int64_t version) {
+  const std::string& tag = doc.at("format").as_string();
+  if (tag != format) {
+    throw JsonError("expected format '" + std::string(format) +
+                    "', file has '" + tag + "'");
+  }
+  const Json& field = doc.at("version");
+  const auto unsupported = [&] {
+    return JsonError(std::string(format) + " version " + dump(field) +
+                     " is not supported (expected an integer from 1 to " +
+                     std::to_string(version) + ")");
+  };
+  std::uint64_t v = 0;
+  try {
+    v = field.as_u64();
+  } catch (const JsonError&) {
+    throw unsupported();
+  }
+  if (v < 1 || v > static_cast<std::uint64_t>(version)) throw unsupported();
+}
+
+void claim_identity(std::set<std::string>& seen, const std::string& id,
+                    std::string_view what) {
+  if (!seen.insert(id).second) {
+    throw JsonError(std::string(what) + " '" + id +
+                    "' appears more than once");
+  }
+}
 
 Json to_json(const counters::OpTally& t) {
   return Json::object()
@@ -368,8 +398,11 @@ study::KernelResult kernel_result_from_json(const Json& j) {
   study::KernelResult k;
   k.info = kernel_info_from_json(j.at("info"));
   k.meas = measurement_from_json(j.at("measurement"));
+  const std::string what = "kernel '" + k.info.abbrev + "': machine";
+  std::set<std::string> machines;
   for (const auto& m : j.at("machines").as_array()) {
     k.machines.push_back(machine_result_from_json(m));
+    claim_identity(machines, k.machines.back().cpu.short_name, what);
   }
   return k;
 }
@@ -384,19 +417,12 @@ Json to_json(const study::StudyResults& r) {
 }
 
 study::StudyResults study_from_json(const Json& j) {
-  const std::string& format = j.at("format").as_string();
-  if (format != kStudyFormat) {
-    throw JsonError("not a study results file (format '" + format + "')");
-  }
-  const auto version = static_cast<std::int64_t>(j.at("version").as_number());
-  if (version > kStudyVersion) {
-    throw JsonError("results file version " + std::to_string(version) +
-                    " is newer than supported version " +
-                    std::to_string(kStudyVersion));
-  }
+  check_results_header(j, kStudyFormat, kStudyVersion);
   study::StudyResults r;
+  std::set<std::string> abbrevs;
   for (const auto& k : j.at("kernels").as_array()) {
     r.kernels.push_back(kernel_result_from_json(k));
+    claim_identity(abbrevs, r.kernels.back().info.abbrev, "kernel");
   }
   return r;
 }

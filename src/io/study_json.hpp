@@ -8,6 +8,9 @@
 // from the Table I machine descriptions.
 #pragma once
 
+#include <set>
+#include <string>
+
 #include "io/json.hpp"
 #include "study/study.hpp"
 
@@ -17,6 +20,18 @@ namespace fpr::io {
 /// rejects files with a different format or a newer version.
 inline constexpr std::string_view kStudyFormat = "fpr-study-results";
 inline constexpr std::int64_t kStudyVersion = 1;
+
+/// The header check every results loader (study, explore, pareto) starts
+/// with: `doc`'s `format` tag is `format`, and its `version` an integer
+/// from 1 to `version`. Throws JsonError naming what the file holds.
+void check_results_header(const Json& doc, std::string_view format,
+                          std::int64_t version);
+
+/// Adds `id` to `seen`; throws JsonError naming the `what` when it is
+/// there already. A results file names each kernel, machine, variant and
+/// frontier point once, which is what `fpr diff` matches them by.
+void claim_identity(std::set<std::string>& seen, const std::string& id,
+                    std::string_view what);
 
 Json to_json(const counters::OpTally& t);
 Json to_json(const memsim::AccessPatternSpec& spec);

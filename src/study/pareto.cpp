@@ -67,13 +67,6 @@ ParetoConfig golden_pareto_config() {
   return cfg;
 }
 
-const ParetoPoint* ParetoResults::find(std::string_view name) const {
-  for (const auto& p : frontier) {
-    if (p.name() == name) return &p;
-  }
-  return nullptr;
-}
-
 ParetoEngine::ParetoEngine(ParetoConfig cfg, StudyEngine::KernelFactory factory)
     : cfg_(std::move(cfg)), factory_(std::move(factory)) {}
 

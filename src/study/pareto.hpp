@@ -123,8 +123,6 @@ struct ParetoResults {
   std::vector<Objective> objectives;
   /// The non-dominated archive, sorted by objective vector then spec.
   std::vector<ParetoPoint> frontier;
-
-  [[nodiscard]] const ParetoPoint* find(std::string_view name) const;
 };
 
 class ParetoEngine {

@@ -395,7 +395,8 @@ TEST(Cli, ExplorePrintsVariantScorecard) {
 
 TEST(Cli, ExploreDefaultGridReportsAtLeastSixVariants) {
   for (const char* base : {"KNL", "KNM", "BDW"}) {
-    const auto r = run_explore({"--base", base, "--kernel", "BABL2"});
+    const auto r = run({"explore", "--base", base, "--kernel", "BABL2",
+                        "--scale", "0.15", "--trace-refs", "20000"});
     EXPECT_EQ(r.code, 0) << r.err;
     // Count variant rows in the scorecard: lines containing "<base>+".
     const std::string needle = std::string(base) + "+";
@@ -669,12 +670,19 @@ TEST(Cli, MemsimRejectsBadOptions) {
   EXPECT_EQ(run({"memsim", "--scale-shift", "31"}).code, 2);
   EXPECT_EQ(run({"memsim", "--scale-shift", "-1"}).code, 2);
   EXPECT_EQ(run({"memsim", "stray"}).code, 2);
-  // A repeated kernel would replay the same memo keys twice.
-  const auto twice = run({"memsim", "--kernel", "BABL2,XSBn,BABL2"});
-  EXPECT_EQ(twice.code, 2);
-  EXPECT_NE(twice.err.find("kernel 'BABL2' given more than once"),
-            std::string::npos)
-      << twice.err;
+  // A repeated kernel would run twice or be dropped (memsim: replay the
+  // same memo keys twice), so every command that runs kernels rejects
+  // it before announcing or running any.
+  for (const char* command : {"memsim", "run", "study", "explore", "pareto"}) {
+    const auto twice = run({command, "--kernel", "BABL2,XSBn,BABL2"});
+    EXPECT_EQ(twice.code, 2) << command;
+    EXPECT_NE(twice.err.find("kernel 'BABL2' given more than once"),
+              std::string::npos)
+        << command << ": " << twice.err;
+    EXPECT_EQ(twice.err.find("[fpr]"), std::string::npos)
+        << command << ": " << twice.err;
+    EXPECT_TRUE(twice.out.empty()) << command;
+  }
   EXPECT_EQ(run({"memsim", "--kernel", "XSBn", "--kernel", "XSBn"}).code, 2);
 }
 
@@ -1118,8 +1126,8 @@ TEST(Cli, DiffReportsRelativeDeltasAndHonoursTolerance) {
   const auto r = run({"diff", a.path(), b.path()});
   EXPECT_EQ(r.code, 1) << r.err;
   EXPECT_NE(r.out.find("FAIL:"), std::string::npos);
-  EXPECT_NE(r.out.find("t2sol"), std::string::npos);  // offending metric
-  EXPECT_NE(r.out.find("KNL"), std::string::npos);    // offending machine
+  EXPECT_NE(r.out.find("perf.seconds"), std::string::npos);  // the metric
+  EXPECT_NE(r.out.find("KNL"), std::string::npos);           // the machine
 
   // A generous tolerance accepts the same pair.
   const auto ok = run({"diff", a.path(), b.path(), "--tolerance", "0.51"});
@@ -1145,9 +1153,60 @@ TEST(Cli, DiffNeverLetsNaNPassAsEqual) {
   // A NaN regression fails even the widest finite tolerance.
   const auto r = run({"diff", a.path(), b.path(), "--tolerance", "1e9"});
   EXPECT_EQ(r.code, 1) << r.out;
-  EXPECT_NE(r.out.find("t2sol"), std::string::npos);
+  EXPECT_NE(r.out.find("perf.seconds"), std::string::npos);
   // NaN vs NaN counts as identical (the file diffs clean vs itself).
   EXPECT_EQ(run({"diff", b.path(), b.path()}).code, 0);
+}
+
+/// The schema path of every leaf under `v` at `path`, array indices
+/// collapsed to "[]" ("kernels[].info.abbrev"), each once, in document
+/// order.
+void schema_paths(const io::Json& v, const std::string& path,
+                  std::vector<std::string>& out) {
+  if (v.is_object()) {
+    for (const auto& [key, child] : v.as_object()) {
+      schema_paths(child, path.empty() ? key : path + "." + key, out);
+    }
+  } else if (v.is_array()) {
+    for (const auto& e : v.as_array()) schema_paths(e, path + "[]", out);
+  } else if (std::find(out.begin(), out.end(), path) == out.end()) {
+    out.push_back(path);
+  }
+}
+
+/// Changes the first leaf under `v` whose schema path is `target`: a
+/// number n becomes 2n + 1, a bool flips and a string gains a character.
+/// Returns the changed leaf, or nullptr when there is none.
+const io::Json* perturb_first(io::Json& v, const std::string& path,
+                              const std::string& target) {
+  if (v.is_object()) {
+    for (auto& [key, child] : v.as_object()) {
+      const std::string at = path.empty() ? key : path + "." + key;
+      if (const auto* leaf = perturb_first(child, at, target)) return leaf;
+    }
+    return nullptr;
+  }
+  if (v.is_array()) {
+    for (auto& e : v.as_array()) {
+      if (const auto* leaf = perturb_first(e, path + "[]", target)) {
+        return leaf;
+      }
+    }
+    return nullptr;
+  }
+  if (path != target) return nullptr;
+  if (v.is_bool()) {
+    v = io::Json(!v.as_bool());
+  } else if (v.is_string()) {
+    v = io::Json(v.as_string() + "x");
+  } else if (v.is_u64()) {
+    v = io::Json(v.raw_u64() * 2 + 1);
+  } else if (v.is_i64()) {
+    v = io::Json(v.raw_i64() * 2 + 1);
+  } else {
+    v = io::Json(v.as_number() * 2 + 1);
+  }
+  return &v;
 }
 
 TEST(Cli, DiffCoversEverySerializedMetric) {
@@ -1166,7 +1225,44 @@ TEST(Cli, DiffCoversEverySerializedMetric) {
   const auto r = run({"diff", a.path(), b.path()});
   EXPECT_EQ(r.code, 1) << r.out;
   EXPECT_NE(r.out.find("mcdram_capture"), std::string::npos);
-  EXPECT_NE(r.out.find("+TB"), std::string::npos);  // the turbo mismatch
+  EXPECT_NE(r.out.find("turbo"), std::string::npos);  // the turbo mismatch
+
+  // Every distinct schema path of the three goldens, changed at its
+  // first leaf, fails the diff: numbers and bools exit 1 (a version no
+  // reader takes exits 3), strings exit 1 or, where the loader checks
+  // them, 3.
+  for (const std::string golden :
+       {FPR_GOLDEN_SNAPSHOT, FPR_EXPLORE_GOLDEN, FPR_PARETO_GOLDEN}) {
+    const auto doc = io::load_file(golden);
+    std::vector<std::string> paths;
+    schema_paths(doc, "", paths);
+    for (const auto& path : paths) {
+      auto changed = doc;
+      const auto* leaf = perturb_first(changed, "", path);
+      ASSERT_NE(leaf, nullptr) << path;
+      io::save_file(b.path(), changed);
+      const int code = run({"diff", golden, b.path()}).code;
+      if (path == "version") {
+        EXPECT_EQ(code, 3) << golden << ": " << path;
+      } else if (leaf->is_string()) {
+        EXPECT_TRUE(code == 1 || code == 3) << golden << ": " << path;
+      } else {
+        EXPECT_EQ(code, 1) << golden << ": " << path;
+      }
+    }
+    if (golden == FPR_GOLDEN_SNAPSHOT) {
+      // The fields the hand-written comparison skipped are in the sweep.
+      for (const char* skipped :
+           {"kernels[].measurement.verified",
+            "kernels[].measurement.traits.vec_eff",
+            "kernels[].measurement.ops_scale_to_paper",
+            "kernels[].machines[].perf.t_fp64",
+            "kernels[].machines[].freq_sweep[].eval.t_mem"}) {
+        EXPECT_NE(std::find(paths.begin(), paths.end(), skipped), paths.end())
+            << skipped;
+      }
+    }
+  }
 }
 
 TEST(Cli, DiffFlagsMissingKernelsAsStructural) {
@@ -1179,6 +1275,28 @@ TEST(Cli, DiffFlagsMissingKernelsAsStructural) {
   const auto r = run({"diff", a.path(), b.path()});
   EXPECT_EQ(r.code, 1);
   EXPECT_NE(r.out.find("missing"), std::string::npos);
+}
+
+TEST(Cli, DiffAndReportRejectARepeatedKernel) {
+  // AMG copied, the copy 10x slower: matching by abbreviation cannot
+  // tell the two apart, so the loader refuses the file.
+  auto results = io::study_from_json(io::load_file(FPR_GOLDEN_SNAPSHOT));
+  auto copy = results.kernels.front();
+  ASSERT_EQ(copy.info.abbrev, "AMG");
+  for (auto& m : copy.machines) m.perf.seconds *= 10;
+  results.kernels.push_back(std::move(copy));
+  TempFile twice("twice_amg");
+  io::save_file(twice.path(), io::to_json(results));
+  for (const auto& args : std::vector<std::vector<std::string>>{
+           {"diff", FPR_GOLDEN_SNAPSHOT, twice.path()},
+           {"report", twice.path()}}) {
+    const auto r = run(args);
+    EXPECT_EQ(r.code, 3) << args[0] << ": " << r.err;
+    EXPECT_NE(r.err.find("kernel 'AMG' appears more than once"),
+              std::string::npos)
+        << r.err;
+    EXPECT_TRUE(r.out.empty()) << args[0];
+  }
 }
 
 TEST(Cli, DiffUsageAndIoErrors) {

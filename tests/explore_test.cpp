@@ -195,12 +195,44 @@ TEST(ExploreJson, RejectsForeignAndInconsistentDocuments) {
   auto doc = io::to_json(small_results());
   doc.set("version", io::kExploreVersion + 1);
   EXPECT_THROW(io::explore_from_json(doc), io::JsonError);
-}
+  // Only an integer from 1 to the supported version is a version.
+  for (const io::Json& version :
+       {io::Json(0), io::Json(-5), io::Json(1.5), io::Json(1e300),
+        io::Json("NaN"), io::Json("Infinity")}) {
+    doc.set("version", version);
+    EXPECT_THROW(io::explore_from_json(doc), io::JsonError)
+        << io::dump(version);
+  }
+  doc.set("version", 1);
+  EXPECT_NO_THROW(io::explore_from_json(doc));
 
-TEST(ExploreJson, DetectsExploreDocuments) {
-  EXPECT_TRUE(io::is_explore_document(io::to_json(small_results())));
-  EXPECT_FALSE(io::is_explore_document(io::parse("{\"format\":\"other\"}")));
-  EXPECT_FALSE(io::is_explore_document(io::parse("[1,2]")));
+  // A spec that no longer derives is a schema error like any other.
+  auto bad_spec = small_results();
+  bad_spec.variants[0].variant.spec = "no-such-transform";
+  EXPECT_THROW(io::explore_from_json(io::to_json(bad_spec)), io::JsonError);
+
+  // Identities are unique: a repeated variant (the baseline counts) or a
+  // variant's repeated kernel is named.
+  const auto error_of = [](const ExploreResults& r) -> std::string {
+    try {
+      (void)io::explore_from_json(io::to_json(r));
+    } catch (const io::JsonError& e) {
+      return e.what();
+    }
+    return "";
+  };
+  auto variant_twice = small_results();
+  variant_twice.variants.push_back(variant_twice.variants[0]);
+  EXPECT_EQ(error_of(variant_twice),
+            "variant 'KNL+drop-fp64-vec' appears more than once");
+  auto base_twice = small_results();
+  base_twice.variants.push_back(base_twice.baseline);
+  EXPECT_EQ(error_of(base_twice), "variant 'KNL' appears more than once");
+  auto kernel_twice = small_results();
+  auto& kernels = kernel_twice.variants[1].kernels;
+  kernels.push_back(kernels[0]);
+  EXPECT_EQ(error_of(kernel_twice),
+            "variant 'KNL+mcdram-bw=1.5': kernel 'HPL' appears more than once");
 }
 
 }  // namespace

@@ -242,6 +242,46 @@ TEST(StudyJson, RejectsForeignAndFutureDocuments) {
   Json& machines = mut_key(mut_key(doc, "kernels").as_array()[0], "machines");
   machines.as_array()[0].set("machine", "XXX");
   EXPECT_THROW((void)study_from_json(doc), JsonError);
+
+  // Only an integer from 1 to the supported version is a version.
+  const Json good = to_json(tiny_results());
+  for (const Json& version : {Json(0), Json(-5), Json(1.5), Json(1e300),
+                              Json("NaN"), Json("Infinity")}) {
+    Json bad = good;
+    bad.set("version", version);
+    EXPECT_THROW((void)study_from_json(bad), JsonError) << dump(version);
+  }
+  Json one = good;
+  one.set("version", 1);
+  EXPECT_NO_THROW((void)study_from_json(one));
+  // The same holds for the access pattern's integer fields.
+  const std::string text = dump(good);
+  const auto at = text.find("\"arrays\": ");
+  ASSERT_NE(at, std::string::npos);
+  for (const char* value : {"1e300", "\"NaN\"", "-1", "2.5"}) {
+    std::string bad = text;
+    bad.replace(at, bad.find(',', at) - at,
+                std::string("\"arrays\": ") + value);
+    EXPECT_THROW((void)study_from_json(parse(bad)), JsonError) << value;
+  }
+
+  // Identities are unique: a repeated kernel, or a kernel's repeated
+  // machine, is named.
+  const auto error_of = [](const study::StudyResults& r) -> std::string {
+    try {
+      (void)study_from_json(to_json(r));
+    } catch (const JsonError& e) {
+      return e.what();
+    }
+    return "";
+  };
+  auto kernel_twice = tiny_results();
+  kernel_twice.kernels.push_back(kernel_twice.kernels[0]);
+  EXPECT_EQ(error_of(kernel_twice), "kernel 'BABL2' appears more than once");
+  auto knl_twice = tiny_results();
+  knl_twice.kernels[0].machines.push_back(knl_twice.kernels[0].machines[0]);
+  EXPECT_EQ(error_of(knl_twice),
+            "kernel 'BABL2': machine 'KNL' appears more than once");
 }
 
 // ---------------------------------------------------------------------------

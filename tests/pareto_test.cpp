@@ -328,10 +328,33 @@ TEST(ParetoJson, RoundTripIsLossless) {
 TEST(ParetoJson, RejectsForeignAndInconsistentDocuments) {
   EXPECT_THROW(io::pareto_from_json(io::parse("{\"format\":\"x\"}")),
                io::JsonError);
-  auto doc = io::to_json(run_small());
+  const auto results = run_small();
+  auto doc = io::to_json(results);
   auto stale = doc;
   stale.set("version", io::kParetoVersion + 1);
   EXPECT_THROW(io::pareto_from_json(stale), io::JsonError);
+  // Only an integer from 1 to the supported version is a version.
+  for (const io::Json& version :
+       {io::Json(0), io::Json(-5), io::Json(1.5), io::Json(1e300),
+        io::Json("NaN"), io::Json("Infinity")}) {
+    stale.set("version", version);
+    EXPECT_THROW(io::pareto_from_json(stale), io::JsonError)
+        << io::dump(version);
+  }
+  stale.set("version", 1);
+  EXPECT_NO_THROW(io::pareto_from_json(stale));
+  // A repeated frontier point is named.
+  auto twice = results;
+  ASSERT_FALSE(twice.frontier.empty());
+  twice.frontier.push_back(twice.frontier[0]);
+  try {
+    (void)io::pareto_from_json(io::to_json(twice));
+    ADD_FAILURE() << "a repeated frontier point loaded";
+  } catch (const io::JsonError& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "frontier point '" + twice.frontier[0].name() +
+                  "' appears more than once");
+  }
   auto bad_objective = doc;
   io::Json unknown = io::Json::array();
   unknown.push(io::Json("throughput"));
@@ -343,12 +366,6 @@ TEST(ParetoJson, RejectsForeignAndInconsistentDocuments) {
   only_time.push(io::Json("time"));
   short_vector.set("objectives", std::move(only_time));
   EXPECT_THROW(io::pareto_from_json(short_vector), io::JsonError);
-}
-
-TEST(ParetoJson, DetectsParetoDocuments) {
-  EXPECT_TRUE(io::is_pareto_document(io::to_json(run_small())));
-  EXPECT_FALSE(io::is_pareto_document(io::parse("{\"format\":\"other\"}")));
-  EXPECT_FALSE(io::is_pareto_document(io::parse("[1,2]")));
 }
 
 }  // namespace
