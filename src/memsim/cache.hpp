@@ -57,6 +57,8 @@ struct CacheStats {
   std::uint64_t misses = 0;
   std::uint64_t writebacks = 0;  ///< dirty lines evicted
 
+  friend bool operator==(const CacheStats&, const CacheStats&) = default;
+
   [[nodiscard]] std::uint64_t accesses() const { return hits + misses; }
   [[nodiscard]] double hit_rate() const {
     const auto a = accesses();

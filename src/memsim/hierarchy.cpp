@@ -225,12 +225,6 @@ HierarchyResult Hierarchy::result(std::uint64_t refs,
   return r;
 }
 
-HierarchyResult Hierarchy::replay(TraceGenerator& gen, std::uint64_t refs,
-                                  std::uint64_t warmup) {
-  SyntheticTraceSource src(gen);
-  return replay(static_cast<TraceSource&>(src), refs, warmup);
-}
-
 HierarchyResult Hierarchy::replay_scalar(TraceGenerator& gen,
                                          std::uint64_t refs,
                                          std::uint64_t warmup) {

@@ -23,12 +23,19 @@ class TraceSource;  // memsim/trace_source.hpp
 struct LevelResult {
   std::string name;   ///< "L1", "L2", "LLC", "MCDRAM$"
   CacheStats stats;
+
+  friend bool operator==(const LevelResult&, const LevelResult&) = default;
 };
 
-/// Result of replaying a trace through the hierarchy.
+/// Result of replaying a trace through the hierarchy. Two replays of one
+/// reference stream through one geometry compare equal, whichever path
+/// (batched, scalar, shared pass, file-backed) ran them.
 struct HierarchyResult {
   std::vector<LevelResult> levels;
   std::uint64_t refs = 0;
+
+  friend bool operator==(const HierarchyResult&,
+                         const HierarchyResult&) = default;
 
   /// Hit rate of the level with the given name. Throws std::out_of_range
   /// for a name this hierarchy has no level of (e.g. asking a Phi result
@@ -86,15 +93,9 @@ class Hierarchy {
                                       std::uint64_t warmup,
                                       std::span<Hierarchy> siblings);
 
-  /// Synthetic convenience: wraps `gen` in a borrowing
-  /// SyntheticTraceSource — same computation, same RNG state advance,
-  /// bit-identical to the source overload.
-  HierarchyResult replay(TraceGenerator& gen, std::uint64_t refs,
-                         std::uint64_t warmup = 0);
-
   /// Reference implementation: one gen.next() and one full level walk
   /// per reference. Kept as the oracle the batched path is verified
-  /// against (tests) and the baseline bench/memsim_replay times.
+  /// against (tests/memsim_test's BatchedIdentity, tests/trace_test).
   HierarchyResult replay_scalar(TraceGenerator& gen, std::uint64_t refs,
                                 std::uint64_t warmup = 0);
 
@@ -113,8 +114,8 @@ class Hierarchy {
     return levels_[i].config();
   }
   /// Direct level access for drivers that stage the replay themselves
-  /// (bench/memsim_replay's per-stage roofline keeps its timers outside
-  /// src/memsim, where wall clocks are barred by the determinism lint).
+  /// (fprbench's per-level walk timers stay outside src/memsim, where
+  /// wall clocks are barred by the determinism lint).
   [[nodiscard]] Cache& level_cache(std::size_t i) { return levels_[i]; }
 
  private:

@@ -12,7 +12,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 
 #include "arch/cpu_spec.hpp"
 #include "memsim/hierarchy.hpp"
@@ -30,25 +29,21 @@ class TraceSource {
   virtual std::size_t fill(MemRef* out, std::size_t n) = 0;
 };
 
-/// Infinite synthetic source over a TraceGenerator. Owning (constructed
-/// from a spec + seed) or borrowing (wrapping a caller's generator whose
-/// RNG state advances through this source) — either way fill() is
+/// Infinite synthetic source over its own TraceGenerator: fill() is
 /// exactly TraceGenerator::fill, so the emitted sequence is bit-identical
-/// to driving the generator directly.
+/// to driving a generator of the same spec and seed directly.
 class SyntheticTraceSource final : public TraceSource {
  public:
   SyntheticTraceSource(const AccessPatternSpec& spec, std::uint64_t seed)
-      : owned_(TraceGenerator(spec, seed)), gen_(&*owned_) {}
-  explicit SyntheticTraceSource(TraceGenerator& gen) : gen_(&gen) {}
+      : gen_(spec, seed) {}
 
   std::size_t fill(MemRef* out, std::size_t n) override {
-    gen_->fill(out, n);
+    gen_.fill(out, n);
     return n;
   }
 
  private:
-  std::optional<TraceGenerator> owned_;
-  TraceGenerator* gen_;
+  TraceGenerator gen_;
 };
 
 /// Replay an arbitrary source through a scaled hierarchy for `cpu`:

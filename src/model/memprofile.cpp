@@ -63,9 +63,20 @@ MemoryProfile profile_memory(const arch::CpuSpec& cpu,
                                       scale_shift));
 }
 
-MemoryProfile profile_from_replay(const arch::CpuSpec& cpu,
-                                  const kernels::WorkloadMeasurement& w,
-                                  const memsim::HierarchyResult& res) {
+namespace {
+
+/// The derivation profile_from_replay and profile_trace share. Hit rates
+/// and the off-chip split come from `res`. `bytes` is the architectural
+/// traffic the replay stands for: trace references model 8-byte
+/// accesses and a miss moves a 64-byte line, so traffic past a level
+/// with miss fraction f is bytes * f * (64/8). `working_set` and
+/// `streaming_fraction` (the share of off-chip misses prefetchers can
+/// stream at the full DDR rate) feed the bandwidth and latency terms;
+/// `dep_fraction` of the off-chip references serialize.
+MemoryProfile derive_profile(const arch::CpuSpec& cpu,
+                             const memsim::HierarchyResult& res, double bytes,
+                             std::uint64_t working_set,
+                             double streaming_fraction, double dep_fraction) {
   MemoryProfile mp;
   mp.l2_hit = res.hit_rate("L2");
   mp.llc_hit = cpu.has_mcdram() ? res.hit_rate("MCDRAM$")
@@ -78,14 +89,8 @@ MemoryProfile profile_from_replay(const arch::CpuSpec& cpu,
   const double past_l2 = 1.0 - res.served_at_or_above("L2");
   const double past_last = res.dram_fraction();
   mp.offchip_fraction = cpu.has_mcdram() ? past_l2 : past_last;
-
-  // Architectural bytes -> off-chip traffic. Trace references model
-  // 8-byte accesses; a miss moves a 64-byte line, so traffic past a
-  // level with miss fraction f is arch_bytes * f * (64/8).
-  const double arch_bytes = static_cast<double>(w.ops.bytes_read) +
-                            static_cast<double>(w.ops.bytes_written);
-  mp.offchip_bytes = arch_bytes * mp.offchip_fraction * 8.0;
-  mp.dram_bytes = arch_bytes * past_last * 8.0;
+  mp.offchip_bytes = bytes * mp.offchip_fraction * 8.0;
+  mp.dram_bytes = bytes * past_last * 8.0;
 
   if (cpu.has_mcdram()) {
     mp.mcdram_capture = past_l2 > 0.0
@@ -95,57 +100,39 @@ MemoryProfile profile_from_replay(const arch::CpuSpec& cpu,
     mp.mcdram_capture = 0.0;
   }
 
-  const auto bw = memsim::effective_bandwidth(
-      cpu, w.working_set_bytes, mp.mcdram_capture,
-      memsim::miss_streaming_fraction(w.access));
+  const auto bw = memsim::effective_bandwidth(cpu, working_set,
+                                              mp.mcdram_capture,
+                                              streaming_fraction);
   mp.effective_bw_gbs = bw.effective_gbs;
-  mp.latency_ns = memsim::effective_latency_ns(cpu, w.working_set_bytes,
-                                               mp.mcdram_capture);
+  mp.latency_ns =
+      memsim::effective_latency_ns(cpu, working_set, mp.mcdram_capture);
 
   // Dependent (serialized) off-chip references.
-  const double offchip_refs = arch_bytes / 8.0 * past_l2;
-  mp.dep_refs = offchip_refs * w.traits.latency_dep_fraction;
+  const double offchip_refs = bytes / 8.0 * past_l2;
+  mp.dep_refs = offchip_refs * dep_fraction;
   return mp;
+}
+
+}  // namespace
+
+MemoryProfile profile_from_replay(const arch::CpuSpec& cpu,
+                                  const kernels::WorkloadMeasurement& w,
+                                  const memsim::HierarchyResult& res) {
+  const double arch_bytes = static_cast<double>(w.ops.bytes_read) +
+                            static_cast<double>(w.ops.bytes_written);
+  return derive_profile(cpu, res, arch_bytes, w.working_set_bytes,
+                        memsim::miss_streaming_fraction(w.access),
+                        w.traits.latency_dep_fraction);
 }
 
 MemoryProfile profile_trace(const arch::CpuSpec& cpu,
                             const memsim::HierarchyResult& res,
-                            std::uint64_t working_set_bytes,
-                            double streaming_fraction) {
-  MemoryProfile mp;
-  mp.l2_hit = res.hit_rate("L2");
-  mp.llc_hit = cpu.has_mcdram() ? res.hit_rate("MCDRAM$")
-                                : res.hit_rate("LLC");
-
-  // Same off-chip split as profile_memory (see there), but the byte
-  // terms are exact: the replay counted every reference, each modelling
-  // an 8-byte access whose miss moves a 64-byte line.
-  const double past_l2 = 1.0 - res.served_at_or_above("L2");
-  const double past_last = res.dram_fraction();
-  mp.offchip_fraction = cpu.has_mcdram() ? past_l2 : past_last;
-
-  const double trace_bytes = static_cast<double>(res.refs) * 8.0;
-  mp.offchip_bytes = trace_bytes * mp.offchip_fraction * 8.0;
-  mp.dram_bytes = trace_bytes * past_last * 8.0;
-
-  if (cpu.has_mcdram()) {
-    mp.mcdram_capture = past_l2 > 0.0
-                            ? std::clamp(1.0 - past_last / past_l2, 0.0, 1.0)
-                            : 1.0;
-  } else {
-    mp.mcdram_capture = 0.0;
-  }
-
-  const auto bw = memsim::effective_bandwidth(
-      cpu, working_set_bytes, mp.mcdram_capture, streaming_fraction);
-  mp.effective_bw_gbs = bw.effective_gbs;
-  mp.latency_ns = memsim::effective_latency_ns(cpu, working_set_bytes,
-                                               mp.mcdram_capture);
-
-  // No instruction mix: the dependent-reference share is unknowable
-  // from an address trace alone.
-  mp.dep_refs = 0.0;
-  return mp;
+                            std::uint64_t working_set_bytes) {
+  // The replay counted every reference exactly. An address trace
+  // carries no instruction mix: its misses count as fully streamable
+  // and none of its references as dependent.
+  return derive_profile(cpu, res, static_cast<double>(res.refs) * 8.0,
+                        working_set_bytes, 1.0, 0.0);
 }
 
 }  // namespace fpr::model

@@ -67,12 +67,10 @@ MemoryProfile profile_from_replay(const arch::CpuSpec& cpu,
 /// access and a miss moves a 64-byte line — and the working set is the
 /// trace's touched-line footprint (io::TraceInfo::working_set_bytes).
 /// An external trace carries no instruction mix, so the
-/// dependent-reference serialization term is 0 and `streaming_fraction`
-/// (the share of off-chip misses prefetchers can stream at the full DDR
-/// rate) defaults to fully streamable.
+/// dependent-reference serialization term is 0 and every off-chip miss
+/// counts as streamable at the full DDR rate.
 MemoryProfile profile_trace(const arch::CpuSpec& cpu,
                             const memsim::HierarchyResult& res,
-                            std::uint64_t working_set_bytes,
-                            double streaming_fraction = 1.0);
+                            std::uint64_t working_set_bytes);
 
 }  // namespace fpr::model

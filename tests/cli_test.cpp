@@ -608,6 +608,7 @@ TEST(Cli, ParetoRejectsBadOptions) {
   EXPECT_EQ(run_pareto({"--objectives", "throughput"}).code, 2);
   EXPECT_EQ(run_pareto({"--objectives", ","}).code, 2);
   EXPECT_EQ(run_pareto({"--max-depth", "0"}).code, 2);
+  EXPECT_EQ(run_pareto({"--rounds", "-1"}).code, 2);
   EXPECT_EQ(run_pareto({"--budget-area", "0"}).code, 2);
   EXPECT_EQ(run_pareto({"--budget-tdp", "-1"}).code, 2);
   EXPECT_EQ(run_pareto({"--search-seed"}).code, 2);  // missing value

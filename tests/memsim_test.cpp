@@ -1,6 +1,9 @@
 // Unit tests for the cache/memory simulator.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdio>
 #include <limits>
 #include <set>
 #include <stdexcept>
@@ -11,6 +14,7 @@
 #include "arch/variant.hpp"
 #include "common/magic_div.hpp"
 #include "common/rng.hpp"
+#include "common/timer.hpp"
 #include "common/units.hpp"
 #include "memsim/bandwidth.hpp"
 #include "memsim/cache.hpp"
@@ -487,7 +491,7 @@ TEST_P(BatchedIdentity, ReplayMatchesScalarReplay) {
   for (const auto& cpu : arch::all_machines()) {
     Hierarchy hb(cpu, 6);
     Hierarchy hs(cpu, 6);
-    TraceGenerator gb(spec, 3);
+    SyntheticTraceSource gb(spec, 3);
     TraceGenerator gs(spec, 3);
     const auto rb = hb.replay(gb, 40'000, 10'000);
     const auto rs = hs.replay_scalar(gs, 40'000, 10'000);
@@ -620,6 +624,157 @@ TEST(SharedPass, RejectsASiblingWithDifferentUpperLevels) {
   std::vector<Hierarchy> b = {Hierarchy(arch::knl(), 6)};
   SyntheticTraceSource src(spec, 5);
   EXPECT_THROW((void)a.replay(src, 1'000, 0, b), std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------
+// Seed replica: the cache as it was before the compact layout and the
+// block walkers, kept as an oracle that shares no code with Cache and
+// as the speed floor the production replay must stay above.
+
+/// One Way struct per line, valid/tag/lru triple-branch scan with early
+/// exit, modulo set indexing via hardware divide. Semantically identical
+/// to Cache by design.
+class BaselineCache {
+ public:
+  explicit BaselineCache(const CacheConfig& cfg) : cfg_(cfg) {
+    num_sets_ = cfg_.num_sets();
+    line_shift_ = static_cast<std::uint32_t>(std::countr_zero(cfg_.line_bytes));
+    ways_.resize(cfg_.num_lines());
+  }
+
+  bool access(std::uint64_t addr, bool write) {
+    const std::uint64_t line = addr >> line_shift_;
+    const std::uint64_t set = line % num_sets_;
+    const std::uint64_t tag = line / num_sets_;
+    Way* base = &ways_[set * cfg_.associativity];
+    ++stamp_;
+    Way* victim = base;
+    for (std::uint32_t w = 0; w < cfg_.associativity; ++w) {
+      Way& way = base[w];
+      if (way.valid && way.tag == tag) {
+        way.lru = stamp_;
+        way.dirty = way.dirty || write;
+        ++stats_.hits;
+        return true;
+      }
+      if (!way.valid) {
+        victim = &way;
+      } else if (victim->valid && way.lru < victim->lru) {
+        victim = &way;
+      }
+    }
+    ++stats_.misses;
+    if (victim->valid && victim->dirty) ++stats_.writebacks;
+    victim->valid = true;
+    victim->tag = tag;
+    victim->lru = stamp_;
+    victim->dirty = write;
+    return false;
+  }
+
+  void reset_stats() { stats_ = CacheStats{}; }
+  [[nodiscard]] const CacheStats& stats() const { return stats_; }
+
+ private:
+  struct Way {
+    std::uint64_t tag = 0;
+    std::uint64_t lru = 0;
+    bool valid = false;
+    bool dirty = false;
+  };
+  CacheConfig cfg_;
+  std::uint64_t num_sets_ = 0;
+  std::uint32_t line_shift_ = 0;
+  std::uint64_t stamp_ = 0;
+  std::vector<Way> ways_;
+  CacheStats stats_;
+};
+
+/// The seed replay loop over BaselineCache levels of the geometry
+/// Hierarchy builds for `cpu`: simulate_pattern's computation, one
+/// reference and one level walk at a time.
+HierarchyResult replica_replay(const arch::CpuSpec& cpu,
+                               const AccessPatternSpec& spec,
+                               std::uint64_t refs, std::uint64_t seed,
+                               unsigned scale_shift) {
+  const Hierarchy h(cpu, scale_shift);
+  std::vector<BaselineCache> levels;
+  for (std::size_t i = 0; i < h.num_levels(); ++i) {
+    levels.emplace_back(h.level_config(i));
+  }
+  TraceGenerator gen(scale_spec(spec, scale_shift), seed);
+  auto run = [&](std::uint64_t count) {
+    for (std::uint64_t i = 0; i < count; ++i) {
+      const MemRef ref = gen.next();
+      for (auto& level : levels) {
+        if (level.access(ref.addr, ref.write)) break;
+      }
+    }
+  };
+  run(refs);  // warmup, as simulate_pattern's
+  for (auto& l : levels) l.reset_stats();
+  run(refs);
+  HierarchyResult r;
+  r.refs = refs;
+  for (std::size_t i = 0; i < levels.size(); ++i) {
+    r.levels.push_back({h.level_name(i), levels[i].stats()});
+  }
+  return r;
+}
+
+TEST(SeedReplica, HierarchyReplayMatchesOnEveryWalker) {
+  // At the model's scale shift the three machines build every block
+  // walker: the one-set 8-way L1, the 8- and 16-way many-set L2s and
+  // KNL's MCDRAM$, BDW's 20-way LLC and KNM's 1,820-set (magic-division)
+  // MCDRAM$.
+  constexpr unsigned kShift = 8;
+  constexpr std::uint64_t kRefs = 100'000;
+  EXPECT_EQ(Hierarchy(arch::knl(), kShift).level_config(0).num_sets(), 1u);
+  EXPECT_EQ(Hierarchy(arch::knm(), kShift).level_config(2).num_sets(), 1820u);
+  EXPECT_EQ(Hierarchy(arch::bdw(), kShift).level_config(2).associativity,
+            20u);
+  for (const auto& cpu : arch::all_machines()) {
+    for (const auto& spec : specs_spanning(256ull << 20)) {
+      const auto got = simulate_pattern(cpu, spec, kRefs, 5, kShift);
+      const auto want = replica_replay(cpu, spec, kRefs, 5, kShift);
+      EXPECT_TRUE(got == want)
+          << cpu.short_name << " "
+          << pattern_name(spec.components[0].pattern);
+    }
+  }
+}
+
+TEST(SpeedGate, ReplayAtLeastMatchesTheSeedReplica) {
+  // Production replay (compact layout, block walkers, batched
+  // generation) against the replica over every Table I machine; the
+  // two alternate workload by workload, and each side keeps its best of
+  // three rounds.
+  constexpr unsigned kShift = 8;
+  constexpr std::uint64_t kRefs = 200'000;
+  const auto specs = specs_spanning(256ull << 20);
+  double replica_s = std::numeric_limits<double>::infinity();
+  double replay_s = replica_s;
+  for (int round = 0; round < 3; ++round) {
+    double replica_round = 0.0;
+    double replay_round = 0.0;
+    for (const auto& cpu : arch::all_machines()) {
+      for (const auto& spec : specs) {
+        const WallTimer t_replica;
+        const auto want = replica_replay(cpu, spec, kRefs, 5, kShift);
+        replica_round += t_replica.seconds();
+        const WallTimer t_replay;
+        const auto got = simulate_pattern(cpu, spec, kRefs, 5, kShift);
+        replay_round += t_replay.seconds();
+        ASSERT_TRUE(got == want) << cpu.short_name;
+      }
+    }
+    replica_s = std::min(replica_s, replica_round);
+    replay_s = std::min(replay_s, replay_round);
+  }
+  const double ratio = replica_s / replay_s;
+  std::printf("replay vs seed replica: %.3f s vs %.3f s, %.2fx (gate >= 1x)\n",
+              replay_s, replica_s, ratio);
+  EXPECT_GE(ratio, 1.0);
 }
 
 TEST(Hierarchy, LevelLineLimitAdmitsTableIAndNamesTheLevel) {

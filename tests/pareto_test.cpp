@@ -1,12 +1,14 @@
 // Tests for the incremental design-space machinery: dominance and the
 // non-dominated filter, the ParetoEngine's archive/budget/determinism
-// invariants, VariantEvaluator-vs-ExploreEngine equality, the batch
-// scorer's replay, sibling-fill and memo counts, the geomean_ratio guard, and the
+// invariants, its speed against an ExploreEngine per variant,
+// VariantEvaluator-vs-ExploreEngine equality, the batch scorer's replay,
+// sibling-fill and memo counts, the geomean_ratio guard, and the
 // pareto-results JSON round trip.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -14,6 +16,7 @@
 
 #include "arch/machines.hpp"
 #include "arch/variant.hpp"
+#include "common/timer.hpp"
 #include "io/explore_json.hpp"
 #include "io/pareto_json.hpp"
 #include "study/explore.hpp"
@@ -169,6 +172,42 @@ TEST(ParetoEngine, StatsIdenticalAcrossJobCounts) {
     EXPECT_EQ(st.evaluator.sibling_fills, serial.evaluator.sibling_fills)
         << jobs;
   }
+}
+
+TEST(SpeedGate, ParetoAtLeastTenfoldExplorePerVariant) {
+  // The incremental evaluator's reason to exist: one measurement pass
+  // prices every candidate, where an ExploreEngine per variant re-runs
+  // every kernel for each one. Candidates/s of one search against that
+  // naive rate over the first six built-in KNL variants.
+  ParetoConfig cfg;
+  cfg.base = "KNL";
+  cfg.kernels = {"AMG", "HPL", "XSBn", "BABL2"};
+  cfg.scale = 0.15;
+  cfg.threads = 1;
+  cfg.trace_refs = 100'000;
+  cfg.rounds = 2;
+  std::vector<std::string> specs = arch::builtin_variant_specs(arch::knl());
+  ASSERT_GE(specs.size(), 6u);
+  specs.resize(6);
+  const WallTimer naive;
+  for (const auto& spec : specs) {
+    ExploreConfig ecfg;
+    static_cast<MeasureConfig&>(ecfg) = cfg;
+    ecfg.base = cfg.base;
+    ecfg.variants = {spec};
+    (void)ExploreEngine(ecfg).run();
+  }
+  const double naive_rate = static_cast<double>(specs.size()) / naive.seconds();
+  const WallTimer search;
+  ParetoEngine engine(cfg);
+  (void)engine.run();
+  const double search_rate =
+      static_cast<double>(engine.stats().evaluated) / search.seconds();
+  const double ratio = search_rate / naive_rate;
+  std::printf("pareto vs explore-per-variant: %.1f vs %.1f candidates/s, "
+              "%.1fx (gate >= 10x)\n",
+              search_rate, naive_rate, ratio);
+  EXPECT_GE(ratio, 10.0);
 }
 
 TEST(ParetoEngine, RejectsDegenerateConfigs) {

@@ -46,19 +46,6 @@ std::vector<MemRef> read_all(const std::string& path) {
   return out;
 }
 
-bool identical(const HierarchyResult& a, const HierarchyResult& b) {
-  if (a.refs != b.refs || a.levels.size() != b.levels.size()) return false;
-  for (std::size_t i = 0; i < a.levels.size(); ++i) {
-    if (a.levels[i].name != b.levels[i].name ||
-        a.levels[i].stats.hits != b.levels[i].stats.hits ||
-        a.levels[i].stats.misses != b.levels[i].stats.misses ||
-        a.levels[i].stats.writebacks != b.levels[i].stats.writebacks) {
-      return false;
-    }
-  }
-  return true;
-}
-
 /// Record `total` references of the scaled spec to `path`, exactly as
 /// `fpr trace-record` does.
 void record_spec(const std::string& path, const AccessPatternSpec& scaled,
@@ -421,7 +408,7 @@ TEST(RecordReplay, FileReplayMatchesSyntheticScalarEverywhere) {
       Hierarchy hf(cpu, kShift);
       io::FileTraceSource src(path);
       const auto got = hf.replay(src, kRefs, kWarmup);
-      EXPECT_TRUE(identical(want, got))
+      EXPECT_TRUE(want == got)
           << name << " on " << cpu.short_name;
     }
     std::remove(path.c_str());
@@ -484,9 +471,9 @@ TEST(TraceCache, CachedFileReplayIsBitIdenticalAndMemoized) {
   // count before keying, so the over-ask shares the cache entry.
   const auto overask =
       io::replay_trace_cached(&cache, cpu, path, 1ull << 40, kRefs, kShift);
-  EXPECT_TRUE(identical(plain, first));
-  EXPECT_TRUE(identical(plain, second));
-  EXPECT_TRUE(identical(plain, overask));
+  EXPECT_TRUE(plain == first);
+  EXPECT_TRUE(plain == second);
+  EXPECT_TRUE(plain == overask);
   EXPECT_EQ(cache.stats().misses, 1u);
   EXPECT_EQ(cache.stats().hits, 2u);
   EXPECT_EQ(cache.size(), 1u);
