@@ -1,7 +1,7 @@
 // The three evaluation machines of the paper (Table I), plus a builder
-// for hypothetical FPU redistributions used by the ablation benches
-// ("what if KNL had KNM's FPU?" — the question the paper answers
-// empirically by having both chips).
+// for hypothetical FPU redistributions used by the FPU ablation
+// (examples/precision_migration: "what if KNL had KNM's FPU?" — the
+// question the paper answers empirically by having both chips).
 #pragma once
 
 #include <optional>

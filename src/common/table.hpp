@@ -1,6 +1,6 @@
 // ASCII / CSV table rendering for the figure and table reproduction
-// harness. Every bench binary prints its rows through TextTable so the
-// output format is uniform and machine-parsable (CSV mode).
+// harness. Every report prints its rows through TextTable so the output
+// format is uniform and machine-parsable (CSV mode).
 #pragma once
 
 #include <cstddef>

@@ -76,7 +76,7 @@ struct RunConfig {
   /// run(cfg) builds; run(ctx, cfg) uses every worker of `ctx` instead.
   unsigned threads = 0;
   /// Input scale multiplier relative to the kernel's standard reduced
-  /// input; tests use < 1, the microbenches may use > 1. Must be > 0.
+  /// input; tests use < 1. Must be > 0.
   double scale = 1.0;
   /// PRNG seed for synthetic inputs (fixed default => repeatable runs).
   std::uint64_t seed = 42;

@@ -21,13 +21,14 @@ std::uint64_t identity_order(std::uint32_t assoc) {
   return w;
 }
 
-/// Rank of `way` inside `order` (A nibbles). SWAR zero-nibble search:
-/// XOR against the way replicated per nibble, OR-reduce each nibble to
-/// its low bit, and the lowest clear nibble marks the match.
-template <std::uint32_t A>
-inline std::uint32_t find_rank(std::uint64_t order, std::uint32_t way) {
-  constexpr std::uint64_t mask =
-      A == 16 ? ~std::uint64_t{0} : (std::uint64_t{1} << (4 * A)) - 1;
+/// Rank of `way` inside `order` (`ways` nibbles). SWAR zero-nibble
+/// search: XOR against the way replicated per nibble, OR-reduce each
+/// nibble to its low bit, and the lowest clear nibble marks the match.
+/// The compiled walker instances pass a constant `ways`, which folds.
+inline std::uint32_t find_rank(std::uint64_t order, std::uint32_t way,
+                               std::uint32_t ways) {
+  const std::uint64_t mask =
+      ways == 16 ? ~std::uint64_t{0} : (std::uint64_t{1} << (4 * ways)) - 1;
   std::uint64_t x = (order ^ (way * kNibbleLow)) | ~mask;
   x |= x >> 2;
   x |= x >> 1;
@@ -38,48 +39,15 @@ inline std::uint32_t find_rank(std::uint64_t order, std::uint32_t way) {
 }
 
 /// Move the way at `rank` to the MRU end, keeping all other ways in
-/// relative order. rank == A-1 (already MRU) must be handled by the
+/// relative order. rank == ways-1 (already MRU) must be handled by the
 /// caller or is a structural no-op via the early return.
-template <std::uint32_t A>
 inline std::uint64_t move_to_front(std::uint64_t order, std::uint32_t rank,
-                                   std::uint32_t way) {
-  if (rank == A - 1) return order;
+                                   std::uint32_t way, std::uint32_t ways) {
+  if (rank == ways - 1) return order;
   const std::uint64_t low =
       order & ((std::uint64_t{1} << (4 * rank)) - 1);
   const std::uint64_t high = (order >> (4 * (rank + 1))) << (4 * rank);
-  return low | high | (static_cast<std::uint64_t>(way) << (4 * (A - 1)));
-}
-
-/// Runtime-associativity form of find_rank + move_to_front for the
-/// scalar path (the block walkers keep their compile-time versions):
-/// splice `way` to the MRU end of `order`.
-std::uint64_t promote_way(std::uint64_t order, std::uint32_t way,
-                          std::uint32_t assoc) {
-  std::uint32_t rank = 0;
-  for (std::uint32_t r = 0; r < assoc; ++r) {
-    if (((order >> (4 * r)) & 0xF) == way) rank = r;
-  }
-  if (rank == assoc - 1) return order;
-  const std::uint64_t low = order & ((std::uint64_t{1} << (4 * rank)) - 1);
-  const std::uint64_t high = (order >> (4 * (rank + 1))) << (4 * rank);
-  return low | high | (static_cast<std::uint64_t>(way) << (4 * (assoc - 1)));
-}
-
-/// Miss-path victim choice plus the matching order/valid-count update:
-/// the last invalid way while the set is filling (the scan-order rule
-/// of the stamp formulation), else the LRU rank.
-std::uint32_t select_victim(std::uint64_t& order, std::uint8_t& valid_count,
-                            std::uint32_t assoc) {
-  if (valid_count < assoc) {
-    const std::uint32_t victim = assoc - 1 - valid_count;
-    ++valid_count;
-    order = promote_way(order, victim, assoc);
-    return victim;
-  }
-  const auto victim = static_cast<std::uint32_t>(order & 0xF);
-  order = (order >> 4) |
-          (static_cast<std::uint64_t>(victim) << (4 * (assoc - 1)));
-  return victim;
+  return low | high | (static_cast<std::uint64_t>(way) << (4 * (ways - 1)));
 }
 
 }  // namespace
@@ -123,102 +91,33 @@ Cache::Cache(CacheConfig cfg) : cfg_(cfg) {
 }
 
 bool Cache::access(std::uint64_t addr, bool write) {
-  std::uint64_t set, tag;
-  split(addr, set, tag);
-  return order_mode_ ? access_order(set, tag, write)
-                     : access_stamps(set, tag, write);
+  MemRef ref{.addr = addr, .write = write};
+  return access_many(&ref, 1) == 0;
 }
 
-/// Scalar lookup in packed-order mode; one reference, rolled loops.
-/// This is also the oracle the block walkers are verified against.
-bool Cache::access_order(std::uint64_t set, std::uint64_t tag, bool write) {
-  const std::uint32_t assoc = cfg_.associativity;
-  const std::size_t base = static_cast<std::size_t>(set) * assoc;
-  std::uint64_t* const tags = tags_.data() + base;
-  std::uint64_t order = order_[set];
-
-  // MRU-first probe: a repeat of the most recent way needs no reorder.
-  const auto mru =
-      static_cast<std::uint32_t>(order >> (4 * (assoc - 1))) & 0xF;
-  if (tags[mru] == tag) {
-    if (write) flags_[base + mru] |= kDirty;
-    ++stats_.hits;
-    return true;
-  }
-
-  std::uint32_t hit = assoc;
-  for (std::uint32_t w = 0; w < assoc; ++w) {
-    if (tags[w] == tag) hit = w;
-  }
-  if (hit != assoc) {
-    order_[set] = promote_way(order, hit, assoc);
-    if (write) flags_[base + hit] |= kDirty;
-    ++stats_.hits;
-    return true;
-  }
-
-  const std::uint32_t victim =
-      select_victim(order, valid_count_[set], assoc);
-  order_[set] = order;
-
-  ++stats_.misses;
-  std::uint8_t& vflags = flags_[base + victim];
-  if ((vflags & (kValid | kDirty)) == (kValid | kDirty)) ++stats_.writebacks;
-  tags[victim] = tag;
-  vflags = static_cast<std::uint8_t>(kValid | (write ? kDirty : 0));
-  return false;
-}
-
-/// Classic stamp-LRU path for associativity > 16 (no packed order
-/// word): the seed formulation on the compact layout.
-bool Cache::access_stamps(std::uint64_t set, std::uint64_t tag, bool write) {
-  const std::uint32_t assoc = cfg_.associativity;
-  const std::size_t base = static_cast<std::size_t>(set) * assoc;
-  ++stamp_;
-  std::uint32_t victim = 0;
-  for (std::uint32_t w = 0; w < assoc; ++w) {
-    const std::uint8_t f = flags_[base + w];
-    if ((f & kValid) != 0 && tags_[base + w] == tag) {
-      stamps_[base + w] = stamp_;
-      if (write) flags_[base + w] |= kDirty;
-      ++stats_.hits;
-      return true;
-    }
-    if ((f & kValid) == 0) {
-      victim = w;
-    } else if ((flags_[base + victim] & kValid) != 0 &&
-               stamps_[base + w] < stamps_[base + victim]) {
-      victim = w;
-    }
-  }
-  ++stats_.misses;
-  std::uint8_t& vflags = flags_[base + victim];
-  if ((vflags & (kValid | kDirty)) == (kValid | kDirty)) ++stats_.writebacks;
-  tags_[base + victim] = tag;
-  stamps_[base + victim] = stamp_;
-  vflags = static_cast<std::uint8_t>(kValid | (write ? kDirty : 0));
-  return false;
-}
-
-/// access() over a block with the associativity fixed at compile time:
-/// access_order() up to kMaxOrderWays ways, access_stamps() above. The
-/// two set forms differ only in where a reference's set lives: OneSet
-/// copies the single set into locals for the whole block (no split, and
-/// no way state the stores into `refs` could alias); the many-set form
-/// splits each address and works on the member arrays. Only the
-/// packed-order levels have a one-set form (the scaled-down L1s).
-template <std::uint32_t A, bool OneSet>
+/// The LRU walk over a block. A > 0 fixes the associativity at compile
+/// time; A == 0 reads it from the config. Stamps picks access-stamp LRU
+/// (above kMaxOrderWays ways) over the packed order word. The two set
+/// forms differ only in where a reference's set lives: OneSet copies the
+/// single set into locals for the whole block (no split, and no way
+/// state the stores into `refs` could alias); the many-set form splits
+/// each address and works on the member arrays. Only the compiled
+/// packed-order instances have a one-set form (the scaled-down L1s).
+template <std::uint32_t A, bool OneSet, bool Stamps>
 std::size_t Cache::walk(MemRef* refs, std::size_t n) {
-  constexpr bool kStamps = A > kMaxOrderWays;
-  static_assert(!(OneSet && kStamps), "no one-set stamp walker");
+  static_assert(A == 0 || Stamps == (A > kMaxOrderWays),
+                "a compiled instance's width decides its LRU state");
+  static_assert(!OneSet || (A != 0 && !Stamps),
+                "one-set walkers are compiled packed-order instances");
+  const std::uint32_t ways = A != 0 ? A : cfg_.associativity;
   const std::uint32_t line_shift = line_shift_;
   const std::uint64_t num_sets = num_sets_;
   const std::uint32_t set_shift = set_shift_;
   std::uint64_t hits = 0, misses = 0, writebacks = 0;
-  std::uint64_t stamp = kStamps ? stamp_ : 0;
+  std::uint64_t stamp = Stamps ? stamp_ : 0;
 
-  std::uint64_t one_tags[A];
-  std::uint8_t one_flags[A];
+  std::uint64_t one_tags[OneSet ? A : 1];
+  std::uint8_t one_flags[OneSet ? A : 1];
   std::uint64_t one_order = 0;
   std::uint8_t one_valid = 0;
   if constexpr (OneSet) {
@@ -243,30 +142,30 @@ std::size_t Cache::walk(MemRef* refs, std::size_t n) {
         set = line - tag * num_sets;
       }
     }
-    const std::size_t base = static_cast<std::size_t>(set) * A;
+    const std::size_t base = static_cast<std::size_t>(set) * ways;
     std::uint64_t* const tags = OneSet ? one_tags : tags_.data() + base;
     std::uint8_t* const flags = OneSet ? one_flags : flags_.data() + base;
 
     std::uint32_t victim;
-    if constexpr (kStamps) {
+    if constexpr (Stamps) {
       std::uint64_t* const stamps = stamps_.data() + base;
       ++stamp;
-      std::uint32_t hit = A;
-      for (std::uint32_t w = 0; w < A; ++w) {
+      std::uint32_t hit = ways;
+      for (std::uint32_t w = 0; w < ways; ++w) {
         if (tags[w] == tag) hit = w;
       }
-      if (hit != A) {
+      if (hit != ways) {
         stamps[hit] = stamp;
         if (write) flags[hit] |= kDirty;
         ++hits;
         continue;
       }
       // The last minimum stamp. Invalid ways hold 0 and valid stamps are
-      // unique and at least 1, so this is access_stamps' rule: the last
-      // invalid way while the set fills, the LRU way after.
+      // unique and at least 1, so this is the seed replica's rule: the
+      // last invalid way while the set fills, the LRU way after.
       victim = 0;
       std::uint64_t oldest = stamps[0];
-      for (std::uint32_t w = 1; w < A; ++w) {
+      for (std::uint32_t w = 1; w < ways; ++w) {
         if (stamps[w] <= oldest) {
           oldest = stamps[w];
           victim = w;
@@ -278,33 +177,37 @@ std::size_t Cache::walk(MemRef* refs, std::size_t n) {
       std::uint8_t* const valid_slot = OneSet ? &one_valid : &valid_count_[set];
       std::uint64_t order = *order_slot;
 
-      const auto mru = static_cast<std::uint32_t>(order >> (4 * (A - 1))) & 0xF;
+      // MRU-first probe: a repeat of the most recent way needs no reorder.
+      const auto mru =
+          static_cast<std::uint32_t>(order >> (4 * (ways - 1))) & 0xF;
       if (tags[mru] == tag) {
         if (write) flags[mru] |= kDirty;
         ++hits;
         continue;
       }
 
-      std::uint32_t hit = A;
-      for (std::uint32_t w = 0; w < A; ++w) {
+      std::uint32_t hit = ways;
+      for (std::uint32_t w = 0; w < ways; ++w) {
         if (tags[w] == tag) hit = w;
       }
-      if (hit != A) {
-        *order_slot = move_to_front<A>(order, find_rank<A>(order, hit), hit);
+      if (hit != ways) {
+        *order_slot =
+            move_to_front(order, find_rank(order, hit, ways), hit, ways);
         if (write) flags[hit] |= kDirty;
         ++hits;
         continue;
       }
 
       const std::uint8_t valid = *valid_slot;
-      if (valid < A) {
-        victim = A - 1 - valid;  // last invalid way (prefix invariant)
+      if (valid < ways) {
+        victim = ways - 1 - valid;  // last invalid way (prefix invariant)
         *valid_slot = static_cast<std::uint8_t>(valid + 1);
-        order = move_to_front<A>(order, find_rank<A>(order, victim), victim);
+        order =
+            move_to_front(order, find_rank(order, victim, ways), victim, ways);
       } else {
         victim = static_cast<std::uint32_t>(order & 0xF);
         order = (order >> 4) |
-                (static_cast<std::uint64_t>(victim) << (4 * (A - 1)));
+                (static_cast<std::uint64_t>(victim) << (4 * (ways - 1)));
       }
       *order_slot = order;
     }
@@ -324,18 +227,10 @@ std::size_t Cache::walk(MemRef* refs, std::size_t n) {
     order_[0] = one_order;
     valid_count_[0] = one_valid;
   }
-  if constexpr (kStamps) stamp_ = stamp;
+  if constexpr (Stamps) stamp_ = stamp;
   stats_.hits += hits;
   stats_.misses += misses;
   stats_.writebacks += writebacks;
-  return out;
-}
-
-std::size_t Cache::walk_each(MemRef* refs, std::size_t n) {
-  std::size_t out = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!access(refs[i].addr, refs[i].write)) refs[out++] = refs[i];
-  }
   return out;
 }
 
@@ -346,18 +241,19 @@ Cache::Walker Cache::pick_walker() const {
     Walker walk;
   };
   static constexpr Instance kCatalogue[] = {
-      {8, true, &Cache::walk<8, true>},
-      {8, false, &Cache::walk<8, false>},
-      {16, true, &Cache::walk<16, true>},
-      {16, false, &Cache::walk<16, false>},
-      {20, false, &Cache::walk<20, false>},
+      {8, true, &Cache::walk<8, true, false>},
+      {8, false, &Cache::walk<8, false, false>},
+      {16, true, &Cache::walk<16, true, false>},
+      {16, false, &Cache::walk<16, false, false>},
+      {20, false, &Cache::walk<20, false, true>},
   };
   for (const Instance& inst : kCatalogue) {
     if (inst.assoc == cfg_.associativity && inst.one_set == (num_sets_ == 1)) {
       return inst.walk;
     }
   }
-  return &Cache::walk_each;
+  return order_mode_ ? &Cache::walk<0, false, false>
+                     : &Cache::walk<0, false, true>;
 }
 
 void Cache::clear() {

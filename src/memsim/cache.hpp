@@ -3,9 +3,9 @@
 // hierarchy; Hierarchy stacks them (memsim/hierarchy.hpp).
 //
 // The replay loop is the study pipeline's hot path, so the lookup is
-// engineered for throughput while staying bit-identical to the
-// straightforward scalar formulation (the tests and bench replay both
-// and compare statistics exactly):
+// engineered for throughput while staying bit-identical to the seed's
+// one-struct-per-way stamp-LRU cache (tests/memsim_test's BaselineCache
+// replica is the oracle every walker is compared with):
 //
 //  - ways live in compact per-set arrays (tags/flags), with invalid
 //    ways holding a sentinel tag so the hit scan is a pure compare;
@@ -17,14 +17,15 @@
 //    nibble (O(1) instead of a stamp scan per miss) and a repeat access
 //    to the most recent way is recognized with a single compare. Wider
 //    caches fall back to classic LRU stamps;
-//  - access_many() filters whole reference blocks (the miss stream the
-//    next level consumes) through one block walker, picked once at
-//    construction from a small catalogue of compile-time instances:
-//    8, 16 and 20 ways (every level the Table I machines and their
-//    variants build; 20 is BDW's stamp-LRU LLC), each in a many-set
-//    form, and 8 and 16 ways also in a one-set form that keeps the whole
-//    set in locals (the scaled-down L1s collapse to one set). Every other
-//    geometry walks through access().
+//  - one LRU walker filters whole reference blocks (the miss stream the
+//    next level consumes). access_many() runs the instance picked once
+//    at construction: 8, 16 and 20 ways have compile-time instances
+//    (every level the Table I machines and their variants build; 20 is
+//    BDW's stamp-LRU LLC), each in a many-set form, and 8 and 16 ways
+//    also in a one-set form that keeps the whole set in locals (the
+//    scaled-down L1s collapse to one set). Every other geometry runs the
+//    many-set walker with the associativity read at run time. access()
+//    is a one-reference access_many().
 #pragma once
 
 #include <cstddef>
@@ -77,7 +78,7 @@ class Cache {
   /// Access refs[0..n): misses are compacted to the front of `refs` in
   /// order (they are the reference stream the next-lower level sees)
   /// and their count returned. State and stats evolve exactly as n
-  /// scalar access() calls would.
+  /// access() calls would.
   std::size_t access_many(MemRef* refs, std::size_t n) {
     return (this->*walk_)(refs, n);
   }
@@ -103,32 +104,14 @@ class Cache {
   static constexpr std::uint32_t kNoShift = ~0u;
   /// Widest associativity a packed order word holds (4-bit way ids in
   /// 64 bits); wider caches keep access stamps. Decides both which state
-  /// a Cache allocates and which state a walk<A, OneSet> instance reads.
+  /// a Cache allocates and which state a walker reads.
   static constexpr std::uint32_t kMaxOrderWays = 16;
 
-  /// Split an address into (set, tag).
-  void split(std::uint64_t addr, std::uint64_t& set,
-             std::uint64_t& tag) const {
-    const std::uint64_t line = addr >> line_shift_;
-    if (set_shift_ != kNoShift) {
-      set = line & (num_sets_ - 1);
-      tag = line >> set_shift_;
-    } else {
-      tag = set_div_.div(line);
-      set = line - tag * num_sets_;
-    }
-  }
-
-  bool access_order(std::uint64_t set, std::uint64_t tag, bool write);
-  bool access_stamps(std::uint64_t set, std::uint64_t tag, bool write);
-
-  /// The block walkers: a compiled instance for A ways (packed order up
-  /// to kMaxOrderWays, stamps above), OneSet when the cache is a single
-  /// packed-order set; walk_each() is the access() loop every geometry
-  /// outside the catalogue uses.
-  template <std::uint32_t A, bool OneSet>
+  /// The block walker: an instance for A ways (A == 0: the config's),
+  /// with access stamps or a packed order word, OneSet when the cache is
+  /// a single packed-order set.
+  template <std::uint32_t A, bool OneSet, bool Stamps>
   std::size_t walk(MemRef* refs, std::size_t n);
-  std::size_t walk_each(MemRef* refs, std::size_t n);
   [[nodiscard]] Walker pick_walker() const;
 
   CacheConfig cfg_;
@@ -137,7 +120,7 @@ class Cache {
   std::uint32_t set_shift_ = kNoShift;  ///< valid when num_sets is pow2
   MagicDiv set_div_;                    ///< used when num_sets is not pow2
   bool order_mode_ = false;  ///< packed-order LRU (<= kMaxOrderWays ways)
-  Walker walk_ = &Cache::walk_each;
+  Walker walk_ = nullptr;
   // Way state as parallel per-set arrays (index = set * assoc + way).
   std::vector<std::uint64_t> tags_;
   std::vector<std::uint8_t> flags_;  ///< kValid | kDirty

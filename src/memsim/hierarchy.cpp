@@ -142,10 +142,10 @@ std::vector<HierarchyResult> Hierarchy::replay(TraceSource& src,
   const std::size_t upper = levels_.size() - 1;
   // Per level L, the accesses it sees are level L-1's misses in order,
   // so filtering a whole block level by level replays exactly the same
-  // per-cache access sequences as the scalar reference walk. A sibling's
-  // levels above the last equal these, so its last level sees exactly
-  // this last level's input. A finite source may produce a short block;
-  // run() reports how many references it actually replayed.
+  // per-cache access sequences as walking one reference at a time. A
+  // sibling's levels above the last equal these, so its last level sees
+  // exactly this last level's input. A finite source may produce a short
+  // block; run() reports how many references it actually replayed.
   auto run = [&](std::uint64_t count) -> std::uint64_t {
     std::uint64_t done = 0;
     while (count > 0) {
@@ -222,30 +222,6 @@ HierarchyResult Hierarchy::result(std::uint64_t refs,
     r.levels.push_back({names_[i], levels_[i].stats()});
   }
   r.levels.push_back({last.names_.back(), last.levels_.back().stats()});
-  return r;
-}
-
-HierarchyResult Hierarchy::replay_scalar(TraceGenerator& gen,
-                                         std::uint64_t refs,
-                                         std::uint64_t warmup) {
-  for (auto& c : levels_) c.clear();
-  auto run = [&](std::uint64_t count) {
-    for (std::uint64_t i = 0; i < count; ++i) {
-      const MemRef ref = gen.next();
-      for (auto& level : levels_) {
-        const bool hit = level.access(ref.addr, ref.write);
-        if (hit) break;
-      }
-    }
-  };
-  run(warmup);
-  for (auto& c : levels_) c.reset_stats();
-  run(refs);
-  HierarchyResult r;
-  r.refs = refs;
-  for (std::size_t i = 0; i < levels_.size(); ++i) {
-    r.levels.push_back({names_[i], levels_[i].stats()});
-  }
   return r;
 }
 

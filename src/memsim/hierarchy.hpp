@@ -29,7 +29,7 @@ struct LevelResult {
 
 /// Result of replaying a trace through the hierarchy. Two replays of one
 /// reference stream through one geometry compare equal, whichever path
-/// (batched, scalar, shared pass, file-backed) ran them.
+/// (own or shared pass, synthetic or file-backed source) ran them.
 struct HierarchyResult {
   std::vector<LevelResult> levels;
   std::uint64_t refs = 0;
@@ -68,7 +68,7 @@ class Hierarchy {
   explicit Hierarchy(const arch::CpuSpec& cpu, unsigned scale_shift = 6);
 
   /// Replay up to `refs` references from a source. Working-set
-  /// footprints behind the source must be pre-scaled by scaled_bytes().
+  /// footprints behind the source must be pre-scaled by scale_spec().
   /// The first `warmup` references fill the caches without being
   /// counted, so the result reflects steady-state hit rates. A finite
   /// source (FileTraceSource) may run dry early; the result's `refs`
@@ -78,7 +78,8 @@ class Hierarchy {
   /// (TraceSource::fill) and each level filters a whole block to the
   /// miss stream the next level consumes (Cache::access_many), hoisting
   /// source dispatch and the level loop out of the per-reference path.
-  /// Results are bit-identical to replay_scalar().
+  /// Results are bit-identical to walking each reference down the levels
+  /// one at a time (tests/memsim_test's seed replica).
   HierarchyResult replay(TraceSource& src, std::uint64_t refs,
                          std::uint64_t warmup = 0);
 
@@ -92,18 +93,6 @@ class Hierarchy {
   std::vector<HierarchyResult> replay(TraceSource& src, std::uint64_t refs,
                                       std::uint64_t warmup,
                                       std::span<Hierarchy> siblings);
-
-  /// Reference implementation: one gen.next() and one full level walk
-  /// per reference. Kept as the oracle the batched path is verified
-  /// against (tests/memsim_test's BatchedIdentity, tests/trace_test).
-  HierarchyResult replay_scalar(TraceGenerator& gen, std::uint64_t refs,
-                                std::uint64_t warmup = 0);
-
-  /// Scale a full-size footprint to the simulated geometry.
-  [[nodiscard]] std::uint64_t scaled_bytes(std::uint64_t full) const {
-    const std::uint64_t s = full >> scale_shift_;
-    return s > 0 ? s : 64;
-  }
 
   [[nodiscard]] unsigned scale_shift() const { return scale_shift_; }
   [[nodiscard]] std::size_t num_levels() const { return levels_.size(); }

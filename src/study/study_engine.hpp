@@ -39,8 +39,8 @@
 
 namespace fpr::study {
 
-/// Execution counters for the run-count assertions in tests and for the
-/// throughput bench's sanity output.
+/// Execution counters for the run-count assertions in tests, the CLI's
+/// summary headings and fprbench's counts.
 struct EngineStats {
   std::uint64_t kernel_runs = 0;    ///< instrumented kernel executions
   std::uint64_t machine_evals = 0;  ///< completed (kernel, machine) stages

@@ -275,15 +275,15 @@ TEST(LayerViolation, RanksFollowTheArchitectureDag) {
   EXPECT_EQ(fpr::lint::layer_rank("io"), 7);
   EXPECT_EQ(fpr::lint::layer_rank("src/cli/cli.cpp"), 8);
   EXPECT_EQ(fpr::lint::layer_rank("tools/lint/main.cpp"), -1);
-  EXPECT_EQ(fpr::lint::layer_rank("bench/memsim_replay.cpp"), -1);
+  EXPECT_EQ(fpr::lint::layer_rank("examples/quickstart.cpp"), -1);
 }
 
 TEST(LayerViolation, SinksAndSystemIncludesAreExempt) {
-  // tools/, bench/, tests/ may include anything.
+  // tools/, examples/, tests/ may include anything.
   EXPECT_FALSE(fired(lint_source("tools/trace/main.cpp",
                                  "#include \"cli/cli.hpp\"\nint g;\n"),
                      "layer-violation"));
-  EXPECT_FALSE(fired(lint_source("bench/x.cpp",
+  EXPECT_FALSE(fired(lint_source("examples/x.cpp",
                                  "#include \"study/study.hpp\"\nvoid f();\n"),
                      "layer-violation"));
   // Angle-bracket/system includes never form edges.

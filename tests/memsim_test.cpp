@@ -177,12 +177,6 @@ TEST(Hierarchy, HugeGatherMissesMcdram) {
   EXPECT_GT(res.dram_fraction(), 0.5);
 }
 
-TEST(Hierarchy, ScaledBytesFloorsAtLine) {
-  Hierarchy h(arch::knl(), 6);
-  EXPECT_EQ(h.scaled_bytes(1), 64u);
-  EXPECT_EQ(h.scaled_bytes(1 << 20), (1u << 20) >> 6);
-}
-
 TEST(Bandwidth, BdwIsJustDram) {
   const auto bw = effective_bandwidth(arch::bdw(), 1 << 30, 0.0);
   EXPECT_DOUBLE_EQ(bw.effective_gbs, arch::bdw().dram_bw_gbs);
@@ -412,7 +406,104 @@ TEST(TraceGen, GatherStaysInsideDeclaredFootprint) {
 }
 
 // ---------------------------------------------------------------------
-// Batched generation and replay: bit-identical to the scalar oracle.
+// Seed replica: the cache as it was before the compact layout and the
+// block walkers, kept as an oracle that shares no code with Cache and
+// as the speed floor the production replay must stay above.
+
+/// One Way struct per line, valid/tag/lru triple-branch scan with early
+/// exit, modulo set indexing via hardware divide. Semantically identical
+/// to Cache by design.
+class BaselineCache {
+ public:
+  explicit BaselineCache(const CacheConfig& cfg) : cfg_(cfg) {
+    num_sets_ = cfg_.num_sets();
+    line_shift_ = static_cast<std::uint32_t>(std::countr_zero(cfg_.line_bytes));
+    ways_.resize(cfg_.num_lines());
+  }
+
+  bool access(std::uint64_t addr, bool write) {
+    const std::uint64_t line = addr >> line_shift_;
+    const std::uint64_t set = line % num_sets_;
+    const std::uint64_t tag = line / num_sets_;
+    Way* base = &ways_[set * cfg_.associativity];
+    ++stamp_;
+    Way* victim = base;
+    for (std::uint32_t w = 0; w < cfg_.associativity; ++w) {
+      Way& way = base[w];
+      if (way.valid && way.tag == tag) {
+        way.lru = stamp_;
+        way.dirty = way.dirty || write;
+        ++stats_.hits;
+        return true;
+      }
+      if (!way.valid) {
+        victim = &way;
+      } else if (victim->valid && way.lru < victim->lru) {
+        victim = &way;
+      }
+    }
+    ++stats_.misses;
+    if (victim->valid && victim->dirty) ++stats_.writebacks;
+    victim->valid = true;
+    victim->tag = tag;
+    victim->lru = stamp_;
+    victim->dirty = write;
+    return false;
+  }
+
+  void reset_stats() { stats_ = CacheStats{}; }
+  [[nodiscard]] const CacheStats& stats() const { return stats_; }
+
+ private:
+  struct Way {
+    std::uint64_t tag = 0;
+    std::uint64_t lru = 0;
+    bool valid = false;
+    bool dirty = false;
+  };
+  CacheConfig cfg_;
+  std::uint64_t num_sets_ = 0;
+  std::uint32_t line_shift_ = 0;
+  std::uint64_t stamp_ = 0;
+  std::vector<Way> ways_;
+  CacheStats stats_;
+};
+
+/// The seed replay loop over BaselineCache levels of the geometry
+/// Hierarchy builds for `cpu`: simulate_pattern's computation, one
+/// reference and one level walk at a time.
+HierarchyResult replica_replay(const arch::CpuSpec& cpu,
+                               const AccessPatternSpec& spec,
+                               std::uint64_t refs, std::uint64_t seed,
+                               unsigned scale_shift) {
+  const Hierarchy h(cpu, scale_shift);
+  std::vector<BaselineCache> levels;
+  for (std::size_t i = 0; i < h.num_levels(); ++i) {
+    levels.emplace_back(h.level_config(i));
+  }
+  TraceGenerator gen(scale_spec(spec, scale_shift), seed);
+  auto run = [&](std::uint64_t count) {
+    for (std::uint64_t i = 0; i < count; ++i) {
+      const MemRef ref = gen.next();
+      for (auto& level : levels) {
+        if (level.access(ref.addr, ref.write)) break;
+      }
+    }
+  };
+  run(refs);  // warmup, as simulate_pattern's
+  for (auto& l : levels) l.reset_stats();
+  run(refs);
+  HierarchyResult r;
+  r.refs = refs;
+  for (std::size_t i = 0; i < levels.size(); ++i) {
+    r.levels.push_back({h.level_name(i), levels[i].stats()});
+  }
+  return r;
+}
+
+// ---------------------------------------------------------------------
+// Batched generation and replay: bit-identical to TraceGenerator::next
+// and to the seed replica.
 
 std::vector<AccessPatternSpec> all_pattern_specs() {
   std::vector<AccessPatternSpec> specs;
@@ -486,24 +577,12 @@ TEST_P(BatchedIdentity, FillAndNextInterleaveCleanly) {
   }
 }
 
-TEST_P(BatchedIdentity, ReplayMatchesScalarReplay) {
+TEST_P(BatchedIdentity, ReplayMatchesTheSeedReplica) {
   const auto spec = all_pattern_specs()[GetParam()];
   for (const auto& cpu : arch::all_machines()) {
-    Hierarchy hb(cpu, 6);
-    Hierarchy hs(cpu, 6);
-    SyntheticTraceSource gb(spec, 3);
-    TraceGenerator gs(spec, 3);
-    const auto rb = hb.replay(gb, 40'000, 10'000);
-    const auto rs = hs.replay_scalar(gs, 40'000, 10'000);
-    ASSERT_EQ(rb.levels.size(), rs.levels.size());
-    for (std::size_t i = 0; i < rb.levels.size(); ++i) {
-      EXPECT_EQ(rb.levels[i].name, rs.levels[i].name);
-      EXPECT_EQ(rb.levels[i].stats.hits, rs.levels[i].stats.hits)
-          << cpu.short_name << " level " << rb.levels[i].name;
-      EXPECT_EQ(rb.levels[i].stats.misses, rs.levels[i].stats.misses);
-      EXPECT_EQ(rb.levels[i].stats.writebacks,
-                rs.levels[i].stats.writebacks);
-    }
+    EXPECT_TRUE(simulate_pattern(cpu, spec, 40'000, 3, 6) ==
+                replica_replay(cpu, spec, 40'000, 3, 6))
+        << cpu.short_name;
   }
 }
 
@@ -627,100 +706,8 @@ TEST(SharedPass, RejectsASiblingWithDifferentUpperLevels) {
 }
 
 // ---------------------------------------------------------------------
-// Seed replica: the cache as it was before the compact layout and the
-// block walkers, kept as an oracle that shares no code with Cache and
-// as the speed floor the production replay must stay above.
-
-/// One Way struct per line, valid/tag/lru triple-branch scan with early
-/// exit, modulo set indexing via hardware divide. Semantically identical
-/// to Cache by design.
-class BaselineCache {
- public:
-  explicit BaselineCache(const CacheConfig& cfg) : cfg_(cfg) {
-    num_sets_ = cfg_.num_sets();
-    line_shift_ = static_cast<std::uint32_t>(std::countr_zero(cfg_.line_bytes));
-    ways_.resize(cfg_.num_lines());
-  }
-
-  bool access(std::uint64_t addr, bool write) {
-    const std::uint64_t line = addr >> line_shift_;
-    const std::uint64_t set = line % num_sets_;
-    const std::uint64_t tag = line / num_sets_;
-    Way* base = &ways_[set * cfg_.associativity];
-    ++stamp_;
-    Way* victim = base;
-    for (std::uint32_t w = 0; w < cfg_.associativity; ++w) {
-      Way& way = base[w];
-      if (way.valid && way.tag == tag) {
-        way.lru = stamp_;
-        way.dirty = way.dirty || write;
-        ++stats_.hits;
-        return true;
-      }
-      if (!way.valid) {
-        victim = &way;
-      } else if (victim->valid && way.lru < victim->lru) {
-        victim = &way;
-      }
-    }
-    ++stats_.misses;
-    if (victim->valid && victim->dirty) ++stats_.writebacks;
-    victim->valid = true;
-    victim->tag = tag;
-    victim->lru = stamp_;
-    victim->dirty = write;
-    return false;
-  }
-
-  void reset_stats() { stats_ = CacheStats{}; }
-  [[nodiscard]] const CacheStats& stats() const { return stats_; }
-
- private:
-  struct Way {
-    std::uint64_t tag = 0;
-    std::uint64_t lru = 0;
-    bool valid = false;
-    bool dirty = false;
-  };
-  CacheConfig cfg_;
-  std::uint64_t num_sets_ = 0;
-  std::uint32_t line_shift_ = 0;
-  std::uint64_t stamp_ = 0;
-  std::vector<Way> ways_;
-  CacheStats stats_;
-};
-
-/// The seed replay loop over BaselineCache levels of the geometry
-/// Hierarchy builds for `cpu`: simulate_pattern's computation, one
-/// reference and one level walk at a time.
-HierarchyResult replica_replay(const arch::CpuSpec& cpu,
-                               const AccessPatternSpec& spec,
-                               std::uint64_t refs, std::uint64_t seed,
-                               unsigned scale_shift) {
-  const Hierarchy h(cpu, scale_shift);
-  std::vector<BaselineCache> levels;
-  for (std::size_t i = 0; i < h.num_levels(); ++i) {
-    levels.emplace_back(h.level_config(i));
-  }
-  TraceGenerator gen(scale_spec(spec, scale_shift), seed);
-  auto run = [&](std::uint64_t count) {
-    for (std::uint64_t i = 0; i < count; ++i) {
-      const MemRef ref = gen.next();
-      for (auto& level : levels) {
-        if (level.access(ref.addr, ref.write)) break;
-      }
-    }
-  };
-  run(refs);  // warmup, as simulate_pattern's
-  for (auto& l : levels) l.reset_stats();
-  run(refs);
-  HierarchyResult r;
-  r.refs = refs;
-  for (std::size_t i = 0; i < levels.size(); ++i) {
-    r.levels.push_back({h.level_name(i), levels[i].stats()});
-  }
-  return r;
-}
+// The seed replica against every walker the Table I machines build, and
+// the speed floor the production replay must stay above.
 
 TEST(SeedReplica, HierarchyReplayMatchesOnEveryWalker) {
   // At the model's scale shift the three machines build every block
@@ -801,12 +788,13 @@ TEST(Hierarchy, LevelLineLimitAdmitsTableIAndNamesTheLevel) {
   }
 }
 
-TEST(Cache, AccessManyMatchesScalarAccess) {
-  // Random traffic through equal caches: every block walker in the
-  // catalogue (8 and 16 ways one-set and many-set, 20 ways many-set, the
-  // many-set forms with both power-of-two and magic-division set counts)
-  // plus the access() loop for a one-set 20-way cache, a generic
-  // packed-order associativity and a wider stamp cache.
+TEST(Cache, AccessManyMatchesTheSeedReplica) {
+  // Random traffic through a cache and the seed replica: every block
+  // walker in the catalogue (8 and 16 ways one-set and many-set, 20 ways
+  // many-set, the many-set forms with both power-of-two and
+  // magic-division set counts) plus the walkers that read the
+  // associativity at run time, one-set and many-set: packed order at 1,
+  // 2, 4 and 6 ways, stamps at 20 and 24 ways.
   // The footprint is twice each cache's capacity, so hits are common
   // and any slip in LRU order or in state carried between blocks
   // changes the miss stream.
@@ -820,12 +808,19 @@ TEST(Cache, AccessManyMatchesScalarAccess) {
       {.size_bytes = 64 * 20, .line_bytes = 64, .associativity = 20},
       {.size_bytes = 8 * 64 * 20, .line_bytes = 64, .associativity = 20},
       {.size_bytes = 3 * 64 * 20, .line_bytes = 64, .associativity = 20},
+      {.size_bytes = 64, .line_bytes = 64, .associativity = 1},
+      {.size_bytes = 5 * 64, .line_bytes = 64, .associativity = 1},
+      {.size_bytes = 64 * 2, .line_bytes = 64, .associativity = 2},
+      {.size_bytes = 3 * 64 * 2, .line_bytes = 64, .associativity = 2},
+      {.size_bytes = 64 * 4, .line_bytes = 64, .associativity = 4},
+      {.size_bytes = 7 * 64 * 4, .line_bytes = 64, .associativity = 4},
       {.size_bytes = 5 * 64 * 6, .line_bytes = 64, .associativity = 6},
+      {.size_bytes = 64 * 24, .line_bytes = 64, .associativity = 24},
       {.size_bytes = 24 * 64 * 24, .line_bytes = 64, .associativity = 24},
   };
   for (const auto& cfg : configs) {
-    Cache a(cfg);
-    Cache b(cfg);
+    BaselineCache want(cfg);
+    Cache got(cfg);
     Xoshiro256 rng(5);
     std::vector<MemRef> refs(2048);
     for (int round = 0; round < 8; ++round) {
@@ -833,20 +828,20 @@ TEST(Cache, AccessManyMatchesScalarAccess) {
         r.addr = rng.below(2 * cfg.size_bytes);
         r.write = rng.uniform() < 0.3;
       }
-      std::vector<MemRef> scalar_misses;
+      std::vector<MemRef> misses;
       for (const auto& r : refs) {
-        if (!a.access(r.addr, r.write)) scalar_misses.push_back(r);
+        if (!want.access(r.addr, r.write)) misses.push_back(r);
       }
       std::vector<MemRef> batch = refs;
-      const std::size_t live = b.access_many(batch.data(), batch.size());
-      ASSERT_EQ(live, scalar_misses.size());
+      const std::size_t live = got.access_many(batch.data(), batch.size());
+      ASSERT_EQ(live, misses.size())
+          << cfg.associativity << " ways, " << cfg.num_sets() << " set(s)";
       for (std::size_t i = 0; i < live; ++i) {
-        ASSERT_EQ(batch[i].addr, scalar_misses[i].addr);
-        ASSERT_EQ(batch[i].write, scalar_misses[i].write);
+        ASSERT_EQ(batch[i].addr, misses[i].addr);
+        ASSERT_EQ(batch[i].write, misses[i].write);
       }
-      EXPECT_EQ(a.stats().hits, b.stats().hits);
-      EXPECT_EQ(a.stats().misses, b.stats().misses);
-      EXPECT_EQ(a.stats().writebacks, b.stats().writebacks);
+      EXPECT_TRUE(got.stats() == want.stats())
+          << cfg.associativity << " ways, " << cfg.num_sets() << " set(s)";
     }
   }
 }

@@ -167,8 +167,8 @@ TEST(CacheStackProperty, MoreWaysNeverLowerHitsAtFixedSetCount) {
   // contents are its A most recent lines, a subset of its (A+k)-way
   // contents, so every hit at A is a hit at A+k on the same trace. The
   // sweep crosses every block walker form (one-set and many-set, pow2
-  // and magic-division set counts), the access() loop the other
-  // packed-order widths take, and the stamp path above 16 ways.
+  // and magic-division set counts), the run-time-associativity walker
+  // the other packed-order widths take, and the stamp path above 16 ways.
   const std::uint64_t set_counts[] = {1, 3, 4};
   const std::uint32_t ways[] = {2, 4, 6, 8, 16, 20, 24};
   for (const std::uint64_t sets : set_counts) {

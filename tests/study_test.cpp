@@ -129,8 +129,9 @@ TEST_F(StudyTest, Fig7ProjectionInPaperBallpark) {
   const auto& sites = site_utilization();
   EXPECT_EQ(sites.size(), 8u);
   for (const auto& s : sites) EXPECT_NEAR(s.total(), 1.0, 0.05);
-  // Full-suite projections are exercised in the bench; here: the
-  // projection function stays within (0, 100) and the figure renders.
+  // Full-suite projections are exercised by `fpr report` (CTest
+  // fpr_results_doc); here: the projection function stays within
+  // (0, 100) and the figure renders.
   const auto table = fig7_site_utilization(results());
   EXPECT_EQ(table.num_rows(), 8u);
 }

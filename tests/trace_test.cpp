@@ -387,10 +387,10 @@ TEST(TraceFormat, TextConvertRoundTripAndErrors) {
 }
 
 // The tentpole property: recording a synthetic pattern and replaying the
-// file reproduces the scalar synthetic replay's statistics exactly — for
-// every pattern class, on every Table I machine, with refs deliberately
-// not a multiple of the chunk size.
-TEST(RecordReplay, FileReplayMatchesSyntheticScalarEverywhere) {
+// file reproduces the synthetic replay's statistics exactly — for every
+// pattern class, on every Table I machine, with refs deliberately not a
+// multiple of the chunk size.
+TEST(RecordReplay, FileReplayMatchesSyntheticEverywhere) {
   constexpr std::uint64_t kRefs = 30011;  // prime: never chunk-aligned
   constexpr std::uint64_t kWarmup = kRefs;
   constexpr unsigned kShift = 8;
@@ -402,8 +402,8 @@ TEST(RecordReplay, FileReplayMatchesSyntheticScalarEverywhere) {
     record_spec(path, scaled, kSeed, kWarmup + kRefs);
     for (const auto& cpu : machines) {
       Hierarchy hs(cpu, kShift);
-      TraceGenerator gen(scaled, kSeed);
-      const auto want = hs.replay_scalar(gen, kRefs, kWarmup);
+      SyntheticTraceSource synth(scaled, kSeed);
+      const auto want = hs.replay(synth, kRefs, kWarmup);
 
       Hierarchy hf(cpu, kShift);
       io::FileTraceSource src(path);

@@ -330,13 +330,13 @@ Prepared prepare(std::string_view text) {
 // ---------------------------------------------------------------------------
 
 // Repo-relative tail of `path`: the substring starting at its last
-// "src/" (or "tools/", "bench/", "tests/") path component, or the
-// normalized path itself when none.
+// "src/" (or "tools/", "tests/") path component, or the normalized path
+// itself when none.
 std::string repo_rel(const std::string& path) {
   std::string norm = path;
   std::replace(norm.begin(), norm.end(), '\\', '/');
   if (norm.rfind("./", 0) == 0) norm.erase(0, 2);
-  for (const char* root : {"src/", "tools/", "bench/", "tests/"}) {
+  for (const char* root : {"src/", "tools/", "tests/"}) {
     if (norm.rfind(root, 0) == 0) return norm;
     const auto at = norm.rfind("/" + std::string(root));
     if (at != std::string::npos) return norm.substr(at + 1);
@@ -731,7 +731,7 @@ std::string dag_string() {
 void scan_layering(Prepared& p, const std::string& rel,
                    const std::string& file, std::vector<Finding>& out) {
   const int from = layer_rank(rel);
-  if (from < 0) return;  // tools/, bench/, tests/ are sinks
+  if (from < 0) return;  // tools/, examples/, tests/ are sinks
   for (const auto& inc : p.includes) {
     std::string target = inc.target;
     if (starts_with(target, "src/")) target = target.substr(4);

@@ -73,7 +73,7 @@ struct SourceFile {
 /// (rules are scoped by directory, e.g. nondeterministic-call only
 /// fires under src/{memsim,model,study,arch,io}); it is matched on its
 /// repo-relative tail, so absolute paths work as long as they contain
-/// a "src/" (or "tools/", "bench/") component. Equivalent to
+/// a "src/" (or "tools/", "tests/") component. Equivalent to
 /// lint_sources with one file: project passes that need more than one
 /// file simply find nothing.
 [[nodiscard]] std::vector<Finding> lint_source(
@@ -126,7 +126,7 @@ struct IncludeGraph {
 /// Architecture layer rank of a repo-relative path or of a bare
 /// directory name: common=0, counters=1, arch=2, memsim=3, kernels=4,
 /// model=5, study=6, io=7, cli=8. Returns -1 for unlayered paths
-/// (tools/, bench/, tests/ are sinks and may include anything).
+/// (tools/, examples/, tests/ are sinks and may include anything).
 [[nodiscard]] int layer_rank(const std::string& rel_or_dir);
 
 /// The layer directory names in rank order (see layer_rank).
