@@ -82,15 +82,17 @@ WorkloadMeasurement MiniTri::run(ExecutionContext& ctx,
         g.n, [&](std::size_t lo, std::size_t hi, unsigned) {
           std::uint64_t local = 0, iops = 0, branches = 0, best_edge = 0;
           for (std::size_t u = lo; u < hi; ++u) {
-            const auto* ubeg = &g.adj[g.offsets[u]];
-            const auto* uend = &g.adj[g.offsets[u + 1]];
+            // data() + offset, not &adj[offset]: the last vertex's end
+            // offset is adj.size(), which operator[] may not take.
+            const auto* ubeg = g.adj.data() + g.offsets[u];
+            const auto* uend = g.adj.data() + g.offsets[u + 1];
             for (const auto* pv = ubeg; pv != uend; ++pv) {
               const std::uint32_t v = *pv;
               if (v <= u) continue;
               // Intersect adj(u) and adj(v), counting w > v.
               const auto* pa = pv + 1;  // neighbours of u greater than v
-              const auto* pb = &g.adj[g.offsets[v]];
-              const auto* eb = &g.adj[g.offsets[v + 1]];
+              const auto* pb = g.adj.data() + g.offsets[v];
+              const auto* eb = g.adj.data() + g.offsets[v + 1];
               std::uint64_t edge_tri = 0;
               while (pa != uend && pb != eb) {
                 iops += 3;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <numeric>
 #include <stdexcept>
 
@@ -18,60 +19,68 @@ std::uint64_t align_up(std::uint64_t v, std::uint64_t a) {
   return (v + a - 1) / a * a;
 }
 
+std::uint64_t gather_table_bytes(const GatherPattern& p) {
+  return std::max<std::uint64_t>(p.table_bytes, 512);
+}
+
+// Floor at a few cache lines only: scaled-down tiles must stay small
+// enough to preserve the blocking locality they model.
+std::uint64_t blocked_tile_bytes(const BlockedPattern& p) {
+  return std::max<std::uint64_t>(p.tile_bytes, 256);
+}
+
+std::uint64_t chase_node_bytes(const ChasePattern& p) {
+  return std::max<std::uint32_t>(p.node_bytes, 8);
+}
+
+/// Why component `c` cannot drive a trace, or nullptr when it can.
+const char* component_error(const AccessPatternSpec::Component& c) {
+  if (!std::isfinite(c.weight) || c.weight <= 0.0) {
+    return "weight must be finite and > 0";
+  }
+  if (const auto* g = std::get_if<GatherPattern>(&c.pattern)) {
+    if (g->elem_bytes == 0) return "elem_bytes must be > 0";
+    if (g->elem_bytes > gather_table_bytes(*g)) {
+      return "elem_bytes must not exceed the table";
+    }
+  }
+  if (const auto* b = std::get_if<BlockedPattern>(&c.pattern)) {
+    // gen_n converts it to an integer phase length.
+    if (!(b->tile_reuse < 0x1p63)) return "tile_reuse must be below 2^63";
+  }
+  return nullptr;
+}
+
 }  // namespace
 
 struct TraceGenerator::ComponentState {
   Pattern pattern;
   std::uint64_t base = 0;
   Xoshiro256 rng;
-  // Cursor state, interpretation depends on the pattern alternative.
-  std::uint64_t pos = 0;
-  std::uint64_t aux = 0;
-  std::vector<std::uint32_t> chase_order;  // for ChasePattern
-  // Batch-path accelerators (lazily built; never touch the RNG except
-  // build_chase_order, which consumes exactly what the scalar build does).
+  // Running cursor; each gen_n names the fields its pattern uses. It
+  // starts at the trace's first reference and only gen_n moves it, so a
+  // trace split across fill() calls is the trace of one call.
+  std::array<std::uint64_t, 5> cur{};
+  // Built once, at construction, from the pattern alone.
+  std::vector<std::uint32_t> chase_order;  // ChasePattern: the ring
   std::vector<std::array<std::int64_t, 3>> stencil_offsets;
-  MagicDiv slot_div;  // gather/blocked slot modulo, hoisted per block
-  // Incremental cursor cache: gen_n's running offsets are pure functions
-  // of (pos, aux); deriving them costs divides, so they persist across
-  // calls keyed by the position they were left at. Mixtures dispatch
-  // short same-component runs, where re-deriving would dominate. A
-  // scalar gen() in between moves pos and simply invalidates the cache.
-  std::uint64_t cursor_pos = ~std::uint64_t{0};
-  std::uint64_t cur[5] = {0, 0, 0, 0, 0};
-
-  [[nodiscard]] bool cursor_valid() const { return cursor_pos == pos; }
-  void save_cursor(std::uint64_t a, std::uint64_t b = 0, std::uint64_t c = 0,
-                   std::uint64_t d = 0, std::uint64_t e = 0) {
-    cursor_pos = pos;
-    cur[0] = a;
-    cur[1] = b;
-    cur[2] = c;
-    cur[3] = d;
-    cur[4] = e;
-  }
+  MagicDiv slot_div;  // gather/blocked slot modulo
 
   ComponentState(Pattern p, std::uint64_t b, std::uint64_t seed)
-      : pattern(std::move(p)), base(b), rng(seed) {}
-
-  /// Lazily build the chase ring (Sattolo shuffle => one full cycle).
-  /// Factored out so the scalar and batch paths consume identical RNG.
-  void build_chase_order(std::uint64_t nodes) {
-    if (!chase_order.empty()) return;
-    chase_order.resize(nodes);
-    std::iota(chase_order.begin(), chase_order.end(), 0u);
-    for (std::uint64_t i = nodes - 1; i > 0; --i) {
-      const std::uint64_t j = rng.below(i);
-      std::swap(chase_order[i], chase_order[j]);
-    }
+      : pattern(std::move(p)), base(b), rng(seed) {
+    std::visit([this](const auto& pat) { prepare(pat); }, pattern);
   }
 
-  /// Precompute the (dx, dy, dz) neighbour offsets for stencil point k
-  /// (pure function of radius/box shape; the scalar path re-derives the
-  /// same values per reference).
-  void build_stencil_offsets(const StencilPattern& p, int r,
-                             std::uint64_t pts) {
-    if (stencil_offsets.size() == pts) return;
+  void prepare(const StreamPattern&) {}
+  void prepare(const StridedPattern&) {}
+
+  /// The (dx, dy, dz) neighbour offset of each stencil point.
+  void prepare(const StencilPattern& p) {
+    const int r = std::max(1, p.radius);
+    const std::uint64_t pts =
+        p.full_box ? static_cast<std::uint64_t>((2 * r + 1)) * (2 * r + 1) *
+                         (2 * r + 1)
+                   : static_cast<std::uint64_t>(6 * r + 1);
     stencil_offsets.assign(pts, {0, 0, 0});
     for (std::uint64_t k = 0; k < pts; ++k) {
       auto& d = stencil_offsets[k];
@@ -81,6 +90,7 @@ struct TraceGenerator::ComponentState {
         d[1] = static_cast<std::int64_t>((k / side) % side) - r;
         d[2] = static_cast<std::int64_t>(k / (side * side)) - r;
       } else if (k > 0) {
+        // star: center plus +-i along each axis
         const std::uint64_t axis = (k - 1) / (2 * r);
         const std::int64_t step =
             static_cast<std::int64_t>((k - 1) % (2 * r)) -
@@ -93,37 +103,45 @@ struct TraceGenerator::ComponentState {
     }
   }
 
-  MemRef generate() {
-    return std::visit([this](const auto& pat) { return gen(pat); }, pattern);
+  void prepare(const GatherPattern& p) {
+    slot_div = MagicDiv(gather_table_bytes(p) / p.elem_bytes);
+  }
+
+  /// The chase ring: a Sattolo shuffle, so one full cycle.
+  void prepare(const ChasePattern& p) {
+    const std::uint64_t nodes =
+        std::max<std::uint64_t>(p.footprint_bytes / chase_node_bytes(p), 16);
+    chase_order.resize(nodes);
+    std::iota(chase_order.begin(), chase_order.end(), 0u);
+    for (std::uint64_t i = nodes - 1; i > 0; --i) {
+      const std::uint64_t j = rng.below(i);
+      std::swap(chase_order[i], chase_order[j]);
+    }
+  }
+
+  void prepare(const BlockedPattern& p) {
+    slot_div = MagicDiv(blocked_tile_bytes(p) / 8);
   }
 
   /// Emit `n` consecutive references with a single variant dispatch.
-  /// Each pattern has a specialized block loop that derives the same
-  /// reference sequence incrementally (running offsets with one
-  /// conditional wrap instead of a div/mod per reference, hoisted
-  /// reciprocals for the RNG slot picks, precomputed stencil offset
-  /// tables). Bit-identity with n scalar gen() calls is the contract —
-  /// the memsim property tests replay both and compare exactly.
+  /// Each pattern's loop steps its cursor with one conditional wrap per
+  /// reference instead of a div/mod, picks random slots through the
+  /// hoisted reciprocal and reads the precomputed stencil offsets.
   void generate_n(MemRef* out, std::size_t n) {
     std::visit([&](const auto& pat) { gen_n(pat, out, n); }, pattern);
   }
 
   void gen_n(const StreamPattern& p, MemRef* out, std::size_t n) {
+    // Effective length rounds down to the 8 B element size, so the offset
+    // stays element-aligned across wraps when bytes_per_array is not a
+    // multiple of 8.
     const std::uint64_t len =
         std::max<std::uint64_t>(p.bytes_per_array, 64) & ~std::uint64_t{7};
     const auto arrays = static_cast<std::uint64_t>(std::max(1, p.arrays));
     const std::uint64_t arr_stride = align_up(len, 4096);
-    // Running (array, offset) cursor; the element offset advances by one
-    // 8 B element per full array round, wrapping at len (a multiple of 8,
-    // so the wrap lands exactly where (elem * 8) % len does).
-    std::uint64_t array, off;
-    if (cursor_valid()) {
-      array = cur[0];
-      off = cur[1];
-    } else {
-      array = pos % arrays;
-      off = ((pos / arrays) * 8) % len;
-    }
+    // Round-robin across arrays at the same element offset; the offset
+    // advances by one 8 B element per full array round.
+    std::uint64_t array = cur[0], off = cur[1];
     for (std::size_t i = 0; i < n; ++i) {
       out[i] = {base + array * arr_stride + off,
                 static_cast<int>(array) < p.writes_per_iter};
@@ -133,22 +151,19 @@ struct TraceGenerator::ComponentState {
         if (off >= len) off -= len;
       }
     }
-    pos += n;
-    save_cursor(array, off);
+    cur = {array, off};
   }
 
   void gen_n(const StridedPattern& p, MemRef* out, std::size_t n) {
     const std::uint64_t fp = std::max<std::uint64_t>(p.footprint_bytes, 512);
     const std::uint64_t step = p.stride_bytes % fp;
-    std::uint64_t off =
-        cursor_valid() ? cur[0] : (pos * p.stride_bytes) % fp;
+    std::uint64_t off = cur[0];
     for (std::size_t i = 0; i < n; ++i) {
       out[i] = {base + off, false};
       off += step;
       if (off >= fp) off -= fp;
     }
-    pos += n;
-    save_cursor(off);
+    cur = {off};
   }
 
   void gen_n(const StencilPattern& p, MemRef* out, std::size_t n) {
@@ -156,28 +171,12 @@ struct TraceGenerator::ComponentState {
     const std::uint64_t ny = std::max<std::uint64_t>(p.ny, 4);
     const std::uint64_t nz = std::max<std::uint64_t>(p.nz, 4);
     const std::uint64_t cells = nx * ny * nz;
-    const int r = std::max(1, p.radius);
-    const std::uint64_t pts =
-        p.full_box ? static_cast<std::uint64_t>((2 * r + 1)) * (2 * r + 1) *
-                         (2 * r + 1)
-                   : static_cast<std::uint64_t>(6 * r + 1);
-    build_stencil_offsets(p, r, pts);
-    // Cursor: (cell, k) with k in [0, pts] — k == pts is the destination
-    // write; cell advances by one (wrapping at cells) after the write.
-    std::uint64_t cell, k, x, y, z;
-    if (cursor_valid()) {
-      cell = cur[0];
-      k = cur[1];
-      x = cur[2];
-      y = cur[3];
-      z = cur[4];
-    } else {
-      cell = (pos / (pts + 1)) % cells;
-      k = pos % (pts + 1);
-      x = cell % nx;
-      y = (cell / nx) % ny;
-      z = cell / (nx * ny);
-    }
+    const std::uint64_t pts = stencil_offsets.size();
+    // Cursor: (cell, k) with k in [0, pts] — k == pts is the write of the
+    // destination cell (second grid); cell advances by one (wrapping at
+    // cells) after the write. (x, y, z) are the cell's coordinates.
+    std::uint64_t cell = cur[0], k = cur[1], x = cur[2], y = cur[3],
+                  z = cur[4];
     const std::uint64_t out_base = cells * p.elem_bytes;
     auto clampc = [](std::uint64_t v, std::int64_t d, std::uint64_t hi) {
       const auto s = static_cast<std::int64_t>(v) + d;
@@ -211,72 +210,58 @@ struct TraceGenerator::ComponentState {
         ++k;
       }
     }
-    pos += n;
-    save_cursor(cell, k, x, y, z);
+    cur = {cell, k, x, y, z};
   }
 
   void gen_n(const GatherPattern& p, MemRef* out, std::size_t n) {
-    const std::uint64_t table = std::max<std::uint64_t>(p.table_bytes, 512);
-    const std::uint64_t slots = table / p.elem_bytes;
-    if (slot_div.divisor() != slots) slot_div = MagicDiv(slots);
-    std::uint64_t off = cursor_valid() ? cur[0] : (pos * 8) % table;
-    std::uint64_t seq = 0;
+    // The sequential stream cycles inside the declared table range: a
+    // separate window would double the simulated footprint beyond the
+    // table_bytes that capacity scaling accounts for.
+    const std::uint64_t table = gather_table_bytes(p);
+    std::uint64_t off = cur[0];
     for (std::size_t i = 0; i < n; ++i) {
       if (rng.uniform() < p.sequential_fraction) {
         out[i] = {base + off, false};
         off += 8;
         if (off >= table) off -= table;
-        ++seq;
       } else {
         const std::uint64_t slot = slot_div.mod(rng.next());
         out[i] = {base + slot * p.elem_bytes, false};
       }
     }
-    pos += seq;
-    save_cursor(off);
+    cur = {off};
   }
 
   void gen_n(const ChasePattern& p, MemRef* out, std::size_t n) {
-    const std::uint32_t node = std::max<std::uint32_t>(p.node_bytes, 8);
-    const std::uint64_t nodes =
-        std::max<std::uint64_t>(p.footprint_bytes / node, 16);
-    build_chase_order(nodes);
-    // After the first hop the cursor is itself a node index, so the
-    // per-reference modulo of the scalar path is a no-op; one table
-    // load per reference remains, as a real chase would have.
-    std::uint64_t cur = pos % nodes;
+    // One table load per reference, as a real chase would have.
+    const std::uint64_t node = chase_node_bytes(p);
+    std::uint64_t at = cur[0];
     for (std::size_t i = 0; i < n; ++i) {
-      cur = chase_order[cur];
-      out[i] = {base + cur * node, false};
+      at = chase_order[at];
+      out[i] = {base + at * node, false};
     }
-    pos = cur;
+    cur = {at};
   }
 
   void gen_n(const BlockedPattern& p, MemRef* out, std::size_t n) {
-    const std::uint64_t tile = std::max<std::uint64_t>(p.tile_bytes, 256);
+    const std::uint64_t tile = blocked_tile_bytes(p);
     const std::uint64_t matrix =
         std::max<std::uint64_t>(p.matrix_bytes, tile);
+    // For every streamed 8 B element of the matrix (so consecutive stream
+    // refs share cache lines, as a real GEMM panel stream does), make
+    // `tile_reuse` touches of the current tile, the last one a write; the
+    // tile base advances as the stream crosses tiles.
     const double reuse = std::max(1.0, p.tile_reuse);
     const auto phase = static_cast<std::uint64_t>(reuse) + 1;
-    const std::uint64_t slots = tile / 8;
-    if (slot_div.divisor() != slots) slot_div = MagicDiv(slots);
-    std::uint64_t step, stream_off, tile_base;
-    if (cursor_valid()) {
-      step = cur[0];
-      stream_off = cur[1];
-      tile_base = cur[2];
-    } else {
-      step = pos % phase;
-      stream_off = (aux * 8) % matrix;
-      tile_base = ((aux * 8) / tile) * tile % matrix;
-    }
+    std::uint64_t step = cur[0], stream_off = cur[1], tile_base = cur[2],
+                  streamed = cur[3];
     for (std::size_t i = 0; i < n; ++i) {
       if (step == 0) {
         out[i] = {base + stream_off, false};
-        ++aux;
+        ++streamed;
         stream_off += 8;
         if (stream_off >= matrix) stream_off -= matrix;
-        tile_base = ((aux * 8) / tile) * tile % matrix;
+        tile_base = ((streamed * 8) / tile) * tile % matrix;
       } else {
         std::uint64_t addr = tile_base + slot_div.mod(rng.next()) * 8;
         if (addr >= matrix) addr -= matrix;
@@ -284,135 +269,7 @@ struct TraceGenerator::ComponentState {
       }
       if (++step == phase) step = 0;
     }
-    pos += n;
-    save_cursor(step, stream_off, tile_base);
-  }
-
-  MemRef gen(const StreamPattern& p) {
-    // Effective length rounds down to the 8 B element size: otherwise the
-    // cyclic offset (elem * 8) % len straddles element boundaries after
-    // the first wrap whenever bytes_per_array is not a multiple of 8.
-    const std::uint64_t len =
-        std::max<std::uint64_t>(p.bytes_per_array, 64) & ~std::uint64_t{7};
-    const int arrays = std::max(1, p.arrays);
-    // Round-robin across arrays at the same element offset, 8B elements.
-    const std::uint64_t elem = pos / arrays;
-    const int array = static_cast<int>(pos % arrays);
-    ++pos;
-    const std::uint64_t offset = (elem * 8) % len;
-    const bool write = array < p.writes_per_iter;
-    return {base + static_cast<std::uint64_t>(array) * align_up(len, 4096) +
-                offset,
-            write};
-  }
-
-  MemRef gen(const StridedPattern& p) {
-    const std::uint64_t fp = std::max<std::uint64_t>(p.footprint_bytes, 512);
-    const std::uint64_t offset = (pos * p.stride_bytes) % fp;
-    ++pos;
-    return {base + offset, false};
-  }
-
-  MemRef gen(const StencilPattern& p) {
-    const std::uint64_t nx = std::max<std::uint64_t>(p.nx, 4);
-    const std::uint64_t ny = std::max<std::uint64_t>(p.ny, 4);
-    const std::uint64_t nz = std::max<std::uint64_t>(p.nz, 4);
-    const std::uint64_t cells = nx * ny * nz;
-    // pos enumerates (cell, neighbour) pairs in sweep order.
-    const int r = std::max(1, p.radius);
-    const std::uint64_t pts =
-        p.full_box ? static_cast<std::uint64_t>((2 * r + 1)) * (2 * r + 1) *
-                         (2 * r + 1)
-                   : static_cast<std::uint64_t>(6 * r + 1);
-    const std::uint64_t cell = (pos / (pts + 1)) % cells;
-    const std::uint64_t k = pos % (pts + 1);
-    ++pos;
-    const std::uint64_t x = cell % nx;
-    const std::uint64_t y = (cell / nx) % ny;
-    const std::uint64_t z = cell / (nx * ny);
-    if (k == pts) {
-      // Write of the destination cell (second grid).
-      const std::uint64_t out =
-          cells * p.elem_bytes + cell * p.elem_bytes;
-      return {base + out, true};
-    }
-    std::int64_t dx = 0, dy = 0, dz = 0;
-    if (p.full_box) {
-      const std::uint64_t side = 2 * static_cast<std::uint64_t>(r) + 1;
-      dx = static_cast<std::int64_t>(k % side) - r;
-      dy = static_cast<std::int64_t>((k / side) % side) - r;
-      dz = static_cast<std::int64_t>(k / (side * side)) - r;
-    } else {
-      // star: center plus +-i along each axis
-      if (k > 0) {
-        const std::uint64_t axis = (k - 1) / (2 * r);
-        const std::int64_t step =
-            static_cast<std::int64_t>((k - 1) % (2 * r)) -
-            static_cast<std::int64_t>(r) +
-            (((k - 1) % (2 * r)) >= static_cast<std::uint64_t>(r) ? 1 : 0);
-        if (axis == 0) dx = step;
-        if (axis == 1) dy = step;
-        if (axis == 2) dz = step;
-      }
-    }
-    auto clampc = [](std::int64_t v, std::uint64_t n) {
-      return static_cast<std::uint64_t>(
-          std::clamp<std::int64_t>(v, 0, static_cast<std::int64_t>(n) - 1));
-    };
-    const std::uint64_t idx =
-        clampc(static_cast<std::int64_t>(x) + dx, nx) +
-        nx * (clampc(static_cast<std::int64_t>(y) + dy, ny) +
-              ny * clampc(static_cast<std::int64_t>(z) + dz, nz));
-    return {base + idx * p.elem_bytes, false};
-  }
-
-  MemRef gen(const GatherPattern& p) {
-    const std::uint64_t table =
-        std::max<std::uint64_t>(p.table_bytes, 512);
-    if (rng.uniform() < p.sequential_fraction) {
-      // Driver stream cycles inside the declared table range: a separate
-      // [table, 2*table) window would double the simulated footprint
-      // beyond the table_bytes that capacity scaling accounts for.
-      const std::uint64_t offset = (pos * 8) % table;
-      ++pos;
-      return {base + offset, false};
-    }
-    const std::uint64_t slot = rng.below(table / p.elem_bytes);
-    return {base + slot * p.elem_bytes, false};
-  }
-
-  MemRef gen(const ChasePattern& p) {
-    const std::uint32_t node = std::max<std::uint32_t>(p.node_bytes, 8);
-    const std::uint64_t nodes =
-        std::max<std::uint64_t>(p.footprint_bytes / node, 16);
-    build_chase_order(nodes);
-    pos = chase_order[pos % nodes];
-    return {base + static_cast<std::uint64_t>(pos) * node, false};
-  }
-
-  MemRef gen(const BlockedPattern& p) {
-    // Floor at a few cache lines only: scaled-down tiles must stay small
-    // enough to preserve the blocking locality they model.
-    const std::uint64_t tile = std::max<std::uint64_t>(p.tile_bytes, 256);
-    const std::uint64_t matrix =
-        std::max<std::uint64_t>(p.matrix_bytes, tile);
-    // For every streamed line of the matrix, make `tile_reuse` hits into
-    // the current tile; advance the tile base when the stream wraps a tile.
-    const double reuse = std::max(1.0, p.tile_reuse);
-    const auto phase = static_cast<std::uint64_t>(reuse) + 1;
-    const std::uint64_t step = pos % phase;
-    if (step == 0) {
-      // Element-granular stream (8 B) so consecutive stream refs share
-      // cache lines, as a real GEMM panel stream does.
-      const std::uint64_t offset = (aux * 8) % matrix;
-      ++aux;
-      ++pos;
-      return {base + offset, false};  // stream through the matrix
-    }
-    ++pos;
-    const std::uint64_t tile_base = ((aux * 8) / tile) * tile % matrix;
-    const std::uint64_t offset = rng.below(tile / 8) * 8;
-    return {base + (tile_base + offset) % matrix, step == phase - 1};
+    cur = {step, stream_off, tile_base, streamed};
   }
 };
 
@@ -428,9 +285,13 @@ TraceGenerator::TraceGenerator(const AccessPatternSpec& spec,
     throw std::invalid_argument("AccessPatternSpec has no components");
   }
   double total = 0.0;
-  for (const auto& c : spec.components) {
-    if (c.weight <= 0.0) {
-      throw std::invalid_argument("pattern component weight must be > 0");
+  for (std::size_t i = 0; i < spec.components.size(); ++i) {
+    const auto& c = spec.components[i];
+    if (const char* why = component_error(c)) {
+      std::string msg = "pattern component " + std::to_string(i);
+      msg += " (" + pattern_name(c.pattern) + "): ";
+      msg += why;
+      throw std::invalid_argument(msg);
     }
     total += c.weight;
   }
@@ -447,25 +308,11 @@ TraceGenerator::TraceGenerator(const AccessPatternSpec& spec,
   cumulative_.back() = 1.0;  // guard against rounding
 }
 
-MemRef TraceGenerator::next() {
-  const double u = rng_.uniform();
-  const auto it =
-      std::lower_bound(cumulative_.begin(), cumulative_.end(), u);
-  const std::size_t i = static_cast<std::size_t>(
-      std::min<std::ptrdiff_t>(it - cumulative_.begin(),
-                               static_cast<std::ptrdiff_t>(comps_.size()) - 1));
-  return comps_[i]->generate();
-}
-
 void TraceGenerator::fill(MemRef* out, std::size_t n) {
   // Block size bounds the selection scratch and keeps it cache-resident.
   constexpr std::size_t kBlock = 4096;
 
-  if (comps_.size() == 1) {
-    // Single component: no mixture to sample, but next() still draws one
-    // selection uniform per reference, so burn the same draws to keep
-    // the generator state identical under any next()/fill() interleave.
-    for (std::size_t i = 0; i < n; ++i) rng_.next();
+  if (comps_.size() == 1) {  // no mixture to sample
     comps_[0]->generate_n(out, n);
     return;
   }
@@ -476,10 +323,9 @@ void TraceGenerator::fill(MemRef* out, std::size_t n) {
   std::size_t done = 0;
   while (done < n) {
     const std::size_t block = std::min(n - done, kBlock);
-    // Sample the mixture for the whole block first. A linear CDF scan
-    // replaces lower_bound: component counts are tiny and the first
-    // index with cumulative_[c] >= u is the same element lower_bound
-    // finds (cumulative_.back() == 1.0 > u caps the scan).
+    // Sample the mixture for the whole block first: the first component
+    // whose cumulative weight reaches u (cumulative_.back() == 1.0 > u
+    // caps the linear scan; component counts are tiny).
     const double* cdf = cumulative_.data();
     for (std::size_t k = 0; k < block; ++k) {
       const double u = rng_.uniform();

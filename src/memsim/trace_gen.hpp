@@ -91,23 +91,24 @@ struct AccessPatternSpec {
   }
 };
 
-/// Bounded trace replay interface: produces up to `n` references.
+/// The infinite, cyclic reference trace of one spec and seed.
 class TraceGenerator {
  public:
+  /// Throws std::invalid_argument, naming the component index and its
+  /// pattern, for an empty spec, a weight that is not finite and > 0, a
+  /// gather whose elem_bytes is 0 or wider than its table, or a blocked
+  /// pattern whose tile_reuse is not below 2^63 (NaN included).
   explicit TraceGenerator(const AccessPatternSpec& spec, std::uint64_t seed);
   ~TraceGenerator();  // out-of-line: ComponentState is an incomplete type
   TraceGenerator(TraceGenerator&&) noexcept;
   TraceGenerator& operator=(TraceGenerator&&) noexcept;
 
-  /// Next reference in the (infinite, cyclic) trace.
-  MemRef next();
-
-  /// Emit the next `n` references of the same trace into `out`. Mixture
+  /// Emit the next `n` references of the trace into `out`. Mixture
   /// sampling happens for a whole block at once and the per-pattern
-  /// variant dispatch is hoisted to one visit per same-component run, so
-  /// this is the throughput path — but the emitted sequence (and every
-  /// RNG state) is bit-identical to calling next() n times, which the
-  /// property tests assert for all pattern classes.
+  /// variant dispatch is hoisted to one visit per same-component run.
+  /// The trace does not depend on how it is split across calls, and it
+  /// is bit-identical to the one-reference-at-a-time seed replica in
+  /// tests/memsim_test.cpp for every pattern class.
   void fill(MemRef* out, std::size_t n);
 
  private:

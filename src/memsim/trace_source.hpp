@@ -2,12 +2,11 @@
 // consumes. Hierarchy::replay pulls fixed-size blocks from
 // a TraceSource; where those blocks come from — the synthetic
 // TraceGenerator mixtures or an on-disk fpr-trace file — is the source's
-// business. SyntheticTraceSource is a zero-cost wrapper over
-// TraceGenerator (same fill(), bit-identical sequences, so every golden
-// snapshot is unchanged); the file-backed source lives one layer up in
-// io/trace_replay.hpp (io::FileTraceSource), because memsim defines the
-// abstraction and must not know about on-disk formats — the layering
-// gate (fpr-lint layer-violation) enforces that direction.
+// business. SyntheticTraceSource forwards to TraceGenerator::fill; the
+// file-backed source lives one layer up in io/trace_replay.hpp
+// (io::FileTraceSource), because memsim defines the abstraction and must
+// not know about on-disk formats — the layering gate (fpr-lint
+// layer-violation) enforces that direction.
 #pragma once
 
 #include <cstddef>
@@ -30,8 +29,8 @@ class TraceSource {
 };
 
 /// Infinite synthetic source over its own TraceGenerator: fill() is
-/// exactly TraceGenerator::fill, so the emitted sequence is bit-identical
-/// to driving a generator of the same spec and seed directly.
+/// TraceGenerator::fill, so a source and a generator of the same spec and
+/// seed emit the same trace.
 class SyntheticTraceSource final : public TraceSource {
  public:
   SyntheticTraceSource(const AccessPatternSpec& spec, std::uint64_t seed)

@@ -5,9 +5,12 @@
 #include <bit>
 #include <cstdio>
 #include <limits>
+#include <numeric>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
+#include <variant>
 #include <vector>
 
 #include "arch/machines.hpp"
@@ -105,11 +108,10 @@ TEST(TraceGen, StreamPatternIsSequentialPerArray) {
       StreamPattern{.bytes_per_array = 1 << 20, .arrays = 1,
                     .writes_per_iter = 0});
   TraceGenerator gen(spec, 1);
-  std::uint64_t prev = gen.next().addr;
-  for (int i = 0; i < 100; ++i) {
-    const std::uint64_t a = gen.next().addr;
-    EXPECT_EQ(a, prev + 8);
-    prev = a;
+  std::vector<MemRef> refs(101);
+  gen.fill(refs.data(), refs.size());
+  for (std::size_t i = 1; i < refs.size(); ++i) {
+    EXPECT_EQ(refs[i].addr, refs[i - 1].addr + 8);
   }
 }
 
@@ -117,8 +119,10 @@ TEST(TraceGen, ChaseVisitsAllNodes) {
   AccessPatternSpec spec = AccessPatternSpec::single(
       ChasePattern{.footprint_bytes = 64 * 64, .node_bytes = 64});
   TraceGenerator gen(spec, 2);
+  std::vector<MemRef> refs(64);
+  gen.fill(refs.data(), refs.size());
   std::set<std::uint64_t> seen;
-  for (int i = 0; i < 64; ++i) seen.insert(gen.next().addr);
+  for (const MemRef& r : refs) seen.insert(r.addr);
   // Sattolo cycle: all 64 nodes visited exactly once per period.
   EXPECT_EQ(seen.size(), 64u);
 }
@@ -130,16 +134,61 @@ TEST(TraceGen, MixtureUsesDistinctRanges) {
   spec.components.push_back(
       {GatherPattern{.table_bytes = 4096, .elem_bytes = 8}, 1.0});
   TraceGenerator gen(spec, 3);
+  std::vector<MemRef> refs(1000);
+  gen.fill(refs.data(), refs.size());
   std::set<std::uint64_t> bases;
-  for (int i = 0; i < 1000; ++i) bases.insert(gen.next().addr >> 40);
+  for (const MemRef& r : refs) bases.insert(r.addr >> 40);
   EXPECT_GE(bases.size(), 2u);  // distinct 2^40 component windows
 }
 
 TEST(TraceGen, RejectsEmptyAndBadWeights) {
   EXPECT_THROW(TraceGenerator(AccessPatternSpec{}, 1), std::invalid_argument);
-  AccessPatternSpec bad;
-  bad.components.push_back({StreamPattern{}, -1.0});
-  EXPECT_THROW(TraceGenerator(bad, 1), std::invalid_argument);
+  // A bad component after a good one is rejected at construction, not at
+  // the first fill(), with its index and pattern named.
+  const GatherPattern gather{.table_bytes = 4096, .elem_bytes = 8};
+  const struct {
+    AccessPatternSpec::Component bad;
+    const char* want;
+  } cases[] = {
+      {{StreamPattern{}, -1.0},
+       "pattern component 1 (stream): weight must be finite and > 0"},
+      {{StreamPattern{}, 0.0},
+       "pattern component 1 (stream): weight must be finite and > 0"},
+      {{gather, std::numeric_limits<double>::quiet_NaN()},
+       "pattern component 1 (gather): weight must be finite and > 0"},
+      {{gather, std::numeric_limits<double>::infinity()},
+       "pattern component 1 (gather): weight must be finite and > 0"},
+      {{GatherPattern{.table_bytes = 4096, .elem_bytes = 0}, 1.0},
+       "pattern component 1 (gather): elem_bytes must be > 0"},
+      {{GatherPattern{.table_bytes = 4096, .elem_bytes = 8192}, 1.0},
+       "pattern component 1 (gather): elem_bytes must not exceed the table"},
+      {{BlockedPattern{.matrix_bytes = 1 << 20,
+                       .tile_bytes = 4096,
+                       .tile_reuse = std::numeric_limits<double>::infinity()},
+        1.0},
+       "pattern component 1 (blocked): tile_reuse must be below 2^63"},
+      {{BlockedPattern{.matrix_bytes = 1 << 20,
+                       .tile_bytes = 4096,
+                       .tile_reuse = std::numeric_limits<double>::quiet_NaN()},
+        1.0},
+       "pattern component 1 (blocked): tile_reuse must be below 2^63"},
+  };
+  for (const auto& c : cases) {
+    AccessPatternSpec spec;
+    spec.components.push_back({StreamPattern{}, 1.0});
+    spec.components.push_back(c.bad);
+    try {
+      TraceGenerator gen(spec, 1);
+      ADD_FAILURE() << "accepted: " << c.want;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_STREQ(e.what(), c.want);
+    }
+  }
+  // One slot exactly as wide as the table is a valid gather.
+  EXPECT_NO_THROW(TraceGenerator(
+      AccessPatternSpec::single(
+          GatherPattern{.table_bytes = 4096, .elem_bytes = 4096}),
+      1));
 }
 
 TEST(TraceGen, PatternNames) {
@@ -379,10 +428,11 @@ TEST(TraceGen, StreamWrapStaysElementAligned) {
       StreamPattern{.bytes_per_array = 1001, .arrays = 1,
                     .writes_per_iter = 0});
   TraceGenerator gen(spec, 11);
-  const std::uint64_t base = gen.next().addr;
-  TraceGenerator gen2(spec, 11);
-  for (int i = 0; i < 2000; ++i) {
-    const std::uint64_t off = gen2.next().addr - base;
+  std::vector<MemRef> refs(2000);
+  gen.fill(refs.data(), refs.size());
+  const std::uint64_t base = refs[0].addr;
+  for (std::size_t i = 0; i < refs.size(); ++i) {
+    const std::uint64_t off = refs[i].addr - base;
     EXPECT_EQ(off % 8, 0u) << "misaligned after wrap at ref " << i;
     EXPECT_LT(off, 1001u);
   }
@@ -394,11 +444,12 @@ TEST(TraceGen, GatherStaysInsideDeclaredFootprint) {
       GatherPattern{.table_bytes = kTable, .elem_bytes = 8,
                     .sequential_fraction = 0.5});
   TraceGenerator gen(spec, 13);
+  std::vector<MemRef> refs(20000);
+  gen.fill(refs.data(), refs.size());
   std::uint64_t lo = ~std::uint64_t{0}, hi = 0;
-  for (int i = 0; i < 20000; ++i) {
-    const std::uint64_t a = gen.next().addr;
-    lo = std::min(lo, a);
-    hi = std::max(hi, a);
+  for (const MemRef& r : refs) {
+    lo = std::min(lo, r.addr);
+    hi = std::max(hi, r.addr);
   }
   // Driver stream and random gather together span at most table_bytes —
   // the range capacity scaling accounts for.
@@ -406,9 +457,212 @@ TEST(TraceGen, GatherStaysInsideDeclaredFootprint) {
 }
 
 // ---------------------------------------------------------------------
-// Seed replica: the cache as it was before the compact layout and the
-// block walkers, kept as an oracle that shares no code with Cache and
-// as the speed floor the production replay must stay above.
+// Seed replica: the trace generator as it was before batched generation
+// and the cache as it was before the compact layout and the block
+// walkers, kept as an oracle that shares no code with TraceGenerator or
+// Cache and as the speed floor the production replay must stay above.
+
+/// One reference at a time: a selection draw, a variant dispatch and a
+/// cursor re-derived from a running position by div/mod per reference.
+/// Semantically identical to TraceGenerator by design; like it, it
+/// expects a spec TraceGenerator accepts.
+class ReplicaGenerator {
+ public:
+  ReplicaGenerator(const AccessPatternSpec& spec, std::uint64_t seed)
+      : rng_(seed ^ 0x5851f42d4c957f2dull) {
+    double total = 0.0;
+    for (const auto& c : spec.components) total += c.weight;
+    double run = 0.0;
+    std::uint64_t idx = 0;
+    SplitMix64 sm(seed);
+    for (const auto& c : spec.components) {
+      run += c.weight / total;
+      cumulative_.push_back(run);
+      comps_.emplace_back(c.pattern, (idx + 1) * kComponentSpacing,
+                          sm.next());
+      ++idx;
+    }
+    cumulative_.back() = 1.0;  // guard against rounding
+  }
+
+  MemRef next() {
+    const double u = rng_.uniform();
+    const auto it =
+        std::lower_bound(cumulative_.begin(), cumulative_.end(), u);
+    const std::size_t i = static_cast<std::size_t>(std::min<std::ptrdiff_t>(
+        it - cumulative_.begin(),
+        static_cast<std::ptrdiff_t>(comps_.size()) - 1));
+    return comps_[i].generate();
+  }
+
+ private:
+  // Distinct base addresses per component so mixtures do not alias.
+  static constexpr std::uint64_t kComponentSpacing = 1ull << 40;
+
+  static std::uint64_t align_up(std::uint64_t v, std::uint64_t a) {
+    return (v + a - 1) / a * a;
+  }
+
+  struct Component {
+    Pattern pattern;
+    std::uint64_t base = 0;
+    Xoshiro256 rng;
+    // Cursor state, interpretation depends on the pattern alternative.
+    std::uint64_t pos = 0;
+    std::uint64_t aux = 0;
+    std::vector<std::uint32_t> chase_order;  // for ChasePattern
+
+    Component(Pattern p, std::uint64_t b, std::uint64_t seed)
+        : pattern(std::move(p)), base(b), rng(seed) {}
+
+    MemRef generate() {
+      return std::visit([this](const auto& pat) { return gen(pat); },
+                        pattern);
+    }
+
+    MemRef gen(const StreamPattern& p) {
+      // Effective length rounds down to the 8 B element size: otherwise
+      // the cyclic offset (elem * 8) % len straddles element boundaries
+      // after the first wrap whenever bytes_per_array is not a multiple
+      // of 8.
+      const std::uint64_t len =
+          std::max<std::uint64_t>(p.bytes_per_array, 64) & ~std::uint64_t{7};
+      const int arrays = std::max(1, p.arrays);
+      // Round-robin across arrays at the same element offset, 8B elements.
+      const std::uint64_t elem = pos / arrays;
+      const int array = static_cast<int>(pos % arrays);
+      ++pos;
+      const std::uint64_t offset = (elem * 8) % len;
+      const bool write = array < p.writes_per_iter;
+      return {base + static_cast<std::uint64_t>(array) * align_up(len, 4096) +
+                  offset,
+              write};
+    }
+
+    MemRef gen(const StridedPattern& p) {
+      const std::uint64_t fp = std::max<std::uint64_t>(p.footprint_bytes, 512);
+      const std::uint64_t offset = (pos * p.stride_bytes) % fp;
+      ++pos;
+      return {base + offset, false};
+    }
+
+    MemRef gen(const StencilPattern& p) {
+      const std::uint64_t nx = std::max<std::uint64_t>(p.nx, 4);
+      const std::uint64_t ny = std::max<std::uint64_t>(p.ny, 4);
+      const std::uint64_t nz = std::max<std::uint64_t>(p.nz, 4);
+      const std::uint64_t cells = nx * ny * nz;
+      // pos enumerates (cell, neighbour) pairs in sweep order.
+      const int r = std::max(1, p.radius);
+      const std::uint64_t pts =
+          p.full_box ? static_cast<std::uint64_t>((2 * r + 1)) * (2 * r + 1) *
+                           (2 * r + 1)
+                     : static_cast<std::uint64_t>(6 * r + 1);
+      const std::uint64_t cell = (pos / (pts + 1)) % cells;
+      const std::uint64_t k = pos % (pts + 1);
+      ++pos;
+      const std::uint64_t x = cell % nx;
+      const std::uint64_t y = (cell / nx) % ny;
+      const std::uint64_t z = cell / (nx * ny);
+      if (k == pts) {
+        // Write of the destination cell (second grid).
+        const std::uint64_t out =
+            cells * p.elem_bytes + cell * p.elem_bytes;
+        return {base + out, true};
+      }
+      std::int64_t dx = 0, dy = 0, dz = 0;
+      if (p.full_box) {
+        const std::uint64_t side = 2 * static_cast<std::uint64_t>(r) + 1;
+        dx = static_cast<std::int64_t>(k % side) - r;
+        dy = static_cast<std::int64_t>((k / side) % side) - r;
+        dz = static_cast<std::int64_t>(k / (side * side)) - r;
+      } else {
+        // star: center plus +-i along each axis
+        if (k > 0) {
+          const std::uint64_t axis = (k - 1) / (2 * r);
+          const std::int64_t step =
+              static_cast<std::int64_t>((k - 1) % (2 * r)) -
+              static_cast<std::int64_t>(r) +
+              (((k - 1) % (2 * r)) >= static_cast<std::uint64_t>(r) ? 1 : 0);
+          if (axis == 0) dx = step;
+          if (axis == 1) dy = step;
+          if (axis == 2) dz = step;
+        }
+      }
+      auto clampc = [](std::int64_t v, std::uint64_t n) {
+        return static_cast<std::uint64_t>(
+            std::clamp<std::int64_t>(v, 0, static_cast<std::int64_t>(n) - 1));
+      };
+      const std::uint64_t idx =
+          clampc(static_cast<std::int64_t>(x) + dx, nx) +
+          nx * (clampc(static_cast<std::int64_t>(y) + dy, ny) +
+                ny * clampc(static_cast<std::int64_t>(z) + dz, nz));
+      return {base + idx * p.elem_bytes, false};
+    }
+
+    MemRef gen(const GatherPattern& p) {
+      const std::uint64_t table =
+          std::max<std::uint64_t>(p.table_bytes, 512);
+      if (rng.uniform() < p.sequential_fraction) {
+        // The sequential stream cycles inside the declared table range: a
+        // separate [table, 2*table) window would double the simulated
+        // footprint beyond the table_bytes that capacity scaling
+        // accounts for.
+        const std::uint64_t offset = (pos * 8) % table;
+        ++pos;
+        return {base + offset, false};
+      }
+      const std::uint64_t slot = rng.below(table / p.elem_bytes);
+      return {base + slot * p.elem_bytes, false};
+    }
+
+    MemRef gen(const ChasePattern& p) {
+      const std::uint32_t node = std::max<std::uint32_t>(p.node_bytes, 8);
+      const std::uint64_t nodes =
+          std::max<std::uint64_t>(p.footprint_bytes / node, 16);
+      if (chase_order.empty()) {
+        chase_order.resize(nodes);
+        std::iota(chase_order.begin(), chase_order.end(), 0u);
+        // Sattolo shuffle => one full cycle, the canonical chase ring.
+        for (std::uint64_t i = nodes - 1; i > 0; --i) {
+          const std::uint64_t j = rng.below(i);
+          std::swap(chase_order[i], chase_order[j]);
+        }
+      }
+      pos = chase_order[pos % nodes];
+      return {base + static_cast<std::uint64_t>(pos) * node, false};
+    }
+
+    MemRef gen(const BlockedPattern& p) {
+      // Floor at a few cache lines only: scaled-down tiles must stay
+      // small enough to preserve the blocking locality they model.
+      const std::uint64_t tile = std::max<std::uint64_t>(p.tile_bytes, 256);
+      const std::uint64_t matrix =
+          std::max<std::uint64_t>(p.matrix_bytes, tile);
+      // For every streamed line of the matrix, make `tile_reuse` hits into
+      // the current tile; advance the tile base when the stream wraps a
+      // tile.
+      const double reuse = std::max(1.0, p.tile_reuse);
+      const auto phase = static_cast<std::uint64_t>(reuse) + 1;
+      const std::uint64_t step = pos % phase;
+      if (step == 0) {
+        // Element-granular stream (8 B) so consecutive stream refs share
+        // cache lines, as a real GEMM panel stream does.
+        const std::uint64_t offset = (aux * 8) % matrix;
+        ++aux;
+        ++pos;
+        return {base + offset, false};  // stream through the matrix
+      }
+      ++pos;
+      const std::uint64_t tile_base = ((aux * 8) / tile) * tile % matrix;
+      const std::uint64_t offset = rng.below(tile / 8) * 8;
+      return {base + (tile_base + offset) % matrix, step == phase - 1};
+    }
+  };
+
+  std::vector<Component> comps_;
+  std::vector<double> cumulative_;  // CDF over components
+  Xoshiro256 rng_;
+};
 
 /// One Way struct per line, valid/tag/lru triple-branch scan with early
 /// exit, modulo set indexing via hardware divide. Semantically identical
@@ -469,9 +723,9 @@ class BaselineCache {
   CacheStats stats_;
 };
 
-/// The seed replay loop over BaselineCache levels of the geometry
-/// Hierarchy builds for `cpu`: simulate_pattern's computation, one
-/// reference and one level walk at a time.
+/// The seed replay loop: a ReplicaGenerator's trace through BaselineCache
+/// levels of the geometry Hierarchy builds for `cpu`. simulate_pattern's
+/// computation, one reference and one level walk at a time.
 HierarchyResult replica_replay(const arch::CpuSpec& cpu,
                                const AccessPatternSpec& spec,
                                std::uint64_t refs, std::uint64_t seed,
@@ -481,7 +735,7 @@ HierarchyResult replica_replay(const arch::CpuSpec& cpu,
   for (std::size_t i = 0; i < h.num_levels(); ++i) {
     levels.emplace_back(h.level_config(i));
   }
-  TraceGenerator gen(scale_spec(spec, scale_shift), seed);
+  ReplicaGenerator gen(scale_spec(spec, scale_shift), seed);
   auto run = [&](std::uint64_t count) {
     for (std::uint64_t i = 0; i < count; ++i) {
       const MemRef ref = gen.next();
@@ -502,8 +756,7 @@ HierarchyResult replica_replay(const arch::CpuSpec& cpu,
 }
 
 // ---------------------------------------------------------------------
-// Batched generation and replay: bit-identical to TraceGenerator::next
-// and to the seed replica.
+// Batched generation and replay: bit-identical to the seed replica.
 
 std::vector<AccessPatternSpec> all_pattern_specs() {
   std::vector<AccessPatternSpec> specs;
@@ -539,41 +792,44 @@ std::vector<AccessPatternSpec> all_pattern_specs() {
 
 class BatchedIdentity : public ::testing::TestWithParam<std::size_t> {};
 
-TEST_P(BatchedIdentity, FillMatchesScalarNext) {
+TEST_P(BatchedIdentity, FillMatchesTheSeedReplica) {
   const auto spec = all_pattern_specs()[GetParam()];
   constexpr std::size_t kRefs = 30'000;
-  TraceGenerator scalar(spec, 99);
+  ReplicaGenerator replica(spec, 99);
   TraceGenerator batched(spec, 99);
   std::vector<MemRef> buf(kRefs);
   batched.fill(buf.data(), kRefs);
   for (std::size_t i = 0; i < kRefs; ++i) {
-    const MemRef want = scalar.next();
+    const MemRef want = replica.next();
     ASSERT_EQ(buf[i].addr, want.addr) << "ref " << i;
     ASSERT_EQ(buf[i].write, want.write) << "ref " << i;
   }
 }
 
-TEST_P(BatchedIdentity, FillAndNextInterleaveCleanly) {
+TEST_P(BatchedIdentity, FillSplitsAreInvisible) {
+  // Odd-sized fills carry every cursor across calls: the chunks together
+  // are one fill of 1,705 references and the replica's first 1,705.
   const auto spec = all_pattern_specs()[GetParam()];
-  TraceGenerator scalar(spec, 7);
-  TraceGenerator mixed(spec, 7);
-  std::vector<MemRef> buf(1024);
-  // Alternate odd-sized fills with scalar next() calls; the generator
-  // state must track the pure-scalar stream exactly.
   const std::size_t chunks[] = {1, 7, 501, 3, 64, 997, 2, 130};
+  constexpr std::size_t kRefs = 1'705;
+  TraceGenerator whole_gen(spec, 7);
+  std::vector<MemRef> whole(kRefs);
+  whole_gen.fill(whole.data(), kRefs);
+  TraceGenerator split_gen(spec, 7);
+  std::vector<MemRef> split(kRefs);
+  std::size_t done = 0;
   for (const std::size_t c : chunks) {
-    mixed.fill(buf.data(), c);
-    for (std::size_t i = 0; i < c; ++i) {
-      const MemRef want = scalar.next();
-      ASSERT_EQ(buf[i].addr, want.addr);
-      ASSERT_EQ(buf[i].write, want.write);
-    }
-    for (int i = 0; i < 5; ++i) {
-      const MemRef want = scalar.next();
-      const MemRef got = mixed.next();
-      ASSERT_EQ(got.addr, want.addr);
-      ASSERT_EQ(got.write, want.write);
-    }
+    split_gen.fill(split.data() + done, c);
+    done += c;
+  }
+  ASSERT_EQ(done, kRefs);
+  ReplicaGenerator replica(spec, 7);
+  for (std::size_t i = 0; i < kRefs; ++i) {
+    const MemRef want = replica.next();
+    ASSERT_EQ(whole[i].addr, want.addr) << "ref " << i;
+    ASSERT_EQ(whole[i].write, want.write) << "ref " << i;
+    ASSERT_EQ(split[i].addr, want.addr) << "ref " << i;
+    ASSERT_EQ(split[i].write, want.write) << "ref " << i;
   }
 }
 
@@ -735,7 +991,11 @@ TEST(SpeedGate, ReplayAtLeastMatchesTheSeedReplica) {
   // Production replay (compact layout, block walkers, batched
   // generation) against the replica over every Table I machine; the
   // two alternate workload by workload, and each side keeps its best of
-  // three rounds.
+  // three rounds. The ratio is a floor (>= 1x), not a before/after
+  // number: the replica's time moves with code layout even when its
+  // source does not (1.04-1.18 s in one build, 0.88-1.02 s in the next,
+  // on one 4-thread x86-64 host), so ratios from two builds do not
+  // compare.
   constexpr unsigned kShift = 8;
   constexpr std::uint64_t kRefs = 200'000;
   const auto specs = specs_spanning(256ull << 20);
@@ -759,8 +1019,10 @@ TEST(SpeedGate, ReplayAtLeastMatchesTheSeedReplica) {
     replay_s = std::min(replay_s, replay_round);
   }
   const double ratio = replica_s / replay_s;
-  std::printf("replay vs seed replica: %.3f s vs %.3f s, %.2fx (gate >= 1x)\n",
-              replay_s, replica_s, ratio);
+  std::printf(
+      "replay vs seed replica: %.3f s vs %.3f s, %.2fx (floor >= 1x; moves "
+      "with code layout, not a before/after number)\n",
+      replay_s, replica_s, ratio);
   EXPECT_GE(ratio, 1.0);
 }
 
