@@ -42,6 +42,8 @@ void CpuSpec::validate() const {
   if (dram_bw_gbs <= 0.0) fail("DRAM bandwidth required");
   if (has_mcdram() && mcdram_bw_gbs <= dram_bw_gbs)
     fail("MCDRAM must be faster than DRAM");
+  if (has_mcdram() && !(mcdram_hit_eff > 0.0 && mcdram_hit_eff <= 1.0))
+    fail("mcdram_hit_eff must be in (0, 1]");
   if (fp64_fpu.flops_per_cycle(Precision::fp64) <= 0)
     fail("FP64 FPU configuration empty");
   if (fp32_fpu.flops_per_cycle(Precision::fp32) <= 0)
@@ -49,7 +51,7 @@ void CpuSpec::validate() const {
   if (int_ops_per_cycle <= 0) fail("integer throughput required");
   if (fpu_issue_eff <= 0.0 || fpu_issue_eff > 1.0)
     fail("fpu_issue_eff must be in (0, 1]");
-  if (mlp <= 0.0 || dram_latency_ns <= 0.0) fail("latency model incomplete");
+  if (dram_latency_ns <= 0.0) fail("latency model incomplete");
 }
 
 }  // namespace fpr::arch

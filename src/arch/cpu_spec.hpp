@@ -42,7 +42,6 @@ struct CpuSpec {
 
   int cores = 0;
   int smt = 1;             ///< hardware threads per core
-  int sockets = 1;
 
   double base_ghz = 0.0;
   double turbo_ghz = 0.0;
@@ -61,12 +60,10 @@ struct CpuSpec {
   double mcdram_bw_gbs = 0.0;  ///< flat-mode Triad bandwidth
   /// Fraction of the flat-mode Triad bandwidth a cache-mode hit
   /// sustains (tag probes; calibrated to the paper's BabelStream 2 GiB
-  /// points). 0 = let the bandwidth model fall back to its per-family
-  /// defaults. Carried here — not keyed off the machine name — so
-  /// derived variants (arch::derive_variant) inherit their base's
-  /// efficiency.
+  /// points). Required in (0, 1] on an MCDRAM machine. Carried here —
+  /// not keyed off the machine name — so derived variants
+  /// (arch::derive_variant) inherit their base's efficiency.
   double mcdram_hit_eff = 0.0;
-  bool mcdram_cache_mode = false;
   double llc_mib = 0.0;
 
   // Cache geometry for the memory simulator.
@@ -90,10 +87,9 @@ struct CpuSpec {
   double fp32_generic_eff = 1.0;
   int int_ops_per_cycle = 0;  ///< per-core vector-integer throughput
 
-  // Latency model parameters (ns to memory, sustainable misses per core).
+  // Latency model parameters (ns to memory).
   double dram_latency_ns = 0.0;
   double mcdram_latency_ns = 0.0;
-  double mlp = 0.0;  ///< memory-level parallelism per core
 
   /// Peak Gflop/s at frequency `ghz` across all cores.
   [[nodiscard]] double peak_gflops(Precision p, double ghz) const;
@@ -105,8 +101,6 @@ struct CpuSpec {
 
   /// Peak integer Gop/s at frequency `ghz`.
   [[nodiscard]] double peak_giops(double ghz) const;
-
-  [[nodiscard]] int total_hw_threads() const { return cores * smt; }
 
   /// True when the MCDRAM acts as a memory-side cache in front of DRAM.
   [[nodiscard]] bool has_mcdram() const { return mcdram_gib > 0.0; }

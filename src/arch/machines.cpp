@@ -5,10 +5,10 @@
 namespace fpr::arch {
 
 // Numbers are Table I of the paper; microarchitectural details (port
-// counts, latencies, MLP) from the KNL/KNM Hot Chips disclosures cited
-// there ([7], [8]) and standard Broadwell references. Latency and MLP
-// values are model parameters, chosen so that the latency-bound proxies
-// (HPCG, XSBench on Phi) reproduce the paper's qualitative behaviour.
+// counts, latencies) from the KNL/KNM Hot Chips disclosures cited there
+// ([7], [8]) and standard Broadwell references. Latency values are model
+// parameters, chosen so that the latency-bound proxies (HPCG, XSBench on
+// Phi) reproduce the paper's qualitative behaviour.
 
 CpuSpec knl() {
   CpuSpec c;
@@ -17,7 +17,6 @@ CpuSpec knl() {
   c.model = "Xeon Phi 7210F";
   c.cores = 64;
   c.smt = 4;
-  c.sockets = 1;
   c.base_ghz = 1.3;
   c.turbo_ghz = 1.5;
   c.peak_ref_ghz = 1.3;  // 64 * 1.3 * 32 = 2662.4 Gflop/s FP64
@@ -28,7 +27,6 @@ CpuSpec knl() {
   c.mcdram_gib = 16.0;
   c.mcdram_bw_gbs = 439.0;  // flat-mode Triad
   c.mcdram_hit_eff = 0.86;  // paper Sec. IV-C: BABL2 at 86% of flat mode
-  c.mcdram_cache_mode = true;
   c.llc_mib = 32.0;  // aggregated L2 (1 MiB per 2-core tile)
   c.l1_kib = 32;
   c.l1_assoc = 8;
@@ -43,7 +41,6 @@ CpuSpec knl() {
   c.int_ops_per_cycle = 32;  // 2 vector ALU ports x 16 lanes
   c.dram_latency_ns = 155.0;    // KNL DDR4 load-to-use, quadrant mode
   c.mcdram_latency_ns = 174.0;  // MCDRAM is high-bandwidth, NOT low-latency
-  c.mlp = 10.0;                 // outstanding L2 misses per core (Silvermont-based)
   return c;
 }
 
@@ -54,7 +51,6 @@ CpuSpec knm() {
   c.model = "Xeon Phi 7295";
   c.cores = 72;
   c.smt = 4;
-  c.sockets = 1;
   c.base_ghz = 1.5;
   c.turbo_ghz = 1.6;
   c.peak_ref_ghz = 1.5;  // 72 * 1.5 * 16 = 1728 Gflop/s FP64
@@ -65,7 +61,6 @@ CpuSpec knm() {
   c.mcdram_gib = 16.0;
   c.mcdram_bw_gbs = 430.0;
   c.mcdram_hit_eff = 0.75;  // paper Sec. IV-C: BABL2 at 75% of flat mode
-  c.mcdram_cache_mode = true;
   c.llc_mib = 36.0;
   c.l1_kib = 32;
   c.l1_assoc = 8;
@@ -84,7 +79,6 @@ CpuSpec knm() {
   c.int_ops_per_cycle = 32;
   c.dram_latency_ns = 155.0;
   c.mcdram_latency_ns = 174.0;
-  c.mlp = 10.0;
   return c;
 }
 
@@ -95,7 +89,6 @@ CpuSpec bdw() {
   c.model = "2x Xeon E5-2650v4";
   c.cores = 24;  // accumulated over both sockets, as in Table I
   c.smt = 2;
-  c.sockets = 2;
   c.base_ghz = 2.2;
   c.turbo_ghz = 2.9;
   c.peak_ref_ghz = 1.8;  // AVX base: 24 * 1.8 * 16 = 691.2 Gflop/s FP64
@@ -105,7 +98,6 @@ CpuSpec bdw() {
   c.dram_bw_gbs = 122.0;
   c.mcdram_gib = 0.0;
   c.mcdram_bw_gbs = 0.0;
-  c.mcdram_cache_mode = false;
   c.llc_mib = 60.0;  // 2 x 30 MiB L3
   c.l1_kib = 32;
   c.l1_assoc = 8;
@@ -120,7 +112,6 @@ CpuSpec bdw() {
   c.int_ops_per_cycle = 24;  // 3 vector ALU ports x 8 lanes
   c.dram_latency_ns = 90.0;  // big-core OoO hides more latency
   c.mcdram_latency_ns = 0.0;
-  c.mlp = 10.0;
   return c;
 }
 

@@ -210,18 +210,8 @@ std::string memory_model_digest(const CpuSpec& cpu) {
   append_f(key, cpu.mcdram_gib);
   append_f(key, cpu.mcdram_bw_gbs);
   append_f(key, cpu.mcdram_hit_eff);
-  append_i(key, cpu.mcdram_cache_mode ? 1 : 0);
   append_f(key, cpu.dram_latency_ns);
   append_f(key, cpu.mcdram_latency_ns);
-  append_f(key, cpu.mlp);
-  // The bandwidth model falls back to a per-family hit efficiency keyed
-  // off short_name == "KNM" only when no calibrated mcdram_hit_eff is
-  // carried; fold in the *resolved* family bit for exactly that case so
-  // the digest stays label-free everywhere else (and order-invariant
-  // for composed variants, whose short names differ by spec order).
-  if (cpu.has_mcdram() && cpu.mcdram_hit_eff <= 0.0) {
-    append_i(key, cpu.short_name == "KNM" ? 1 : 0);
-  }
   key += '|';
   return key;
 }
@@ -229,7 +219,6 @@ std::string memory_model_digest(const CpuSpec& cpu) {
 std::string canonical_cpu_digest(const CpuSpec& cpu) {
   std::string key = "cpu|";
   append_i(key, cpu.smt);
-  append_i(key, cpu.sockets);
   append_f(key, cpu.base_ghz);
   append_f(key, cpu.turbo_ghz);
   append_f(key, cpu.peak_ref_ghz);

@@ -584,13 +584,10 @@ int cmd_explore(const RunOptions& opt, std::ostream& out, std::ostream& err) {
   } else {
     static_cast<study::MeasureConfig&>(cfg) = measure_config(opt);
     const arch::CpuSpec base = table1_machine(opt.base, "--base");
-    for (const auto& spec : opt.variants) {
-      try {
-        (void)arch::derive_variant(base, spec);
-      } catch (const std::invalid_argument& e) {
-        throw UsageError("invalid --variants value '" + spec + "': " +
-                         e.what());
-      }
+    try {
+      (void)study::explore_variants(base, opt.variants);
+    } catch (const std::invalid_argument& e) {
+      throw UsageError(std::string("invalid --variants: ") + e.what());
     }
     cfg.base = opt.base;
     cfg.variants = opt.variants;
@@ -677,11 +674,16 @@ int cmd_pareto(const RunOptions& opt, std::ostream& out, std::ostream& err) {
   cfg.budget.max_tdp_ratio = opt.budget_tdp;
   if (!opt.objectives.empty()) {
     cfg.objectives.clear();
-    for (const auto& name : opt.objectives) {
+    for (auto name = opt.objectives.begin(); name != opt.objectives.end();
+         ++name) {
       try {
-        cfg.objectives.push_back(study::objective_from_string(name));
+        cfg.objectives.push_back(study::objective_from_string(*name));
       } catch (const std::invalid_argument& e) {
         throw UsageError(e.what());
+      }
+      if (std::find(opt.objectives.begin(), name, *name) != name) {
+        throw UsageError("objective '" + *name +
+                         "' given more than once in --objectives");
       }
     }
   }

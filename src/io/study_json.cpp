@@ -1,6 +1,7 @@
 #include "io/study_json.hpp"
 
 #include <array>
+#include <limits>
 #include <utility>
 
 #include "arch/machines.hpp"
@@ -82,20 +83,39 @@ Json pattern_to_json(const memsim::Pattern& p) {
   return j;
 }
 
+// The unsigned integer at `key`, as the narrower field type Int; a value
+// Int cannot hold is an error naming the key, not a silent wrap.
+template <typename Int>
+Int narrow_at(const Json& j, std::string_view key) {
+  const std::uint64_t v = j.at(key).as_u64();
+  constexpr auto kMax = static_cast<std::uint64_t>(
+      std::numeric_limits<Int>::max());
+  if (v > kMax) {
+    std::string msg = "'";
+    msg += key;
+    msg += "' is ";
+    msg += std::to_string(v);
+    msg += ", above its field's maximum of ";
+    msg += std::to_string(kMax);
+    throw JsonError(msg);
+  }
+  return static_cast<Int>(v);
+}
+
 memsim::Pattern pattern_from_json(const Json& j) {
   using namespace memsim;
   const std::string& type = j.at("type").as_string();
   if (type == "stream") {
     StreamPattern p;
     p.bytes_per_array = j.at("bytes_per_array").as_u64();
-    p.arrays = static_cast<int>(j.at("arrays").as_u64());
-    p.writes_per_iter = static_cast<int>(j.at("writes_per_iter").as_u64());
+    p.arrays = narrow_at<int>(j, "arrays");
+    p.writes_per_iter = narrow_at<int>(j, "writes_per_iter");
     return p;
   }
   if (type == "strided") {
     StridedPattern p;
     p.footprint_bytes = j.at("footprint_bytes").as_u64();
-    p.stride_bytes = static_cast<std::uint32_t>(j.at("stride_bytes").as_u64());
+    p.stride_bytes = narrow_at<std::uint32_t>(j, "stride_bytes");
     return p;
   }
   if (type == "stencil") {
@@ -103,15 +123,15 @@ memsim::Pattern pattern_from_json(const Json& j) {
     p.nx = j.at("nx").as_u64();
     p.ny = j.at("ny").as_u64();
     p.nz = j.at("nz").as_u64();
-    p.elem_bytes = static_cast<std::uint32_t>(j.at("elem_bytes").as_u64());
-    p.radius = static_cast<int>(j.at("radius").as_u64());
+    p.elem_bytes = narrow_at<std::uint32_t>(j, "elem_bytes");
+    p.radius = narrow_at<int>(j, "radius");
     p.full_box = j.at("full_box").as_bool();
     return p;
   }
   if (type == "gather") {
     GatherPattern p;
     p.table_bytes = j.at("table_bytes").as_u64();
-    p.elem_bytes = static_cast<std::uint32_t>(j.at("elem_bytes").as_u64());
+    p.elem_bytes = narrow_at<std::uint32_t>(j, "elem_bytes");
     p.sequential_fraction = j.at("sequential_fraction").as_number();
     p.shared_table = j.at("shared_table").as_bool();
     return p;
@@ -119,7 +139,7 @@ memsim::Pattern pattern_from_json(const Json& j) {
   if (type == "chase") {
     ChasePattern p;
     p.footprint_bytes = j.at("footprint_bytes").as_u64();
-    p.node_bytes = static_cast<std::uint32_t>(j.at("node_bytes").as_u64());
+    p.node_bytes = narrow_at<std::uint32_t>(j, "node_bytes");
     return p;
   }
   if (type == "blocked") {

@@ -1,5 +1,8 @@
-#include "kernels/amg.hpp"
-
+// AMG: algebraic multigrid solver proxy (hypre; ECP problem 1 — 27-point
+// stencil on a 3-D linear system, Sec. II-B1a). Re-implemented as a
+// geometric-coarsening multigrid V-cycle preconditioning CG on the same
+// 27-point operator, with hypre-like CSR storage so the integer indexing
+// load matches the original's instruction mix.
 #include <algorithm>
 #include <cmath>
 #include <functional>
@@ -7,10 +10,16 @@
 
 #include "common/aligned_buffer.hpp"
 #include "common/units.hpp"
+#include "kernels/kernel_base.hpp"
 
 namespace fpr::kernels {
 
 namespace {
+
+constexpr std::uint64_t kPaperDim = 320;
+// hypre's AMG-PCG converges in far fewer, heavier cycles than
+// our V(2,2) solver; 12 cycles matches Table IV's 110 GFP64.
+constexpr int kPaperIters = 12;
 
 constexpr std::uint64_t kRunDim = 36;
 constexpr int kRunIters = 18;
@@ -90,19 +99,8 @@ void spmv(ExecutionContext& ctx, const Csr& m, const double* x, double* y) {
 
 }  // namespace
 
-Amg::Amg()
-    : KernelBase(KernelInfo{
-          .name = "Algebraic multi-grid",
-          .abbrev = "AMG",
-          .suite = Suite::ecp,
-          .domain = Domain::physics_bioscience,
-          .pattern = ComputePattern::stencil,
-          .language = "C",
-          .paper_input = "problem 1: 27-point stencil, 3-D linear system",
-      }) {}
-
-WorkloadMeasurement Amg::run(ExecutionContext& ctx,
-                                    const RunConfig& cfg) const {
+WorkloadMeasurement run_amg(const KernelInfo& info, ExecutionContext& ctx,
+                            const RunConfig& cfg) {
   const std::uint64_t d0 = scaled_dim(kRunDim, cfg.scale);
 
   // Level hierarchy: full coarsening by 2 per dimension, operator
@@ -276,7 +274,7 @@ WorkloadMeasurement Amg::run(ExecutionContext& ctx,
     res = std::sqrt(dot(r.data(), r.data()));
   });
 
-  require(res < 1e-3 * res0, "AMG V-cycle residual reduced by 1e3");
+  require(info, res < 1e-3 * res0, "AMG V-cycle residual reduced by 1e3");
 
   const double paper_rows = static_cast<double>(kPaperDim) * kPaperDim *
                             kPaperDim;
@@ -310,7 +308,7 @@ WorkloadMeasurement Amg::run(ExecutionContext& ctx,
   traits.serial_fraction = 0.03;
   traits.latency_dep_fraction = 0.05;
 
-  return finish_measurement(info(), rec, ops_scale, paper_ws, access, traits,
+  return finish_measurement(info, rec, ops_scale, paper_ws, access, traits,
                             res / res0);
 }
 

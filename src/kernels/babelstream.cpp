@@ -1,9 +1,11 @@
-#include "kernels/babelstream.hpp"
-
-#include <string>
-
+// BabelStream (BABL): the paper's memory-subsystem reference benchmark
+// (Sec. II-B3c). Copy / Mul / Add / Triad / Dot over three large vectors.
+// Two paper configurations: 2 GiB vectors (fit in MCDRAM) and 14 GiB
+// vectors (exceed MCDRAM) — Sec. IV-C uses them to establish the
+// cache-mode bandwidth ceilings.
 #include "common/aligned_buffer.hpp"
 #include "common/units.hpp"
+#include "kernels/kernel_base.hpp"
 
 namespace fpr::kernels {
 
@@ -11,23 +13,11 @@ namespace {
 constexpr double kScalar = 0.4;  // BabelStream's triad/mul scalar
 constexpr int kReps = 8;         // kernel repetitions per run
 constexpr std::size_t kRunN = 1u << 21;  // 2M doubles/array at scale 1
-}  // namespace
 
-BabelStream::BabelStream(double paper_gib)
-    : KernelBase(KernelInfo{
-          .name = "BabelStream",
-          .abbrev = paper_gib < 10 ? "BABL2" : "BABL14",
-          .suite = Suite::reference,
-          .domain = Domain::reference,
-          .pattern = ComputePattern::stream,
-          .language = "C++",
-          .paper_input = std::to_string(static_cast<int>(paper_gib)) +
-                         " GiB vectors, cache mode",
-      }),
-      paper_gib_(paper_gib) {}
-
-WorkloadMeasurement BabelStream::run(ExecutionContext& ctx,
-                                            const RunConfig& cfg) const {
+// One paper configuration: `paper_gib` is the per-vector size (2 or 14).
+WorkloadMeasurement run_babelstream(const KernelInfo& info,
+                                    ExecutionContext& ctx,
+                                    const RunConfig& cfg, double paper_gib) {
   const std::size_t n = scaled_n(kRunN, cfg.scale);
   AlignedBuffer<double> a(n, 0.1), b(n, 0.2), c(n, 0.0);
 
@@ -88,14 +78,15 @@ WorkloadMeasurement BabelStream::run(ExecutionContext& ctx,
     vc = va + vb;
     va = vb + kScalar * vc;
   }
-  require_close(a[0], va, 1e-12, "a[0] closed form");
-  require_close(a[n - 1], va, 1e-12, "a[n-1] closed form");
+  require_close(info, a[0], va, 1e-12, "a[0] closed form");
+  require_close(info, a[n - 1], va, 1e-12, "a[n-1] closed form");
   // In the final repetition the dot sums a[i]*b[i] with a already updated
   // by the triad, so the expected value is n * va * vb.
-  require_close(dot_result, static_cast<double>(n) * va * vb, 1e-9, "dot");
+  require_close(info, dot_result, static_cast<double>(n) * va * vb, 1e-9,
+                "dot");
 
   // Paper-scale description.
-  const double paper_bytes_per_vec = paper_gib_ * static_cast<double>(GiB);
+  const double paper_bytes_per_vec = paper_gib * static_cast<double>(GiB);
   const auto paper_ws = static_cast<std::uint64_t>(3 * paper_bytes_per_vec);
   const double ops_scale =
       paper_bytes_per_vec / (static_cast<double>(n) * 8.0);
@@ -111,9 +102,21 @@ WorkloadMeasurement BabelStream::run(ExecutionContext& ctx,
   traits.serial_fraction = 0.0;
   traits.latency_dep_fraction = 0.0;
 
-  return finish_measurement(info(), rec, ops_scale, paper_ws,
+  return finish_measurement(info, rec, ops_scale, paper_ws,
                             memsim::AccessPatternSpec::single(pat), traits,
                             dot_result);
+}
+
+}  // namespace
+
+WorkloadMeasurement run_babl2(const KernelInfo& info, ExecutionContext& ctx,
+                              const RunConfig& cfg) {
+  return run_babelstream(info, ctx, cfg, 2.0);
+}
+
+WorkloadMeasurement run_babl14(const KernelInfo& info, ExecutionContext& ctx,
+                               const RunConfig& cfg) {
+  return run_babelstream(info, ctx, cfg, 14.0);
 }
 
 }  // namespace fpr::kernels

@@ -1,11 +1,15 @@
-#include "kernels/candle.hpp"
-
+// CANDLE (CNDL): deep-learning cancer benchmark P1B1 (Sec. II-B1b) — an
+// autoencoder over gene-expression data. Re-implemented as a dense MLP
+// autoencoder (synthetic expression matrix) trained with SGD; forward and
+// backward passes are the GEMMs that dominate the original's FP32 mix
+// (Table IV BDW: 6.9 Tops FP32, essentially no FP64).
 #include <algorithm>
 #include <cmath>
 #include <vector>
 
 #include "common/aligned_buffer.hpp"
 #include "common/rng.hpp"
+#include "kernels/kernel_base.hpp"
 
 namespace fpr::kernels {
 
@@ -79,19 +83,8 @@ void gemm_bt(ExecutionContext& ctx, const float* a, const float* b,
 
 }  // namespace
 
-Candle::Candle()
-    : KernelBase(KernelInfo{
-          .name = "CANDLE",
-          .abbrev = "CNDL",
-          .suite = Suite::ecp,
-          .domain = Domain::bioscience,
-          .pattern = ComputePattern::dense_matrix,
-          .language = "Python",
-          .paper_input = "P1B1 autoencoder on gene expression data",
-      }) {}
-
-WorkloadMeasurement Candle::run(ExecutionContext& ctx,
-                                       const RunConfig& cfg) const {
+WorkloadMeasurement run_candle(const KernelInfo& info, ExecutionContext& ctx,
+                               const RunConfig& cfg) {
   const std::uint64_t in = scaled_n(kIn, std::sqrt(cfg.scale));
   const std::uint64_t hid = scaled_n(kHidden, std::sqrt(cfg.scale));
   const std::uint64_t lat = kLatent;
@@ -188,8 +181,8 @@ WorkloadMeasurement Candle::run(ExecutionContext& ctx,
     }
   });
 
-  require(std::isfinite(loss), "finite loss");
-  require(loss < loss0, "autoencoder loss decreased");
+  require(info, std::isfinite(loss), "finite loss");
+  require(info, loss < loss0, "autoencoder loss decreased");
 
   // Anchor the extrapolation on Table IV's measured FP32 total
   // (6918 Gop): the original runs TensorFlow/MKL-DNN whose step count
@@ -214,7 +207,7 @@ WorkloadMeasurement Candle::run(ExecutionContext& ctx,
   traits.int_lane_inflation = 2.0;  // SDE lane-granular int counting
   traits.serial_fraction = 0.05;  // Python driver, data pipeline
 
-  return finish_measurement(info(), rec, ops_scale, paper_ws,
+  return finish_measurement(info, rec, ops_scale, paper_ws,
                             memsim::AccessPatternSpec::single(pat), traits,
                             loss);
 }

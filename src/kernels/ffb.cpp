@@ -1,14 +1,23 @@
-#include "kernels/ffb.hpp"
-
+// FrontFlow/blue (FFB): FEM incompressible Navier-Stokes thermo-fluid
+// solver (RIKEN Fiber suite, Sec. II-B2a). Paper input: 3-D cavity flow
+// in a 50x50x50-cube discretization. FFB computes in single precision —
+// it is one of the few FP32-dominant proxies in Fig. 1 — with heavy
+// integer indexing from the FE indirection (Table IV: 1786 Gop INT vs
+// 259 Gop FP32).
 #include <algorithm>
 #include <cmath>
 #include <vector>
 
 #include "common/aligned_buffer.hpp"
+#include "kernels/kernel_base.hpp"
 
 namespace fpr::kernels {
 
 namespace {
+
+// 50x50x50 cubes of quadratic elements ~ 101^3 FE nodes.
+constexpr std::uint64_t kPaperDim = 101;
+constexpr int kPaperSteps = 900;
 
 constexpr std::uint64_t kRunDim = 28;
 constexpr int kRunSteps = 6;
@@ -18,19 +27,8 @@ constexpr float kNu = 0.05f;  // viscosity
 
 }  // namespace
 
-Ffb::Ffb()
-    : KernelBase(KernelInfo{
-          .name = "FrontFlow/blue",
-          .abbrev = "FFB",
-          .suite = Suite::riken,
-          .domain = Domain::engineering,
-          .pattern = ComputePattern::stencil,
-          .language = "Fortran",
-          .paper_input = "3-D cavity flow, 50x50x50 cubes",
-      }) {}
-
-WorkloadMeasurement Ffb::run(ExecutionContext& ctx,
-                                    const RunConfig& cfg) const {
+WorkloadMeasurement run_ffb(const KernelInfo& info, ExecutionContext& ctx,
+                            const RunConfig& cfg) {
   const std::uint64_t d = scaled_dim(kRunDim, cfg.scale);
   const std::uint64_t n = d * d * d;
 
@@ -204,14 +202,14 @@ WorkloadMeasurement Ffb::run(ExecutionContext& ctx,
   });
   (void)initial_ke;
 
-  require(std::isfinite(final_ke) && final_ke > 0.0, "flow developed");
+  require(info, std::isfinite(final_ke) && final_ke > 0.0, "flow developed");
   // Velocity stays bounded by the lid speed (stability check).
   float umax = 0.0f;
   for (std::uint64_t i = 0; i < n; ++i) {
     umax = std::max(umax, std::abs(u[i]));
   }
-  require(umax <= 1.5f, "velocity bounded (stable scheme)");
-  require(final_div < 10.0, "divergence under control");
+  require(info, umax <= 1.5f, "velocity bounded (stable scheme)");
+  require(info, final_div < 10.0, "divergence under control");
 
   const double paper_cells = static_cast<double>(kPaperDim) * kPaperDim *
                              kPaperDim;
@@ -236,7 +234,7 @@ WorkloadMeasurement Ffb::run(ExecutionContext& ctx,
   traits.serial_fraction = 0.02;
   traits.latency_dep_fraction = 0.02;
 
-  return finish_measurement(info(), rec, ops_scale, paper_ws, access, traits,
+  return finish_measurement(info, rec, ops_scale, paper_ws, access, traits,
                             final_ke);
 }
 

@@ -1,14 +1,21 @@
-#include "kernels/ffvc.hpp"
-
+// FrontFlow/violet Cartesian (FFVC): finite-volume incompressible flow
+// solver (RIKEN, Sec. II-B2b) — same problem class as FFB but FVM on a
+// Cartesian grid; paper input is 3-D cavity flow in a 144^3 cuboid.
+// FP32-dominant with the heaviest integer load of the suite (Table IV:
+// 20.2 Top INT vs 1.58 Top FP32) from per-face flux index/mask work.
 #include <algorithm>
 #include <cmath>
 #include <vector>
 
 #include "common/aligned_buffer.hpp"
+#include "kernels/kernel_base.hpp"
 
 namespace fpr::kernels {
 
 namespace {
+
+constexpr std::uint64_t kPaperDim = 144;
+constexpr int kPaperSteps = 300;
 
 constexpr std::uint64_t kRunDim = 30;
 constexpr int kRunSteps = 5;
@@ -18,19 +25,8 @@ constexpr float kNu = 0.04f;
 
 }  // namespace
 
-Ffvc::Ffvc()
-    : KernelBase(KernelInfo{
-          .name = "FrontFlow/violet Cartesian",
-          .abbrev = "FFVC",
-          .suite = Suite::riken,
-          .domain = Domain::engineering,
-          .pattern = ComputePattern::stencil,
-          .language = "C++/Fortran",
-          .paper_input = "3-D cavity flow, 144^3 cuboid (FVM)",
-      }) {}
-
-WorkloadMeasurement Ffvc::run(ExecutionContext& ctx,
-                                     const RunConfig& cfg) const {
+WorkloadMeasurement run_ffvc(const KernelInfo& info, ExecutionContext& ctx,
+                             const RunConfig& cfg) {
   const std::uint64_t d = scaled_dim(kRunDim, cfg.scale);
   const std::uint64_t n = d * d * d;
 
@@ -221,11 +217,11 @@ WorkloadMeasurement Ffvc::run(ExecutionContext& ctx,
     mass_defect = md / static_cast<double>(n);
   });
 
-  require(std::isfinite(final_ke) && final_ke > 0.0, "flow developed");
+  require(info, std::isfinite(final_ke) && final_ke > 0.0, "flow developed");
   float umax = 0.0f;
   for (std::uint64_t i = 0; i < n; ++i) umax = std::max(umax, std::abs(u[i]));
-  require(umax <= 1.5f, "velocity bounded (stable scheme)");
-  require(mass_defect < 10.0, "divergence under control");
+  require(info, umax <= 1.5f, "velocity bounded (stable scheme)");
+  require(info, mass_defect < 10.0, "divergence under control");
 
   const double paper_cells = static_cast<double>(kPaperDim) * kPaperDim *
                              kPaperDim;
@@ -250,7 +246,7 @@ WorkloadMeasurement Ffvc::run(ExecutionContext& ctx,
   traits.serial_fraction = 0.02;
   traits.latency_dep_fraction = 0.02;
 
-  return finish_measurement(info(), rec, ops_scale, paper_ws, access, traits,
+  return finish_measurement(info, rec, ops_scale, paper_ws, access, traits,
                             final_ke);
 }
 

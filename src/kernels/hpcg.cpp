@@ -1,15 +1,22 @@
-#include "kernels/hpcg.hpp"
-
+// HPCG: preconditioned conjugate gradients on a 27-point operator with a
+// symmetric Gauss-Seidel preconditioner — the paper's memory-subsystem
+// reference solver (Sec. II-B3b, global problem 360^3). The dependent
+// forward/backward GS sweeps are what make HPCG memory-*latency* bound on
+// the Phis (paper Sec. IV-C/IV-E), which the traits encode.
 #include <algorithm>
 #include <cmath>
 #include <vector>
 
 #include "common/aligned_buffer.hpp"
 #include "common/units.hpp"
+#include "kernels/kernel_base.hpp"
 
 namespace fpr::kernels {
 
 namespace {
+
+constexpr std::uint64_t kPaperDim = 360;
+constexpr int kPaperIters = 50;
 
 constexpr std::uint64_t kRunDim = 40;  // grid edge at scale 1
 constexpr int kRunIters = 25;
@@ -101,19 +108,8 @@ std::uint64_t symgs(const Grid& g, const double* r, double* z) {
 
 }  // namespace
 
-Hpcg::Hpcg()
-    : KernelBase(KernelInfo{
-          .name = "High Performance Conjugate Gradients",
-          .abbrev = "HPCG",
-          .suite = Suite::reference,
-          .domain = Domain::reference,
-          .pattern = ComputePattern::sparse_matrix,
-          .language = "C++",
-          .paper_input = "360x360x360 global problem, Intel binary",
-      }) {}
-
-WorkloadMeasurement Hpcg::run(ExecutionContext& ctx,
-                                     const RunConfig& cfg) const {
+WorkloadMeasurement run_hpcg(const KernelInfo& info, ExecutionContext& ctx,
+                             const RunConfig& cfg) {
   const std::uint64_t d = scaled_dim(kRunDim, cfg.scale);
   const Grid g{d, d, d};
   const std::uint64_t n = g.rows();
@@ -175,8 +171,8 @@ WorkloadMeasurement Hpcg::run(ExecutionContext& ctx,
     res = std::sqrt(dot(rvec.data(), rvec.data()));
   });
 
-  require(res < 0.1 * res0, "CG residual reduced by 10x");
-  require(std::isfinite(res), "finite residual");
+  require(info, res < 0.1 * res0, "CG residual reduced by 10x");
+  require(info, std::isfinite(res), "finite residual");
 
   // Scale to the paper problem: rows ratio x iteration ratio.
   const double rows_ratio =
@@ -222,7 +218,7 @@ WorkloadMeasurement Hpcg::run(ExecutionContext& ctx,
   traits.phi_adjust.int_ops = 195.0;
   traits.phi_scalar_penalty = 1.3;
 
-  return finish_measurement(info(), rec, ops_scale, paper_ws, access, traits,
+  return finish_measurement(info, rec, ops_scale, paper_ws, access, traits,
                             res / res0);
 }
 

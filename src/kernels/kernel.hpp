@@ -1,6 +1,7 @@
 // The proxy-kernel interface. Each of the paper's 20 proxy/mini-apps and
-// 3 reference benchmarks (Sec. II-B) is re-implemented as a ProxyKernel:
-// a self-contained, instrumented, self-verifying computational kernel.
+// 3 reference benchmarks (Sec. II-B) is re-implemented as a
+// self-contained, instrumented, self-verifying computational kernel: one
+// row of the catalogue in kernels/registry.cpp, served as a ProxyKernel.
 //
 // A kernel run really executes the computation (on the host, at a reduced
 // input scale chosen to finish in well under a second), counts its

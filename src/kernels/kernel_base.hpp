@@ -1,5 +1,6 @@
 // Shared implementation scaffolding for proxy kernels: assay plumbing,
-// scaled-size helpers, and measurement assembly.
+// scaled-size helpers, verification, measurement assembly, and the run
+// function of every catalogue row in registry.cpp.
 #pragma once
 
 #include <cmath>
@@ -14,71 +15,58 @@
 
 namespace fpr::kernels {
 
-/// CRTP-free helper base: stores the KernelInfo and provides the
-/// run-measure-verify skeleton pieces concrete kernels compose.
-class KernelBase : public ProxyKernel {
- public:
-  [[nodiscard]] const KernelInfo& info() const final { return info_; }
+/// Scale an integer extent by cbrt(scale) (3-D problems) — keeps op
+/// growth roughly linear in `scale` for volume-dominated kernels.
+inline std::uint64_t scaled_dim(std::uint64_t base, double scale) {
+  const double s = std::cbrt(scale);
+  const auto v = static_cast<std::uint64_t>(
+      std::llround(static_cast<double>(base) * s));
+  return v > 4 ? v : 4;
+}
 
- protected:
-  explicit KernelBase(KernelInfo info) : info_(std::move(info)) {}
+/// Scale a count linearly.
+inline std::uint64_t scaled_n(std::uint64_t base, double scale) {
+  const auto v = static_cast<std::uint64_t>(
+      std::llround(static_cast<double>(base) * scale));
+  return v > 1 ? v : 1;
+}
 
-  /// Scale an integer extent by cbrt(scale) (3-D problems) — keeps op
-  /// growth roughly linear in `scale` for volume-dominated kernels.
-  static std::uint64_t scaled_dim(std::uint64_t base, double scale) {
-    const double s = std::cbrt(scale);
-    const auto v = static_cast<std::uint64_t>(
-        std::llround(static_cast<double>(base) * s));
-    return v > 4 ? v : 4;
+/// Run `solver` inside an assay region bound to `ctx`, return the
+/// measured ops and seconds. Mirrors PseudoCode 1 of the paper. The
+/// orchestrating thread is bound to the context's sink for the whole
+/// region (parallel regions bind their workers themselves), so every
+/// count the solver makes — serial sections included — lands in the
+/// context and nowhere else.
+template <typename Solver>
+counters::AssayRecorder assayed(ExecutionContext& ctx, Solver&& solver) {
+  ExecutionContext::Scope bind(ctx);
+  counters::AssayRecorder rec(ctx.counters());
+  {
+    counters::ScopedAssay scope(rec);
+    solver();
   }
+  return rec;
+}
 
-  /// Scale a count linearly.
-  static std::uint64_t scaled_n(std::uint64_t base, double scale) {
-    const auto v = static_cast<std::uint64_t>(
-        std::llround(static_cast<double>(base) * scale));
-    return v > 1 ? v : 1;
+/// Verification helper: relative error check with a descriptive throw
+/// naming the kernel.
+inline void require_close(const KernelInfo& info, double got, double want,
+                          double rel_tol, const char* what) {
+  const double denom = std::abs(want) > 1e-300 ? std::abs(want) : 1.0;
+  if (!(std::abs(got - want) / denom <= rel_tol)) {
+    throw std::runtime_error(info.abbrev + ": verification failed (" +
+                             std::string(what) + "): got " +
+                             std::to_string(got) + ", want " +
+                             std::to_string(want));
   }
+}
 
-  /// Run `solver` inside an assay region bound to `ctx`, return the
-  /// measured ops and seconds. Mirrors PseudoCode 1 of the paper. The
-  /// orchestrating thread is bound to the context's sink for the whole
-  /// region (parallel regions bind their workers themselves), so every
-  /// count the solver makes — serial sections included — lands in the
-  /// context and nowhere else.
-  template <typename Solver>
-  static counters::AssayRecorder assayed(ExecutionContext& ctx,
-                                         Solver&& solver) {
-    ExecutionContext::Scope bind(ctx);
-    counters::AssayRecorder rec(ctx.counters());
-    {
-      counters::ScopedAssay scope(rec);
-      solver();
-    }
-    return rec;
+inline void require(const KernelInfo& info, bool ok, const char* what) {
+  if (!ok) {
+    throw std::runtime_error(info.abbrev + ": verification failed: " +
+                             std::string(what));
   }
-
-  /// Verification helper: relative error check with a descriptive throw.
-  void require_close(double got, double want, double rel_tol,
-                     const char* what) const {
-    const double denom = std::abs(want) > 1e-300 ? std::abs(want) : 1.0;
-    if (!(std::abs(got - want) / denom <= rel_tol)) {
-      throw std::runtime_error(info_.abbrev + ": verification failed (" +
-                               std::string(what) + "): got " +
-                               std::to_string(got) + ", want " +
-                               std::to_string(want));
-    }
-  }
-
-  void require(bool ok, const char* what) const {
-    if (!ok) {
-      throw std::runtime_error(info_.abbrev + ": verification failed: " +
-                               std::string(what));
-    }
-  }
-
- private:
-  KernelInfo info_;
-};
+}
 
 /// Deterministic parallel reduction: each worker accumulates into its
 /// own padded slot; the final sum runs in fixed slot order, so the
@@ -134,5 +122,58 @@ inline WorkloadMeasurement finish_measurement(
   m.ops_scale_to_paper = ops_scale_to_paper;
   return m;
 }
+
+/// The run functions of the catalogue rows (registry.cpp), in paper
+/// order; each is defined in its kernel's .cpp. A run function does what
+/// ProxyKernel::run documents, with `info` its row's KernelInfo: init ->
+/// assayed solver -> verify -> finish_measurement.
+WorkloadMeasurement run_amg(const KernelInfo& info, ExecutionContext& ctx,
+                            const RunConfig& cfg);
+WorkloadMeasurement run_candle(const KernelInfo& info, ExecutionContext& ctx,
+                               const RunConfig& cfg);
+WorkloadMeasurement run_comd(const KernelInfo& info, ExecutionContext& ctx,
+                             const RunConfig& cfg);
+WorkloadMeasurement run_laghos(const KernelInfo& info, ExecutionContext& ctx,
+                               const RunConfig& cfg);
+WorkloadMeasurement run_macsio(const KernelInfo& info, ExecutionContext& ctx,
+                               const RunConfig& cfg);
+WorkloadMeasurement run_miniamr(const KernelInfo& info, ExecutionContext& ctx,
+                                const RunConfig& cfg);
+WorkloadMeasurement run_minife(const KernelInfo& info, ExecutionContext& ctx,
+                               const RunConfig& cfg);
+WorkloadMeasurement run_minitri(const KernelInfo& info, ExecutionContext& ctx,
+                                const RunConfig& cfg);
+WorkloadMeasurement run_nekbone(const KernelInfo& info, ExecutionContext& ctx,
+                                const RunConfig& cfg);
+WorkloadMeasurement run_sw4lite(const KernelInfo& info, ExecutionContext& ctx,
+                                const RunConfig& cfg);
+WorkloadMeasurement run_swfft(const KernelInfo& info, ExecutionContext& ctx,
+                              const RunConfig& cfg);
+WorkloadMeasurement run_xsbench(const KernelInfo& info, ExecutionContext& ctx,
+                                const RunConfig& cfg);
+WorkloadMeasurement run_ffb(const KernelInfo& info, ExecutionContext& ctx,
+                            const RunConfig& cfg);
+WorkloadMeasurement run_ffvc(const KernelInfo& info, ExecutionContext& ctx,
+                             const RunConfig& cfg);
+WorkloadMeasurement run_modylas(const KernelInfo& info, ExecutionContext& ctx,
+                                const RunConfig& cfg);
+WorkloadMeasurement run_mvmc(const KernelInfo& info, ExecutionContext& ctx,
+                             const RunConfig& cfg);
+WorkloadMeasurement run_ngsa(const KernelInfo& info, ExecutionContext& ctx,
+                             const RunConfig& cfg);
+WorkloadMeasurement run_nicam(const KernelInfo& info, ExecutionContext& ctx,
+                              const RunConfig& cfg);
+WorkloadMeasurement run_ntchem(const KernelInfo& info, ExecutionContext& ctx,
+                               const RunConfig& cfg);
+WorkloadMeasurement run_qcd(const KernelInfo& info, ExecutionContext& ctx,
+                            const RunConfig& cfg);
+WorkloadMeasurement run_hpl(const KernelInfo& info, ExecutionContext& ctx,
+                            const RunConfig& cfg);
+WorkloadMeasurement run_hpcg(const KernelInfo& info, ExecutionContext& ctx,
+                             const RunConfig& cfg);
+WorkloadMeasurement run_babl2(const KernelInfo& info, ExecutionContext& ctx,
+                              const RunConfig& cfg);
+WorkloadMeasurement run_babl14(const KernelInfo& info, ExecutionContext& ctx,
+                               const RunConfig& cfg);
 
 }  // namespace fpr::kernels

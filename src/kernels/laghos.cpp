@@ -1,10 +1,15 @@
-#include "kernels/laghos.hpp"
-
+// Laghos (LAGO): LAGrangian High-Order Solver proxy (Sec. II-B1d) —
+// compressible gas dynamics with an unstructured high-order finite
+// element method; the paper input is a 2-D Sedov blast wave.
+// Re-implemented as a staggered-grid 2-D Lagrangian hydro step with
+// per-zone quadrature loops and indirect corner-node gather/scatter —
+// the irregular, integer-heavy index pattern of MFEM assembly.
 #include <algorithm>
 #include <cmath>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "kernels/kernel_base.hpp"
 
 namespace fpr::kernels {
 
@@ -21,19 +26,8 @@ constexpr int kQuad = 9;
 
 }  // namespace
 
-Laghos::Laghos()
-    : KernelBase(KernelInfo{
-          .name = "Laghos",
-          .abbrev = "LAGO",
-          .suite = Suite::ecp,
-          .domain = Domain::physics,
-          .pattern = ComputePattern::irregular,
-          .language = "C++",
-          .paper_input = "2-D Sedov blast wave, default settings",
-      }) {}
-
-WorkloadMeasurement Laghos::run(ExecutionContext& ctx,
-                                       const RunConfig& cfg) const {
+WorkloadMeasurement run_laghos(const KernelInfo& info, ExecutionContext& ctx,
+                               const RunConfig& cfg) {
   const std::uint64_t nz = scaled_dim(kRunZones, std::pow(cfg.scale, 1.5));
   const std::uint64_t nn = nz + 1;  // node grid
   const std::uint64_t zones = nz * nz;
@@ -175,11 +169,11 @@ WorkloadMeasurement Laghos::run(ExecutionContext& ctx,
   for (std::uint64_t z = 0; z < zones; ++z) {
     total_mass += rho[z] * zvol[z];
     total_e += rho[z] * zvol[z] * e[z];
-    require(rho[z] > 0.0 && std::isfinite(e[z]), "positive finite state");
+    require(info, rho[z] > 0.0 && std::isfinite(e[z]), "positive finite state");
   }
-  require_close(total_mass, 1.0, 1e-6, "mass conserved");
+  require_close(info, total_mass, 1.0, 1e-6, "mass conserved");
   // The explicit scheme is not exactly conservative; allow 2% drift.
-  require(total_e <= total_e0 * 1.02, "internal energy bounded");
+  require(info, total_e <= total_e0 * 1.02, "internal energy bounded");
 
   const double ops_scale = (kPaperZones * kPaperZones * kPaperSteps) /
                            (static_cast<double>(zones) * kRunSteps);
@@ -206,7 +200,7 @@ WorkloadMeasurement Laghos::run(ExecutionContext& ctx,
   traits.phi_adjust.fp64 = 1.92;
   traits.phi_adjust.int_ops = 2.5;
 
-  return finish_measurement(info(), rec, ops_scale, paper_ws, access, traits,
+  return finish_measurement(info, rec, ops_scale, paper_ws, access, traits,
                             total_e);
 }
 

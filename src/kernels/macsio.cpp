@@ -1,39 +1,33 @@
-#include "kernels/macsio.hpp"
-
+// MACSio (MxIO): multi-purpose, application-centric, scalable I/O proxy
+// (Sec. II-B1e). Generates structured mesh dumps and writes them to
+// storage; the paper input writes 433.8 MB total. The interesting
+// finding (Sec. IV-E) is that the write path is CPU-frequency bound
+// (Linux kernel work), which the traits encode via io_write_bytes.
 #include <cstdio>
 #include <cstring>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "kernels/kernel_base.hpp"
 
 namespace fpr::kernels {
 
 namespace {
+constexpr double kPaperBytes = 433.8e6;
+
 constexpr std::uint64_t kRunBytes = 8u << 20;  // 8 MiB at scale 1
 constexpr std::uint64_t kChunk = 64u << 10;
 }  // namespace
 
-MacsIo::MacsIo()
-    : KernelBase(KernelInfo{
-          .name = "MACSio",
-          .abbrev = "MxIO",
-          .suite = Suite::ecp,
-          .domain = Domain::reference,  // synthetic I/O proxy (no domain
-                                        // row in Table II)
-          .pattern = ComputePattern::io,
-          .language = "C",
-          .paper_input = "433.8 MB written to disk",
-      }) {}
-
-WorkloadMeasurement MacsIo::run(ExecutionContext& ctx,
-                                       const RunConfig& cfg) const {
+WorkloadMeasurement run_macsio(const KernelInfo& info, ExecutionContext& ctx,
+                               const RunConfig& cfg) {
   const std::uint64_t total = scaled_n(kRunBytes, cfg.scale);
 
   // MACSio emits self-describing dumps: generate mesh-like payload
   // (variable fields serialized chunk-wise), write to a temp file, then
   // read back a sample to checksum.
   std::FILE* f = std::tmpfile();
-  require(f != nullptr, "tmpfile available");
+  require(info, f != nullptr, "tmpfile available");
 
   std::vector<unsigned char> chunk(kChunk);
   Xoshiro256 rng(cfg.seed);
@@ -55,7 +49,7 @@ WorkloadMeasurement MacsIo::run(ExecutionContext& ctx,
         check += q;
       }
       const std::size_t put = std::fwrite(chunk.data(), 1, n, f);
-      require(put == n, "fwrite wrote the full chunk");
+      require(info, put == n, "fwrite wrote the full chunk");
       written += n;
       iops += 32;  // syscall bookkeeping
     }
@@ -69,10 +63,10 @@ WorkloadMeasurement MacsIo::run(ExecutionContext& ctx,
   // Verify the file really contains what we wrote (sample read-back).
   std::fseek(f, 0, SEEK_END);
   const long size = std::ftell(f);
-  require(static_cast<std::uint64_t>(size) == total, "file size matches");
+  require(info, static_cast<std::uint64_t>(size) == total, "file size matches");
   std::fseek(f, 0, SEEK_SET);
   unsigned char probe[16] = {};
-  require(std::fread(probe, 1, sizeof probe, f) == sizeof probe,
+  require(info, std::fread(probe, 1, sizeof probe, f) == sizeof probe,
           "read-back succeeds");
   std::fclose(f);
 
@@ -93,7 +87,7 @@ WorkloadMeasurement MacsIo::run(ExecutionContext& ctx,
   traits.io_write_bytes = kPaperBytes;  // the actual bottleneck
   traits.phi_scalar_penalty = 2.1;  // kernel-mode work on slow Phi cores
 
-  return finish_measurement(info(), rec, ops_scale, paper_ws,
+  return finish_measurement(info, rec, ops_scale, paper_ws,
                             memsim::AccessPatternSpec::single(pat), traits,
                             static_cast<double>(check));
 }

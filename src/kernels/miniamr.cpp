@@ -1,10 +1,13 @@
-#include "kernels/miniamr.hpp"
-
+// MiniAMR (MAMR): adaptive-mesh-refinement proxy (Mantevo, Sec. II-B1f).
+// A 7-point stencil applied over an octree of blocks while a sphere moves
+// diagonally through the domain, triggering refinement and coarsening —
+// the block-management bookkeeping is the integer-heavy part.
 #include <algorithm>
 #include <cmath>
 #include <vector>
 
 #include "common/aligned_buffer.hpp"
+#include "kernels/kernel_base.hpp"
 
 namespace fpr::kernels {
 
@@ -32,19 +35,8 @@ struct Block {
 
 }  // namespace
 
-MiniAmr::MiniAmr()
-    : KernelBase(KernelInfo{
-          .name = "MiniAMR",
-          .abbrev = "MAMR",
-          .suite = Suite::ecp,
-          .domain = Domain::geoscience,
-          .pattern = ComputePattern::stencil,
-          .language = "C",
-          .paper_input = "sphere moving diagonally through a cubic medium",
-      }) {}
-
-WorkloadMeasurement MiniAmr::run(ExecutionContext& ctx,
-                                        const RunConfig& cfg) const {
+WorkloadMeasurement run_miniamr(const KernelInfo& info, ExecutionContext& ctx,
+                                const RunConfig& cfg) {
   const std::uint64_t root = scaled_dim(kRunRoot, cfg.scale);
 
   std::vector<Block> blocks;
@@ -155,13 +147,13 @@ WorkloadMeasurement MiniAmr::run(ExecutionContext& ctx,
     }
   });
 
-  require(refinements > 0, "refinement occurred");
-  require(std::isfinite(field_sum), "finite field");
+  require(info, refinements > 0, "refinement occurred");
+  require(info, std::isfinite(field_sum), "finite field");
   // The smoothing stencil preserves each block's mean at the interior;
   // values stay within the initial bounds.
   for (const auto& b : blocks) {
     for (const double v : b.cells) {
-      require(v > 0.0 && v <= 1.0 + 1e-9, "stencil stays in bounds");
+      require(info, v > 0.0 && v <= 1.0 + 1e-9, "stencil stays in bounds");
     }
   }
 
@@ -196,7 +188,7 @@ WorkloadMeasurement MiniAmr::run(ExecutionContext& ctx,
   traits.phi_adjust.fp64 = 7.14;
   traits.phi_adjust.int_ops = 19.5;
 
-  return finish_measurement(info(), rec, ops_scale, paper_ws, access, traits,
+  return finish_measurement(info, rec, ops_scale, paper_ws, access, traits,
                             field_sum);
 }
 

@@ -1,15 +1,21 @@
-#include "kernels/minife.hpp"
-
+// MiniFE (MiFE): implicit finite-element proxy (Mantevo, Sec. II-B1g).
+// Assembles a hex-8 Poisson stiffness matrix into CSR (the scatter-heavy
+// irregular phase) and solves with unpreconditioned CG. Paper input:
+// a 128x128x128 grid.
 #include <algorithm>
 #include <cmath>
 #include <map>
 #include <vector>
 
 #include "common/aligned_buffer.hpp"
+#include "kernels/kernel_base.hpp"
 
 namespace fpr::kernels {
 
 namespace {
+
+constexpr std::uint64_t kPaperDim = 128;
+constexpr int kPaperIters = 200;
 
 constexpr std::uint64_t kRunDim = 22;  // element grid edge at scale 1
 constexpr int kRunIters = 40;
@@ -23,19 +29,8 @@ struct Csr {
 
 }  // namespace
 
-MiniFe::MiniFe()
-    : KernelBase(KernelInfo{
-          .name = "MiniFE",
-          .abbrev = "MiFE",
-          .suite = Suite::ecp,
-          .domain = Domain::physics,
-          .pattern = ComputePattern::irregular,
-          .language = "C++",
-          .paper_input = "128x128x128 unstructured 3-D grid",
-      }) {}
-
-WorkloadMeasurement MiniFe::run(ExecutionContext& ctx,
-                                       const RunConfig& cfg) const {
+WorkloadMeasurement run_minife(const KernelInfo& info, ExecutionContext& ctx,
+                               const RunConfig& cfg) {
   const std::uint64_t ne = scaled_dim(kRunDim, cfg.scale);  // elements/dim
   const std::uint64_t nn = ne + 1;                          // nodes/dim
   const std::uint64_t nodes = nn * nn * nn;
@@ -160,7 +155,7 @@ WorkloadMeasurement MiniFe::run(ExecutionContext& ctx,
     for (std::uint64_t i = 0; i < nodes; i += 97) {
       max_err = std::max(max_err, std::abs(x[i] - 1.0));
     }
-    require(max_err < 0.05, "CG recovers manufactured solution");
+    require(info, max_err < 0.05, "CG recovers manufactured solution");
   });
 
   const double paper_nodes = static_cast<double>((kPaperDim + 1)) *
@@ -194,7 +189,7 @@ WorkloadMeasurement MiniFe::run(ExecutionContext& ctx,
   // the integer ops (669 vs 121 Gop on KNM vs BDW).
   traits.phi_adjust.int_ops = 4.0;
 
-  return finish_measurement(info(), rec, ops_scale, paper_ws, access, traits,
+  return finish_measurement(info, rec, ops_scale, paper_ws, access, traits,
                             static_cast<double>(A.col.size()));
 }
 

@@ -1,11 +1,15 @@
-#include "kernels/minitri.hpp"
-
+// MiniTri (MTri): graph-analytics proxy (Sec. II-B1h) — triangle
+// detection and a largest-clique bound on a sparse symmetric graph
+// (paper input: BCSSTK30 from MatrixMarket). Re-implemented over a
+// deterministic synthetic graph with a BCSSTK30-like degree profile.
+// Pure integer/branch workload (Table IV: zero FP operations).
 #include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "kernels/kernel_base.hpp"
 
 namespace fpr::kernels {
 
@@ -56,19 +60,8 @@ std::uint64_t banded_triangles(std::uint64_t n, std::uint64_t band) {
 
 }  // namespace
 
-MiniTri::MiniTri()
-    : KernelBase(KernelInfo{
-          .name = "MiniTri",
-          .abbrev = "MTri",
-          .suite = Suite::ecp,
-          .domain = Domain::math_cs,
-          .pattern = ComputePattern::irregular,
-          .language = "C++",
-          .paper_input = "BCSSTK30 triangle detection + clique bound",
-      }) {}
-
-WorkloadMeasurement MiniTri::run(ExecutionContext& ctx,
-                                        const RunConfig& cfg) const {
+WorkloadMeasurement run_minitri(const KernelInfo& info, ExecutionContext& ctx,
+                                const RunConfig& cfg) {
   const std::uint64_t n = scaled_n(kRunVerts, cfg.scale);
   const Graph g = build_banded(n, kBand);
 
@@ -124,11 +117,13 @@ WorkloadMeasurement MiniTri::run(ExecutionContext& ctx,
   });
 
   const std::uint64_t expected = banded_triangles(n, kBand);
-  require(triangles.load() == expected, "triangle count matches closed form");
+  require(info, triangles.load() == expected,
+          "triangle count matches closed form");
   // Largest-clique bound (miniTri's second output): a clique of size k
   // has edges carrying k-2 triangles; bound = max per-edge triangles + 2.
   const std::uint64_t clique_bound = max_tri_per_edge.load() + 2;
-  require(clique_bound >= kBand / 2, "clique bound sane for banded graph");
+  require(info, clique_bound >= kBand / 2,
+          "clique bound sane for banded graph");
 
   // Anchored on Table IV's 118.26 Gop INT: miniTri's task-based
   // linear-algebra formulation does far more integer work than a plain
@@ -153,7 +148,7 @@ WorkloadMeasurement MiniTri::run(ExecutionContext& ctx,
   traits.latency_dep_fraction = 0.03;
   traits.phi_scalar_penalty = 2.6;  // in-order cores on branchy merges
 
-  return finish_measurement(info(), rec, ops_scale, paper_ws, access, traits,
+  return finish_measurement(info, rec, ops_scale, paper_ws, access, traits,
                             static_cast<double>(triangles.load()));
 }
 

@@ -1,5 +1,10 @@
-#include "kernels/ngsa.hpp"
-
+// NGSA (Next-Gen Sequencing Analyzer, Sec. II-B2f): genome-analysis
+// mini-app detecting mutations in DNA. Re-implemented as the alignment
+// core: a suffix-array index over a pseudo-genome (the paper uses
+// ngsa-dummy pseudo-genome data), exact-seed lookup by binary search and
+// banded Smith-Waterman extension. Pure integer/branch workload — the
+// paper's canonical ALU-bound (not FPU-bound) proxy, and dramatically
+// slower on Phi's narrow in-order cores (830 s vs 106 s on BDW).
 #include <algorithm>
 #include <atomic>
 #include <cstring>
@@ -7,6 +12,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "kernels/kernel_base.hpp"
 
 namespace fpr::kernels {
 
@@ -32,19 +38,8 @@ std::uint64_t seed_key(const std::vector<std::uint8_t>& g, std::uint64_t i) {
 
 }  // namespace
 
-Ngsa::Ngsa()
-    : KernelBase(KernelInfo{
-          .name = "Next-Gen Sequencing Analyzer",
-          .abbrev = "NGSA",
-          .suite = Suite::riken,
-          .domain = Domain::bioscience,
-          .pattern = ComputePattern::irregular,
-          .language = "C",
-          .paper_input = "pre-generated pseudo-genome (ngsa-dummy)",
-      }) {}
-
-WorkloadMeasurement Ngsa::run(ExecutionContext& ctx,
-                                     const RunConfig& cfg) const {
+WorkloadMeasurement run_ngsa(const KernelInfo& info, ExecutionContext& ctx,
+                             const RunConfig& cfg) {
   const std::uint64_t glen = scaled_n(kRunGenome, cfg.scale);
   const std::uint64_t nreads = scaled_n(kRunReads, cfg.scale);
 
@@ -154,8 +149,8 @@ WorkloadMeasurement Ngsa::run(ExecutionContext& ctx,
 
   // Verification: the planted reads must map back to their origins
   // (mutations are outside the exact-match seed).
-  require(aligned_total.load() == nreads, "all reads processed");
-  require(aligned_correct.load() >= nreads * 95 / 100,
+  require(info, aligned_total.load() == nreads, "all reads processed");
+  require(info, aligned_correct.load() >= nreads * 95 / 100,
           "planted reads align to planted positions");
 
   // Anchored on Table IV's 64.2 Gop INT (BDW): the full analyzer
@@ -183,7 +178,7 @@ WorkloadMeasurement Ngsa::run(ExecutionContext& ctx,
   traits.phi_scalar_penalty = 16.0;  // paper: 7.8x slower on KNL than BDW
                                     // despite 2.7x the cores
 
-  return finish_measurement(info(), rec, ops_scale, paper_ws, access, traits,
+  return finish_measurement(info, rec, ops_scale, paper_ws, access, traits,
                             static_cast<double>(aligned_correct.load()));
 }
 

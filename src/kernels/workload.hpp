@@ -31,7 +31,8 @@ struct PhiOpAdjust {
 
 /// Static characteristics of a kernel that the model cannot derive from
 /// counts alone. One record per kernel; values are calibrated once
-/// against the paper's Table IV and documented in model/calibration.
+/// against the paper's Table IV and set, with their rationale, in the
+/// kernel's run function.
 struct KernelTraits {
   /// Fraction of FP peak the kernel's hot loops reach when fully
   /// compute-bound (vectorization + ILP quality).

@@ -21,13 +21,8 @@ BandwidthBreakdown effective_bandwidth(const arch::CpuSpec& cpu,
   }
 
   // The spec carries its calibrated cache-mode hit efficiency (derived
-  // variants inherit it from their base); hand-built specs without one
-  // fall back to the per-family calibration constants.
-  const double hit_eff =
-      cpu.mcdram_hit_eff > 0.0 ? cpu.mcdram_hit_eff
-      : cpu.short_name == "KNM" ? params.hit_efficiency_knm
-                                : params.hit_efficiency_knl;
-  out.mcdram_gbs = cpu.mcdram_bw_gbs * hit_eff;
+  // variants inherit it from their base).
+  out.mcdram_gbs = cpu.mcdram_bw_gbs * cpu.mcdram_hit_eff;
 
   // Capacity guard: a working set beyond the MCDRAM cannot be captured
   // regardless of what a (scaled) hierarchy simulation suggested.

@@ -22,11 +22,9 @@ struct BandwidthBreakdown {
 
 /// Overheads of running the MCDRAM as a memory-side cache rather than
 /// flat-mapped memory: every access pays a tag probe and misses incur a
-/// read-for-ownership style double transfer. Calibrated so the model's
-/// BabelStream reproduces the paper's 86% (KNL) / 75% (KNM) capture.
+/// read-for-ownership style double transfer. The hit efficiency itself
+/// (the paper's 86% on KNL, 75% on KNM) is CpuSpec::mcdram_hit_eff.
 struct CacheModeParams {
-  double hit_efficiency_knl = 0.86;
-  double hit_efficiency_knm = 0.75;
   double miss_overhead = 1.9;  ///< DRAM bytes moved per missed byte
   /// Latency adder of a cache-mode miss: fraction of the MCDRAM access
   /// time spent probing the memory-side tags before the DRAM fill can

@@ -28,9 +28,35 @@ ExploreResults ExploreEngine::run() {
   }
   arch::CpuSpec base = std::move(*found);
 
-  const auto specs = cfg_.variants.empty()
-                         ? arch::builtin_variant_specs(base)
-                         : cfg_.variants;
+  const auto variants = explore_variants(
+      base, cfg_.variants.empty() ? arch::builtin_variant_specs(base)
+                                  : cfg_.variants);
+
+  // Phase 1: measure every kernel on the base exactly once.
+  const VariantEvaluator evaluator(base, cfg_, factory_);
+
+  // Phase 2: score the baseline and every variant in one batch, which
+  // replays each new geometry's traces once over cfg.jobs workers.
+  auto scores = evaluator.evaluate(variants);
+  ExploreResults out;
+  out.base = base.short_name;
+  out.baseline = std::move(scores.front());
+  scores.erase(scores.begin());
+  out.variants = std::move(scores);
+
+  stats_ = evaluator.measurement_stats();
+  // Count the scored (kernel, variant) grid like the monolithic engine
+  // did, and report replay-cache totals across both phases.
+  stats_.machine_evals += out.variants.size() *
+                          static_cast<std::uint64_t>(evaluator.kernel_count());
+  const auto sim = evaluator.sim_stats();
+  stats_.sim_hits = sim.hits;
+  stats_.sim_misses = sim.misses;
+  return out;
+}
+
+std::vector<arch::MachineVariant> explore_variants(
+    const arch::CpuSpec& base, const std::vector<std::string>& specs) {
   // Dedup on the canonical resolved machine, not the spec string: "a+b"
   // vs "b+a" and factor respellings ("dram-bw=1.5" vs "dram-bw=1.50")
   // derive the same CpuSpec and must be rejected as loudly as a literal
@@ -59,29 +85,7 @@ ExploreResults ExploreEngine::run() {
     }
     variants.push_back(std::move(v));
   }
-
-  // Phase 1: measure every kernel on the base exactly once.
-  const VariantEvaluator evaluator(base, cfg_, factory_);
-
-  // Phase 2: score the baseline and every variant in one batch, which
-  // replays each new geometry's traces once over cfg.jobs workers.
-  auto scores = evaluator.evaluate(variants);
-  ExploreResults out;
-  out.base = base.short_name;
-  out.baseline = std::move(scores.front());
-  scores.erase(scores.begin());
-  out.variants = std::move(scores);
-
-  stats_ = evaluator.measurement_stats();
-  // Count the scored (kernel, variant) grid like the monolithic engine
-  // did, and report replay-cache totals across both phases.
-  stats_.machine_evals += out.variants.size() *
-                          static_cast<std::uint64_t>(evaluator.kernel_count());
-  const auto sim = evaluator.sim_stats();
-  stats_.sim_hits = sim.hits;
-  stats_.sim_misses = sim.misses;
-  evaluator_stats_ = evaluator.stats();
-  return out;
+  return variants;
 }
 
 ExploreConfig golden_explore_config() {

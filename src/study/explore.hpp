@@ -64,17 +64,19 @@ class ExploreEngine {
   /// monolithic engine counted.
   [[nodiscard]] const EngineStats& stats() const { return stats_; }
 
-  /// Scoring-side counters (memo hits/misses, evaluate() calls).
-  [[nodiscard]] const EvaluatorStats& evaluator_stats() const {
-    return evaluator_stats_;
-  }
-
  private:
   ExploreConfig cfg_;
   StudyEngine::KernelFactory factory_;
   EngineStats stats_;
-  EvaluatorStats evaluator_stats_;
 };
+
+/// The machines an explore run scores: slot 0 is the baseline (`base`
+/// itself, spec ""), then one derived variant per spec, in order. Throws
+/// std::invalid_argument for a spec arch::derive_variant rejects, a
+/// repeated spec, or a spec that derives the same machine
+/// (arch::canonical_cpu_digest) as an earlier spec or as the base.
+[[nodiscard]] std::vector<arch::MachineVariant> explore_variants(
+    const arch::CpuSpec& base, const std::vector<std::string>& specs);
 
 /// The deterministic configuration behind
 /// tests/golden/explore_snapshot.json: the study golden's six kernels at

@@ -40,9 +40,6 @@ struct PaperDerived {
   double speedup_knl_vs_bdw(const PaperRow& r) const {
     return r.t2sol_bdw / r.t2sol_knl;
   }
-  double speedup_knm_vs_bdw(const PaperRow& r) const {
-    return r.t2sol_bdw / r.t2sol_knm;
-  }
   double knm_vs_knl(const PaperRow& r) const {
     return r.t2sol_knl / r.t2sol_knm;
   }

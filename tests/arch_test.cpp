@@ -107,6 +107,17 @@ TEST(Machines, ValidationCatchesBadSpecs) {
   c = knl();
   c.fpu_issue_eff = 1.5;
   EXPECT_THROW(c.validate(), std::invalid_argument);
+  // An MCDRAM machine carries its cache-mode hit efficiency in (0, 1].
+  for (const double eff : {0.0, -0.5, 1.5}) {
+    c = knl();
+    c.mcdram_hit_eff = eff;
+    EXPECT_THROW(c.validate(), std::invalid_argument) << eff;
+  }
+  c = knl();
+  c.mcdram_hit_eff = 1.0;
+  EXPECT_NO_THROW(c.validate());
+  EXPECT_EQ(bdw().mcdram_hit_eff, 0.0);  // no MCDRAM, nothing to carry
+  EXPECT_NO_THROW(bdw().validate());
 }
 
 TEST(Machines, HypotheticalFpuSwap) {

@@ -467,6 +467,18 @@ TEST(Cli, ExploreRejectsBadOptions) {
     EXPECT_NE(r.err.find(bad[0]), std::string::npos) << r.err;
     EXPECT_NE(r.err.find(bad[1]), std::string::npos) << r.err;
   }
+  // So are a repeated spec and a spec that derives the base or an
+  // earlier spec's machine: the message names the offending spec.
+  for (const auto& bad : std::vector<std::vector<std::string>>{
+           {"halve-fp64,halve-fp64", "'halve-fp64'"},
+           {"cores=1", "'cores=1'"},
+           {"dram-bw=1.5,dram-bw=1.50", "'dram-bw=1.50'"}}) {
+    const auto r = run({"explore", "--kernel", "BABL2", "--threads", "1",
+                        "--variants", bad[0]});
+    EXPECT_EQ(r.code, 2) << bad[0];
+    EXPECT_NE(r.err.find("--variants"), std::string::npos) << r.err;
+    EXPECT_NE(r.err.find(bad[1]), std::string::npos) << r.err;
+  }
   // An MCDRAM too large to simulate derives a machine; the replay
   // refuses it by machine and level instead of wrapping a cast or
   // exhausting memory.
@@ -606,6 +618,9 @@ TEST(Cli, ParetoRejectsBadOptions) {
   EXPECT_EQ(epyc.code, 2);
   EXPECT_NE(epyc.err.find("--base"), std::string::npos) << epyc.err;
   EXPECT_EQ(run_pareto({"--objectives", "throughput"}).code, 2);
+  const auto twice = run_pareto({"--objectives", "time,time"});
+  EXPECT_EQ(twice.code, 2);
+  EXPECT_NE(twice.err.find("--objectives"), std::string::npos) << twice.err;
   EXPECT_EQ(run_pareto({"--objectives", ","}).code, 2);
   EXPECT_EQ(run_pareto({"--max-depth", "0"}).code, 2);
   EXPECT_EQ(run_pareto({"--rounds", "-1"}).code, 2);
@@ -1391,6 +1406,32 @@ TEST(Cli, ReportRejectsFilesThatAreNotStudyResults) {
     EXPECT_NE(r.err.find("fpr report: "), std::string::npos) << r.err;
     EXPECT_NE(r.err.find(path), std::string::npos) << r.err;
     EXPECT_TRUE(r.out.empty()) << path;
+  }
+}
+
+TEST(Cli, ReportRejectsPatternIntegersTooWideForTheirField) {
+  // A cast to the field would read 4294967297 as 1 and 4294967304 as 8
+  // and report on; the loader names the key instead (exit 3).
+  std::ifstream in(FPR_GOLDEN_SNAPSHOT);
+  const std::string golden((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+  for (const auto& [key, value] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"radius", "4294967297"}, {"elem_bytes", "4294967304"}}) {
+    const std::string field = "\"" + key + "\": ";
+    std::string text = golden;
+    const auto at = text.find(field);
+    ASSERT_NE(at, std::string::npos) << key;
+    text.replace(at, text.find(',', at) - at, field + value);
+    TempFile wide("report_wide_" + key);
+    {
+      std::ofstream out(wide.path());
+      out << text;
+    }
+    const auto r = run({"report", wide.path()});
+    EXPECT_EQ(r.code, 3) << key << ": " << r.err;
+    EXPECT_NE(r.err.find("'" + key + "'"), std::string::npos) << r.err;
+    EXPECT_TRUE(r.out.empty()) << key;
   }
 }
 

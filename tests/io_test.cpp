@@ -10,6 +10,7 @@
 #include <cstring>
 #include <limits>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -282,6 +283,48 @@ TEST(StudyJson, RejectsForeignAndFutureDocuments) {
   knl_twice.kernels[0].machines.push_back(knl_twice.kernels[0].machines[0]);
   EXPECT_EQ(error_of(knl_twice),
             "kernel 'BABL2': machine 'KNL' appears more than once");
+}
+
+TEST(StudyJson, RejectsPatternIntegersTooWideForTheirField) {
+  // Every narrowed access-pattern field loads its type's maximum and
+  // rejects anything above it with an error naming the key, where a cast
+  // would wrap (4294967304 is 2^32 + 8, which a cast reads as 8).
+  const Json spec = to_json(memsim::AccessPatternSpec{
+      {{memsim::StreamPattern{}, 1.0},
+       {memsim::StridedPattern{}, 1.0},
+       {memsim::StencilPattern{}, 1.0},
+       {memsim::GatherPattern{}, 1.0},
+       {memsim::ChasePattern{}, 1.0}}});
+  // A one-component spec: component `i` of `spec` with `key` set to `v`.
+  const auto with = [&](std::size_t i, const char* key, std::uint64_t v) {
+    Json component = spec.at("components").as_array()[i];
+    Json pattern = component.at("pattern");
+    pattern.set(key, v);
+    component.set("pattern", std::move(pattern));
+    return Json::object().set("components", Json::array().push(component));
+  };
+  constexpr std::uint64_t kIntMax = 2147483647, kU32Max = 4294967295;
+  for (const auto& [i, key, max] :
+       std::vector<std::tuple<std::size_t, const char*, std::uint64_t>>{
+           {0, "arrays", kIntMax},
+           {0, "writes_per_iter", kIntMax},
+           {1, "stride_bytes", kU32Max},
+           {2, "elem_bytes", kU32Max},
+           {2, "radius", kIntMax},
+           {3, "elem_bytes", kU32Max},
+           {4, "node_bytes", kU32Max}}) {
+    EXPECT_NO_THROW((void)access_spec_from_json(with(i, key, max))) << key;
+    for (const std::uint64_t over : {max + 1, std::uint64_t{4294967304}}) {
+      try {
+        (void)access_spec_from_json(with(i, key, over));
+        ADD_FAILURE() << key << " = " << over << " loaded";
+      } catch (const JsonError& e) {
+        EXPECT_NE(std::string(e.what()).find(std::string("'") + key + "'"),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

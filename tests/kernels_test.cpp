@@ -3,6 +3,7 @@
 // kernels_verify_test.cpp, which runs every kernel's self-check.)
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <set>
 
 #include "kernels/kernel.hpp"
@@ -56,6 +57,96 @@ TEST(Registry, InfoFieldsPopulated) {
     EXPECT_FALSE(i.abbrev.empty());
     EXPECT_FALSE(i.language.empty());
     EXPECT_FALSE(i.paper_input.empty());
+  }
+}
+
+TEST(Registry, CatalogueIsPinned) {
+  // Every field of every catalogue row in paper order, as `fpr list
+  // --csv` prints them: abbrev, name, suite, domain, compute pattern,
+  // language, paper input. make_all(), make() and all_abbrevs() must
+  // each agree with it.
+  struct Pinned {
+    const char* abbrev;
+    const char* name;
+    const char* suite;
+    const char* domain;
+    const char* pattern;
+    const char* language;
+    const char* paper_input;
+  };
+  const Pinned rows[] = {
+      {"AMG", "Algebraic multi-grid", "ECP", "Physics and Bioscience",
+       "Stencil", "C", "problem 1: 27-point stencil, 3-D linear system"},
+      {"CNDL", "CANDLE", "ECP", "Bioscience", "Dense matrix", "Python",
+       "P1B1 autoencoder on gene expression data"},
+      {"CoMD", "Co-designed Molecular Dynamics", "ECP",
+       "Material Science/Engineering", "N-body", "C",
+       "LJ potential, 256,000 atoms, strong scaling"},
+      {"LAGO", "Laghos", "ECP", "Physics", "Irregular", "C++",
+       "2-D Sedov blast wave, default settings"},
+      {"MxIO", "MACSio", "ECP", "Reference", "I/O", "C",
+       "433.8 MB written to disk"},
+      {"MAMR", "MiniAMR", "ECP", "Geoscience/Earthscience", "Stencil", "C",
+       "sphere moving diagonally through a cubic medium"},
+      {"MiFE", "MiniFE", "ECP", "Physics", "Irregular", "C++",
+       "128x128x128 unstructured 3-D grid"},
+      {"MTri", "MiniTri", "ECP", "Math/Computer Science", "Irregular", "C++",
+       "BCSSTK30 triangle detection + clique bound"},
+      {"NekB", "Nekbone", "ECP", "Math/Computer Science", "Sparse matrix",
+       "Fortran",
+       "CG Poisson, multigrid preconditioner, "
+       "fixed elements/process and order"},
+      {"SW4L", "SW4lite", "ECP", "Geoscience/Earthscience", "Stencil", "C",
+       "pointsource: wave from a point in a half-space"},
+      {"FFT", "SWFFT", "ECP", "Physics", "FFT", "C/Fortran",
+       "32 reps of 3-D FFT on a 128^3 grid"},
+      {"XSBn", "XSBench", "ECP", "Physics", "Irregular", "C",
+       "large H-M reactor, 15e6 lookups/particle class"},
+      {"FFB", "FrontFlow/blue", "RIKEN", "Engineering (Mechanics, CFD)",
+       "Stencil", "Fortran", "3-D cavity flow, 50x50x50 cubes"},
+      {"FFVC", "FrontFlow/violet Cartesian", "RIKEN",
+       "Engineering (Mechanics, CFD)", "Stencil", "C++/Fortran",
+       "3-D cavity flow, 144^3 cuboid (FVM)"},
+      {"MDYL", "MODYLAS", "RIKEN", "Physics and Chemistry", "N-body", "Fortran",
+       "wat222: 156,240 atoms over 16^3 cells (FMM)"},
+      {"mVMC", "many-variable Variational Monte Carlo", "RIKEN", "Physics",
+       "Dense matrix", "C", "quantum lattice strong-scaling test, downsized"},
+      {"NGSA", "Next-Gen Sequencing Analyzer", "RIKEN", "Bioscience",
+       "Irregular", "C", "pre-generated pseudo-genome (ngsa-dummy)"},
+      {"NICM", "Nonhydrostatic ICosahedral Atmospheric Model", "RIKEN",
+       "Geoscience/Earthscience", "Stencil", "Fortran",
+       "Jablonowski baroclinic wave, gl05rl00z40, 1 day"},
+      {"NTCh", "NTChem", "RIKEN", "Chemistry", "Dense matrix", "Fortran",
+       "MP2 solver, H2O test case"},
+      {"QCD", "Lattice QCD", "RIKEN", "Lattice QCD", "Stencil", "Fortran/C",
+       "Class 2: 32^3 x 32 lattice"},
+      {"HPL", "High Performance Linpack", "Reference", "Reference",
+       "Dense matrix", "C", "dense Ax=b, N=64512, Intel-optimized binary"},
+      {"HPCG", "High Performance Conjugate Gradients", "Reference", "Reference",
+       "Sparse matrix", "C++", "360x360x360 global problem, Intel binary"},
+      {"BABL2", "BabelStream", "Reference", "Reference", "Stream", "C++",
+       "2 GiB vectors, cache mode"},
+      {"BABL14", "BabelStream", "Reference", "Reference", "Stream", "C++",
+       "14 GiB vectors, cache mode"},
+  };
+  const auto expect_row = [](const KernelInfo& got, const Pinned& want) {
+    EXPECT_EQ(got.abbrev, want.abbrev);
+    EXPECT_EQ(got.name, want.name);
+    EXPECT_EQ(to_string(got.suite), want.suite);
+    EXPECT_EQ(to_string(got.domain), want.domain);
+    EXPECT_EQ(to_string(got.pattern), want.pattern);
+    EXPECT_EQ(got.language, want.language);
+    EXPECT_EQ(got.paper_input, want.paper_input);
+  };
+  const auto all = make_all();
+  const auto abbrevs = all_abbrevs();
+  ASSERT_EQ(all.size(), std::size(rows));
+  ASSERT_EQ(abbrevs.size(), std::size(rows));
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    SCOPED_TRACE(rows[i].abbrev);
+    expect_row(all[i]->info(), rows[i]);
+    expect_row(make(rows[i].abbrev)->info(), rows[i]);
+    EXPECT_EQ(abbrevs[i], rows[i].abbrev);
   }
 }
 

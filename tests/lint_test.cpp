@@ -2,9 +2,9 @@
 // known-bad snippet proving it fires, a scoping case proving it stays
 // inside its directory scope, and a suppression case proving the
 // `// fpr-lint: allow(rule)` escape hatch works. These are the tests
-// that keep the linter honest — the CTest gate over the real src/ tree
-// (test `fpr_lint_src`) only proves the tree is clean, not that the
-// rules still detect anything.
+// that keep the linter honest — the CTest gate over the real src/ and
+// tools/ trees (test `fpr_lint_src`) only proves they are clean, not that
+// the rules still detect anything.
 #include <gtest/gtest.h>
 
 #include <algorithm>

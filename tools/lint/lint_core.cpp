@@ -4,7 +4,6 @@
 #include <cctype>
 #include <deque>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <regex>
 #include <set>
@@ -1358,15 +1357,6 @@ std::vector<Finding> lint_source(const std::string& path,
   return lint_sources({{path, std::string(text)}}, enabled);
 }
 
-std::vector<Finding> lint_file(const std::string& path,
-                               const std::vector<std::string>& enabled) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("fpr-lint: cannot read " + path);
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return lint_source(path, ss.str(), enabled);
-}
-
 std::vector<std::string> collect_tree(const std::string& root) {
   namespace fs = std::filesystem;
   const fs::path r(root);
@@ -1384,19 +1374,6 @@ std::vector<std::string> collect_tree(const std::string& root) {
   }
   std::sort(files.begin(), files.end());
   return files;
-}
-
-std::vector<Finding> lint_tree(const std::string& root,
-                               const std::vector<std::string>& enabled) {
-  std::vector<SourceFile> sources;
-  for (const auto& path : collect_tree(root)) {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) throw std::runtime_error("fpr-lint: cannot read " + path);
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    sources.push_back({path, ss.str()});
-  }
-  return lint_sources(sources, enabled);
 }
 
 IncludeGraph build_include_graph(const std::vector<SourceFile>& files) {

@@ -80,20 +80,10 @@ struct SourceFile {
     const std::string& path, std::string_view text,
     const std::vector<std::string>& enabled = {});
 
-/// Lint a file on disk (reads it, then defers to lint_source). Throws
-/// std::runtime_error if the file cannot be read.
-[[nodiscard]] std::vector<Finding> lint_file(
-    const std::string& path, const std::vector<std::string>& enabled = {});
-
 /// Recursively collect the .hpp/.cpp/.h/.cc files under `root` (sorted,
 /// for deterministic output). Throws std::runtime_error if `root` is
 /// neither a file nor a directory.
 [[nodiscard]] std::vector<std::string> collect_tree(const std::string& root);
-
-/// collect_tree + read + lint_sources over one root: the project-level
-/// passes see every file under `root` together.
-[[nodiscard]] std::vector<Finding> lint_tree(
-    const std::string& root, const std::vector<std::string>& enabled = {});
 
 // ---------------------------------------------------------------------------
 // Include graph (the layering gate's data model, exported for docs)

@@ -2,8 +2,8 @@
 // line per finding. Exit codes: kExitOk (0) clean, kExitFindings (1)
 // findings, kExitUsage (2) usage/IO error.
 //
-//   fpr-lint src/                      # the CTest gate invocation
-//   fpr-lint --format json src/        # machine-readable findings
+//   fpr-lint src/ tools/               # the CTest gate invocation
+//   fpr-lint --format json src/ tools/ # machine-readable findings
 //   fpr-lint --graph dot src/          # include-graph DOT export
 //   fpr-lint --rules=naked-new src/kernels/hpl.cpp
 //   fpr-lint --list-rules
