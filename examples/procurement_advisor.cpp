@@ -21,7 +21,7 @@
 #include "common/table.hpp"
 #include "study/domain_util.hpp"
 #include "study/figures.hpp"
-#include "study/study.hpp"
+#include "study/study_engine.hpp"
 
 namespace {
 
@@ -102,7 +102,7 @@ int main(int argc, char** argv) {
     variants.push_back(arch::derive_variant(base, spec));
     cfg.machines.push_back(variants.back().cpu);
   }
-  const auto results = study::run_study(cfg);
+  const auto results = study::StudyEngine(cfg).run();
 
   TextTable t({"Machine", "Projected % of peak", "FP64 peak [Gflop/s]",
                "Effective Gflop/s"});

@@ -7,14 +7,24 @@ namespace fpr {
 ThreadPool::ThreadPool(unsigned threads) {
   unsigned n = threads != 0 ? threads : std::thread::hardware_concurrency();
   n = std::max(1u, n);
-  // Worker 0 is the calling thread; spawn n-1 helpers.
+  // Worker 0 is the calling thread; spawn n-1 helpers. If a start fails,
+  // the helpers already running are stopped and joined before the
+  // exception leaves: a joinable std::thread in workers_ would otherwise
+  // call std::terminate as it unwinds.
   workers_.reserve(n - 1);
-  for (unsigned id = 1; id < n; ++id) {
-    workers_.emplace_back([this, id] { worker_loop(id); });
+  try {
+    for (unsigned id = 1; id < n; ++id) {
+      workers_.emplace_back([this, id] { worker_loop(id); });
+    }
+  } catch (...) {
+    stop_and_join();
+    throw;
   }
 }
 
-ThreadPool::~ThreadPool() {
+ThreadPool::~ThreadPool() { stop_and_join(); }
+
+void ThreadPool::stop_and_join() {
   {
     std::lock_guard lock(mu_);
     stop_ = true;

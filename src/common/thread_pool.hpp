@@ -18,6 +18,8 @@ namespace fpr {
 class ThreadPool {
  public:
   /// Create a pool with `threads` workers (0 = hardware concurrency).
+  /// Throws std::system_error if a helper thread cannot start, after
+  /// stopping and joining the helpers that did.
   explicit ThreadPool(unsigned threads = 0);
   ~ThreadPool();
 
@@ -48,6 +50,7 @@ class ThreadPool {
   };
 
   void worker_loop(unsigned id);
+  void stop_and_join();
   void run_chunk(Job& job, unsigned worker_index) const;
 
   std::vector<std::thread> workers_;

@@ -25,8 +25,8 @@ struct SiteUtilization {
   }
 };
 
-/// The embedded Fig. 7 dataset (shares read off the published figure;
-/// see DESIGN.md on substitutions).
+/// The embedded Fig. 7 dataset: each site's domain shares, read off the
+/// published figure, which the paper took from each site's annual report.
 const std::vector<SiteUtilization>& site_utilization();
 
 /// Representative proxy per domain (Table II mapping used in Sec. V-B).

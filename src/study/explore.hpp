@@ -8,10 +8,11 @@
 //
 // Execution is the two-phase incremental pipeline: one
 // study::VariantEvaluator measurement pass over the base machine (each
-// kernel runs instrumented exactly once; cfg.kernel_jobs producers,
-// cfg.jobs machine-stage workers), then one batch evaluate() over the
-// baseline and every variant, which replays each new cache geometry
-// once across cfg.jobs workers and returns the scores in input order.
+// kernel runs instrumented exactly once; one StudyEngine pool of
+// cfg.kernel_jobs kernel-run and cfg.jobs machine-stage participants),
+// then one batch evaluate() over the baseline and every variant, which
+// replays each new cache geometry once across cfg.jobs workers and
+// returns the scores in input order.
 // Variants are deduplicated by canonical resolved machine
 // (arch::canonical_cpu_digest), so order-equivalent compositions ("a+b"
 // vs "b+a") and factor respellings are rejected as loudly as raw

@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "study/study_engine.hpp"
-
 namespace fpr::study {
 
 const MachineResult& KernelResult::on(std::string_view short_name) const {
@@ -19,13 +17,6 @@ const KernelResult* StudyResults::find(std::string_view abbrev) const {
     if (k.info.abbrev == abbrev) return &k;
   }
   return nullptr;
-}
-
-StudyResults run_study(const StudyConfig& cfg) {
-  // The engine hoists each kernel's single instrumented run above the
-  // per-machine stages, so re-profiling a measurement for KNL/KNM/BDW
-  // can never re-execute (or re-seed) the kernel itself.
-  return StudyEngine(cfg).run();
 }
 
 }  // namespace fpr::study

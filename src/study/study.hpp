@@ -90,9 +90,4 @@ struct StudyResults {
   [[nodiscard]] const KernelResult* find(std::string_view abbrev) const;
 };
 
-/// Run the full pipeline (thin wrapper over StudyEngine, which see).
-/// Kernels that fail verification abort the study with the kernel's
-/// exception (the paper's step 4: anomalies restart).
-StudyResults run_study(const StudyConfig& cfg = {});
-
 }  // namespace fpr::study

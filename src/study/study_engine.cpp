@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <condition_variable>
-#include <deque>
+#include <exception>
 #include <mutex>
 #include <thread>
 #include <utility>
@@ -53,27 +52,32 @@ StudyResults StudyEngine::run() {
              cfg_.kernel_jobs != 0 ? cfg_.kernel_jobs : hw,
              selected.size()));
 
-  // Scheduler state: kernel_jobs producers claim kernel indices from a
-  // shared cursor and run each kernel in a private ExecutionContext
-  // (no shared pool, no shared tallies — runs are fully isolated), then
-  // enqueue the kernel's (kernel, machine) stages; the engine pool's
-  // workers drain the queue as measurements land.
-  std::mutex mu;
-  std::condition_variable cv;
-  std::deque<std::pair<std::size_t, std::size_t>> ready;
-  unsigned live_producers = kernel_jobs;
-  bool produced_all = false;
-  bool aborted = false;
+  // Scheduler state: one claim cursor per role (see the header) and one
+  // flag per kernel, which the consumers of its units sleep on while it
+  // is pending.
+  enum : int { kPending = 0, kMeasured, kAborted };
+  const std::size_t units = selected.size() * machines.size();
+  std::vector<std::atomic<int>> flags(selected.size());  // all kPending
+  std::atomic<bool> aborted{false};
+  std::mutex error_mu;
   std::exception_ptr error;
   std::atomic<std::uint64_t> machine_evals{0};
   std::atomic<std::uint64_t> kernel_runs{0};
   std::atomic<std::size_t> next_kernel{0};
+  std::atomic<std::size_t> next_unit{0};
 
+  // Fail-fast: keep the first exception, stop every claim, and release
+  // the consumers asleep on kernels that will now never be measured.
   auto abort_with = [&](std::exception_ptr e) {
-    std::lock_guard lock(mu);
-    aborted = true;
-    if (!error) error = std::move(e);
-    cv.notify_all();
+    {
+      std::lock_guard lock(error_mu);
+      if (!error) error = std::move(e);
+    }
+    aborted.store(true);
+    for (auto& flag : flags) {
+      int expected = kPending;
+      if (flag.compare_exchange_strong(expected, kAborted)) flag.notify_all();
+    }
   };
 
   // One memoization store for the whole run: machine stages and every
@@ -101,101 +105,53 @@ StudyResults StudyEngine::run() {
     machine_evals.fetch_add(1, std::memory_order_relaxed);
   };
 
+  // One context per producer, reused across the kernels it claims: a
+  // producer runs its kernels serially, so reuse keeps the isolation
+  // (and, since assays are snapshot deltas, the byte-identity) while
+  // avoiding a pool construction per kernel.
   auto produce = [&] {
+    ExecutionContext ctx(cfg_.threads);
+    while (!aborted.load()) {
+      const std::size_t ki =
+          next_kernel.fetch_add(1, std::memory_order_relaxed);
+      if (ki >= selected.size()) return;
+      // throws on failed verify
+      auto meas = selected[ki]->run(ctx, cfg_.run_config());
+      kernel_runs.fetch_add(1, std::memory_order_relaxed);
+      if (cfg_.canonical_timing) meas.host_seconds = 0.0;
+      results.kernels[ki].meas = std::move(meas);
+      flags[ki].store(kMeasured);
+      flags[ki].notify_all();
+    }
+  };
+
+  // Consumers claim (kernel, machine) units in kernel-major order, so with
+  // one producer they wait on kernels in the order it measures them.
+  auto consume = [&] {
+    while (!aborted.load()) {
+      const std::size_t unit =
+          next_unit.fetch_add(1, std::memory_order_relaxed);
+      if (unit >= units) return;
+      const std::size_t ki = unit / machines.size();
+      flags[ki].wait(kPending);
+      if (aborted.load()) return;  // fail-fast: drop the claimed stage
+      machine_stage(ki, unit % machines.size());
+    }
+  };
+
+  // One index per participant: the first kernel_jobs produce, the rest
+  // consume. A kernel verification failure, a context pool that could
+  // not be built or a throwing machine stage aborts the study; nothing
+  // escapes a participant.
+  const unsigned participants = kernel_jobs + jobs;
+  ThreadPool pool(participants);
+  pool.parallel_for(participants, [&](std::size_t i, std::size_t, unsigned) {
     try {
-      // One context per producer, reused across the kernels it claims:
-      // a producer runs its kernels serially, so reuse keeps the
-      // isolation (and, since assays are snapshot deltas, the
-      // byte-identity) while avoiding a pool construction per kernel.
-      ExecutionContext ctx(cfg_.threads);
-      for (;;) {
-        {
-          std::lock_guard lock(mu);
-          if (aborted) break;
-        }
-        const std::size_t ki =
-            next_kernel.fetch_add(1, std::memory_order_relaxed);
-        if (ki >= selected.size()) break;
-        // throws on failed verify
-        auto meas = selected[ki]->run(ctx, cfg_.run_config());
-        kernel_runs.fetch_add(1, std::memory_order_relaxed);
-        if (cfg_.canonical_timing) meas.host_seconds = 0.0;
-        results.kernels[ki].meas = std::move(meas);
-        {
-          std::lock_guard lock(mu);
-          for (std::size_t mi = 0; mi < machines.size(); ++mi) {
-            ready.emplace_back(ki, mi);
-          }
-        }
-        cv.notify_all();
-      }
+      i < kernel_jobs ? produce() : consume();
     } catch (...) {
-      // Kernel verification failure, or the context's pool could not be
-      // built: abort the study — nothing may escape a producer thread.
       abort_with(std::current_exception());
     }
-    {
-      std::lock_guard lock(mu);
-      if (--live_producers == 0) produced_all = true;
-    }
-    cv.notify_all();
-  };
-
-  auto consume = [&] {
-    for (;;) {
-      std::pair<std::size_t, std::size_t> task;
-      {
-        std::unique_lock lock(mu);
-        cv.wait(lock,
-                [&] { return !ready.empty() || produced_all || aborted; });
-        if (aborted) return;  // fail-fast: drop queued stages
-        if (ready.empty()) {
-          if (produced_all) return;
-          continue;
-        }
-        task = ready.front();
-        ready.pop_front();
-      }
-      try {
-        machine_stage(task.first, task.second);
-      } catch (...) {
-        abort_with(std::current_exception());
-        return;
-      }
-    }
-  };
-
-  // Producers get dedicated threads (each spends its time inside kernel
-  // runs); the calling thread and the engine pool's workers drain the
-  // machine-stage queue. Producer exceptions never escape produce().
-  // The join guard makes every exit path safe: if spawning a producer
-  // or running the engine pool throws (thread exhaustion), the live
-  // producers are told to abort and joined before unwinding destroys
-  // the state they reference — a joinable std::thread destructor would
-  // otherwise call std::terminate.
-  ThreadPool pool(jobs);  // before any producer exists: may throw freely
-  std::vector<std::thread> producers;
-  producers.reserve(kernel_jobs);
-  struct ProducerJoiner {
-    std::vector<std::thread>& threads;
-    std::mutex& mu;
-    bool& aborted;
-    ~ProducerJoiner() {
-      {
-        std::lock_guard lock(mu);
-        aborted = true;  // no-op on the normal path: all producers done
-      }
-      for (auto& t : threads) {
-        if (t.joinable()) t.join();
-      }
-    }
-  } joiner{producers, mu, aborted};
-  for (unsigned p = 0; p < kernel_jobs; ++p) producers.emplace_back(produce);
-
-  pool.parallel_for(jobs, [&](std::size_t begin, std::size_t end, unsigned) {
-    for (std::size_t i = begin; i < end; ++i) consume();
   });
-  for (auto& t : producers) t.join();
 
   stats_.kernel_runs = kernel_runs.load(std::memory_order_relaxed);
   stats_.machine_evals = machine_evals.load(std::memory_order_relaxed);

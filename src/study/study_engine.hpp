@@ -2,19 +2,19 @@
 //
 // The evaluation grid is one instrumented kernel run per kernel (the
 // paper's SDE/PCM step) feeding three per-machine stages (memory
-// simulation + model evaluation + frequency sweep) per kernel. Both
-// axes fan out:
+// simulation + model evaluation + frequency sweep) per kernel. One
+// engine-owned pool of cfg.kernel_jobs + cfg.jobs participants runs both
+// axes, each participant in one role:
 //
-//  - kernel runs execute on up to cfg.kernel_jobs producer threads.
-//    Every run gets its own ExecutionContext (a private worker pool of
-//    cfg.threads workers plus a run-local counter sink), so concurrent
-//    runs share no mutable state — the de-globalization that lifted the
-//    old "kernel runs are inherently serial" constraint, which existed
-//    only because kernels used to count into process-wide thread-local
-//    tallies on a single global pool;
-//  - each finished measurement streams its (kernel, machine) stages —
-//    pure functions of (CpuSpec, measurement) — to the workers of an
-//    engine-owned pool of cfg.jobs threads.
+//  - producers (cfg.kernel_jobs of them) claim kernels from one cursor
+//    and run each in the producer's own ExecutionContext (a private
+//    worker pool of cfg.threads workers plus a run-local counter sink),
+//    so concurrent runs share no mutable state. A finished run flags its
+//    kernel measured;
+//  - consumers (cfg.jobs of them) claim (kernel, machine) units from a
+//    second cursor, in kernel-major order, and wait on the unit's kernel
+//    flag before running its stage — a pure function of (CpuSpec,
+//    measurement).
 //
 // Guarantees:
 //  - each kernel's instrumented run executes exactly once, shared by all
@@ -24,9 +24,9 @@
 //    serialized when cfg.canonical_timing strips the only wall-clock
 //    field (op counts are analytic and chunking is static, so the
 //    parallel engine is a pure reordering of the serial pipeline);
-//  - a kernel-verification exception aborts fail-fast: queued machine
-//    jobs are dropped, no further kernel runs start, and run() rethrows
-//    the original exception.
+//  - an exception from a kernel run or a machine stage aborts fail-fast:
+//    every pending kernel flag is released, no further kernel runs or
+//    stages start, and run() rethrows the first exception.
 #pragma once
 
 #include <cstdint>

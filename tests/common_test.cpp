@@ -1,11 +1,15 @@
 // Unit tests for the common substrate: stats, tables, RNG, buffers,
 // thread pool.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <fstream>
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <system_error>
 #include <vector>
 
 #include "common/aligned_buffer.hpp"
@@ -210,6 +214,32 @@ TEST(ThreadPool, SingleWorkerRunsInline) {
     n += static_cast<int>(hi - lo);
   });
   EXPECT_EQ(n.load(), 50);
+}
+
+// A helper that cannot start must surface as std::system_error from the
+// constructor, with the helpers already running joined: a joinable
+// std::thread left behind would call std::terminate (SIGABRT). The
+// forked child caps its own address space at its current size plus
+// 20 MiB, so a thread-stack mapping fails after two or three starts.
+TEST(ThreadPoolDeathTest, FailedThreadStartThrowsInsteadOfTerminating) {
+  EXPECT_EXIT(
+      {
+        std::ifstream statm("/proc/self/statm");
+        rlim_t pages = 0;
+        statm >> pages;
+        rlimit limit{};
+        getrlimit(RLIMIT_AS, &limit);
+        limit.rlim_cur =
+            pages * static_cast<rlim_t>(sysconf(_SC_PAGESIZE)) + (20u << 20);
+        if (setrlimit(RLIMIT_AS, &limit) != 0) _exit(2);
+        try {
+          ThreadPool pool(16);
+        } catch (const std::system_error&) {
+          _exit(0);
+        }
+        _exit(1);  // every helper started: the limit did not bite
+      },
+      ::testing::ExitedWithCode(0), "");
 }
 
 TEST(WallTimer, MeasuresElapsed) {

@@ -7,7 +7,7 @@
 
 #include "study/figures.hpp"
 #include "study/paper_data.hpp"
-#include "study/study.hpp"
+#include "study/study_engine.hpp"
 
 namespace fpr::study {
 namespace {
@@ -27,7 +27,7 @@ StudyConfig integration_config() {
 class IntegrationTest : public ::testing::Test {
  protected:
   static const StudyResults& results() {
-    static const StudyResults r = run_study(integration_config());
+    static const StudyResults r = StudyEngine(integration_config()).run();
     return r;
   }
 };

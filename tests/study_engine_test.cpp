@@ -34,8 +34,11 @@ struct RunLog {
 class FakeKernel : public kernels::ProxyKernel {
  public:
   FakeKernel(std::string abbrev, RunLog* log, bool fail,
-             std::chrono::milliseconds delay = {})
-      : log_(log), fail_(fail), delay_(delay) {
+             std::chrono::milliseconds delay = {},
+             memsim::AccessPatternSpec access =
+                 memsim::AccessPatternSpec::single(
+                     memsim::StreamPattern{1u << 26, 3, 1}))
+      : log_(log), fail_(fail), delay_(delay), access_(std::move(access)) {
     info_.name = "Fake " + abbrev;
     info_.abbrev = std::move(abbrev);
     info_.suite = kernels::Suite::reference;
@@ -68,8 +71,7 @@ class FakeKernel : public kernels::ProxyKernel {
     m.ops.bytes_read = 8'000'000'000;
     m.ops.bytes_written = 4'000'000'000;
     m.working_set_bytes = 1u << 26;
-    m.access = memsim::AccessPatternSpec::single(
-        memsim::StreamPattern{1u << 26, 3, 1});
+    m.access = access_;
     m.verified = true;
     m.checksum = 42.0;
     return m;
@@ -80,6 +82,7 @@ class FakeKernel : public kernels::ProxyKernel {
   RunLog* log_;
   bool fail_;
   std::chrono::milliseconds delay_;
+  memsim::AccessPatternSpec access_;
 };
 
 StudyEngine::KernelFactory fake_factory(
@@ -140,12 +143,6 @@ TEST(StudyEngine, KernelJobsTimesMachineJobsMatrixBitIdentical) {
           << "kernel_jobs=" << kernel_jobs << " jobs=" << jobs;
     }
   }
-}
-
-TEST(StudyEngine, RunStudyDelegatesToEngine) {
-  const auto direct = StudyEngine(real_subset_config(1)).run();
-  const auto wrapped = run_study(real_subset_config(2));
-  EXPECT_EQ(io::dump(io::to_json(direct)), io::dump(io::to_json(wrapped)));
 }
 
 TEST(StudyEngine, DeterministicOrderingAcrossJobs) {
@@ -289,6 +286,43 @@ TEST(StudyEngine, FailFastUnderConcurrentKernelProducers) {
   EXPECT_THROW((void)engine.run(), std::runtime_error);
   // Fail-fast: at most the claims already in flight when BOOM fired.
   EXPECT_LT(log.total.load(), 17);
+}
+
+// An abort can also start in a machine stage. BAD measures fine after
+// 20 ms (time for every consumer to claim a unit), but its gather has
+// elem_bytes = 0, which the trace generator rejects in every machine
+// stage. SLOW runs for 100 ms after it, so consumers that claimed later
+// units are asleep when BAD's stage throws; with one producer, LAST is
+// never claimed, and only the abort can wake the consumers waiting for
+// it. run() must rethrow that exception and return (a hang fails by
+// timeout) for every (kernel_jobs, jobs) point.
+TEST(StudyEngine, FailFastPropagatesMachineStageException) {
+  for (const unsigned kernel_jobs : {1u, 2u, 8u}) {
+    for (const unsigned jobs : {1u, 2u, 8u}) {
+      RunLog log;
+      StudyEngine engine(fake_config(jobs, kernel_jobs), [&log] {
+        std::vector<std::unique_ptr<kernels::ProxyKernel>> out;
+        out.push_back(std::make_unique<FakeKernel>(
+            "BAD", &log, false, std::chrono::milliseconds(20),
+            memsim::AccessPatternSpec::single(
+                memsim::GatherPattern{.table_bytes = 1u << 26,
+                                      .elem_bytes = 0})));
+        out.push_back(std::make_unique<FakeKernel>(
+            "SLOW", &log, false, std::chrono::milliseconds(100)));
+        out.push_back(std::make_unique<FakeKernel>("LAST", &log, false));
+        return out;
+      });
+      try {
+        (void)engine.run();
+        ADD_FAILURE() << "expected the rejected gather (kernel_jobs="
+                      << kernel_jobs << " jobs=" << jobs << ")";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("elem_bytes must be > 0"),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+  }
 }
 
 TEST(StudyEngine, CanonicalTimingZeroesHostSeconds) {

@@ -9,7 +9,7 @@
 #include "study/figures.hpp"
 #include "study/methodology.hpp"
 #include "study/paper_data.hpp"
-#include "study/study.hpp"
+#include "study/study_engine.hpp"
 
 namespace fpr::study {
 namespace {
@@ -27,7 +27,7 @@ StudyConfig small_config() {
 class StudyTest : public ::testing::Test {
  protected:
   static const StudyResults& results() {
-    static const StudyResults r = run_study(small_config());
+    static const StudyResults r = StudyEngine(small_config()).run();
     return r;
   }
 };

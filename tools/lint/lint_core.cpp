@@ -5,7 +5,18 @@
 #include <deque>
 #include <filesystem>
 #include <map>
+// GCC 12 reports -Wmaybe-uninitialized inside std::function as
+// std::regex instantiates it (bits/std_function.h) when built with
+// -fsanitize=address; the warning is about library code, not ours.
+// Clang has no such warning group and would reject its name.
+#ifndef __clang__
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#endif
 #include <regex>
+#ifndef __clang__
+#pragma GCC diagnostic pop
+#endif
 #include <set>
 #include <sstream>
 #include <stdexcept>
